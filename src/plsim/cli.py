@@ -155,7 +155,7 @@ _experiment_options = [
     click.option("--draws", type=int, default=None, help="Override draws per run."),
     click.option("--accounts", type=int, default=None, help="Override account count."),
     click.option("--seed", type=int, default=None, help="Override master seed."),
-    click.option("--threads", type=int, default=1, show_default=True,
+    click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
                  help="Worker processes; results are identical for any value."),
     click.option("--out", default="-", show_default=True,
                  help="Output CSV path, or - for stdout."),

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pareto import _maybe_scalar
+
 # below this weighting exponent the weighting form is no longer monotone
 _MONOTONE_WEIGHT_EXP = 0.28
 
@@ -120,10 +122,6 @@ class UtilityParts:
     gain: float | np.ndarray
     loss: float | np.ndarray
     total: float | np.ndarray
-
-
-def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
-    return float(out) if np.ndim(like) == 0 else out
 
 
 def value(params: CptParams, x) -> float | np.ndarray:

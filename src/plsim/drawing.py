@@ -14,6 +14,17 @@ Two ways to pick winners for a drawing of ``count`` prizes worth
 
 The total payout of a drawing is ``multiple`` times the sum of the winners'
 balances.
+
+Batched drawings return the same integers as drawing one at a time. The
+random kernel replays ``Generator.choice(n, k, replace=False,
+shuffle=False)``, which numpy runs as Floyd's algorithm (Bentley & Floyd, "A
+sample of brilliance", CACM 1987) for ``n <= 10_000`` or ``k <= n // 20``: slot
+i draws from [0, n-k+i] by Lemire's multiply-and-reject on one value of the
+bit generator's 32-bit stream, and takes n-k+i instead when an earlier slot
+already holds its draw. The replay reads that stream in bulk with
+``rng.integers(0, 2**32, dtype=np.uint32)`` and resolves the collisions
+vectorised. It relies on numpy internals that NEP 19 does not promise to keep,
+so the golden outputs are tied to the numpy version they were cut with.
 """
 
 from __future__ import annotations
@@ -26,8 +37,14 @@ from .population import AccountPopulation
 
 MECHANISMS = ("random", "bracketed")
 
-# rows per slice when batching bracketed draws, keeps gather buffers small
-_BATCH_ROWS = 2048
+# rows per slice when batching drawings, keeps gather buffers in cache
+_BATCH_ROWS = 128
+
+# above this prize count one Generator.choice call per drawing beats the
+# replay; above this population Lemire rejections (up to n / 2**32 of the raw
+# values) get frequent enough for the same
+_REPLAY_MAX_K = 512
+_REPLAY_MAX_N = 2**24
 
 
 @dataclass(frozen=True)
@@ -112,15 +129,77 @@ def draw_bracketed(pop: AccountPopulation, sched: PrizeSchedule,
     return DrawOutcome(winners=winners, payout=payout)
 
 
+def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
+    """Winner sets of ``rows`` random drawings of ``k`` out of ``n`` accounts,
+    yielded as ``(first row, block)`` with at most ``_BATCH_ROWS`` rows a block.
+
+    Row d equals the d-th of ``rows`` successive calls of ``rng.choice(n, k,
+    replace=False, shuffle=False)``, and ``rng`` ends in the state those calls
+    leave it in. Where numpy does not use Floyd's algorithm, or the replay is
+    slower, the kernel makes those calls itself.
+    """
+    floyd = n <= 10_000 or k <= n // 20
+    # the calls also win on dense drawings (n < 4k), whose slots often collide
+    if not floyd or k > _REPLAY_MAX_K or n > _REPLAY_MAX_N or n < 4 * k:
+        for lo in range(0, rows, _BATCH_ROWS):
+            block = np.empty((min(_BATCH_ROWS, rows - lo), k), dtype=np.int64)
+            for row in block:
+                row[:] = rng.choice(n, size=k, replace=False, shuffle=False)
+            yield lo, block
+        return
+
+    top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
+    sizes = np.tile(top.astype(np.uint64) + 1, _BATCH_ROWS)  # range sizes, per slot
+    reject_below = np.uint64(2**32) % sizes
+    # about one rejection per window, so a rejection recomputes little
+    window = 2**32 // n
+    shift = k.bit_length()
+    for lo in range(0, rows, _BATCH_ROWS):
+        m = min(_BATCH_ROWS, rows - lo)
+        need = m * k
+        block = np.empty((m, k), dtype=np.int64)
+        flat = block.ravel()
+        raw = rng.integers(0, 2**32, size=need, dtype=np.uint32)
+        pos = cur = 0
+        while pos < need:
+            if cur == raw.size:
+                raw, cur = rng.integers(0, 2**32, size=need - pos, dtype=np.uint32), 0
+            span = min(raw.size - cur, window)
+            prod = raw[cur:cur + span] * sizes[pos:pos + span]
+            rejected = np.flatnonzero((prod & 0xFFFFFFFF) < reject_below[pos:pos + span])
+            taken = int(rejected[0]) if rejected.size else span
+            flat[pos:pos + taken] = prod[:taken] >> 32
+            pos += taken
+            # numpy draws a rejecting slot again from the next raw value
+            cur += taken + (rejected.size > 0)
+
+        # Floyd: slot i takes top[i] when its draw is already held, that is
+        # when it repeats an earlier draw of the row, or equals top[p] for an
+        # earlier slot p that took top[p]
+        held = np.zeros(m * k, dtype=bool)
+        keyed = np.sort((block << shift) | np.arange(k), axis=1)
+        repeat = np.flatnonzero((keyed[:, 1:] ^ keyed[:, :-1]) < 1 << shift)
+        r, c = np.divmod(repeat, k - 1)
+        held[r * k + (keyed[r, c + 1] & (1 << shift) - 1)] = True
+        at = np.flatnonzero(flat >= n - k)
+        src = at - at % k + flat[at] - (n - k)  # where top[flat[at]] would sit
+        at, src = at[src < at], src[src < at]
+        while True:
+            more = held[src] & ~held[at]
+            if not more.any():
+                break
+            held[at[more]] = True
+        np.copyto(block, top, where=held.reshape(m, k))
+        yield lo, block
+
+
 def random_payouts(pop: AccountPopulation, sched: PrizeSchedule,
                    rng: np.random.Generator, draws: int) -> np.ndarray:
     """Payouts of ``draws`` independent random-mechanism drawings."""
     _check_drawable(pop, sched)
-    bal = pop.balances
-    n, k = pop.count, sched.count
     out = np.empty(draws)
-    for d in range(draws):
-        out[d] = bal[rng.choice(n, size=k, replace=False, shuffle=False)].sum()
+    for lo, block in _random_winner_rows(rng, pop.count, sched.count, draws):
+        out[lo:lo + len(block)] = pop.balances[block].sum(axis=1)
     return out * sched.multiple
 
 
@@ -132,10 +211,9 @@ def random_winner_matrix(pop: AccountPopulation, sched: PrizeSchedule,
     (the cap experiment re-prices identical winner sets at every cap level).
     """
     _check_drawable(pop, sched)
-    n, k = pop.count, sched.count
-    winners = np.empty((draws, k), dtype=np.int64)
-    for d in range(draws):
-        winners[d] = rng.choice(n, size=k, replace=False, shuffle=False)
+    winners = np.empty((draws, sched.count), dtype=np.int64)
+    for lo, block in _random_winner_rows(rng, pop.count, sched.count, draws):
+        winners[lo:lo + len(block)] = block
     return winners
 
 
@@ -144,12 +222,15 @@ def bracketed_payouts(pop: AccountPopulation, sched: PrizeSchedule,
     """Payouts of ``draws`` independent bracketed drawings."""
     _check_drawable(pop, sched)
     sbal = pop.sorted_balances()
-    bounds = bracket_bounds(pop.count, sched.count)
-    starts, sizes = bounds[:-1], np.diff(bounds)
+    n, k = pop.count, sched.count
+    bounds = bracket_bounds(n, k)
+    # equal brackets: a scalar bound draws the same integers as the array of
+    # sizes, and numpy draws it faster
+    sizes = n // k if n % k == 0 else np.diff(bounds)
     out = np.empty(draws)
     for lo in range(0, draws, _BATCH_ROWS):
         m = min(_BATCH_ROWS, draws - lo)
-        positions = starts[None, :] + rng.integers(0, sizes, size=(m, sched.count))
+        positions = bounds[:-1] + rng.integers(0, sizes, size=(m, k))
         out[lo:lo + m] = sbal[positions].sum(axis=1)
     return out * sched.multiple
 

@@ -167,6 +167,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         )
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"config field has the wrong type: {exc}") from exc
 
 
 def level_label(level: float | None) -> str:
@@ -475,6 +477,7 @@ def run_caps(config: ExperimentConfig, workers: int = 1) -> CapResult:
 
 
 def _map_runs(run_func, config: ExperimentConfig, workers: int) -> list[np.ndarray]:
+    workers = min(workers, config.runs)
     if workers <= 1:
         return [run_func(config, r) for r in range(config.runs)]
     with ProcessPoolExecutor(max_workers=workers) as pool:

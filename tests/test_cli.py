@@ -106,6 +106,24 @@ class TestBracketingCommand:
         result = runner.invoke(main, ["bracketing", "--config", str(bad)])
         assert result.exit_code != 0
 
+    def test_mistyped_config_fails_with_one_line(self, runner, tmp_path):
+        doc = json.loads((GOLDEN / "golden_bracketing.json").read_text())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**doc, "pareto": None}))
+        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
+        assert result.exit_code == 1
+        assert "wrong type" in result.stderr
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_nonpositive_threads_fail(self, runner, threads):
+        for command in ("bracketing", "caps"):
+            result = runner.invoke(main, [
+                command, "--config", str(GOLDEN / f"golden_{command}.json"),
+                "--threads", threads])
+            assert result.exit_code == 2
+            assert "--threads" in result.stderr
+
     def test_progress_stays_off_stdout(self, runner):
         result = runner.invoke(main, [
             "bracketing", "--runs", "1", "--draws", "5", "--accounts", "2000"])

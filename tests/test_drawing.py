@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from plsim import drawing
 from plsim.drawing import (
     PrizeSchedule,
     best_payout,
@@ -210,3 +211,65 @@ class TestBatchHelpers:
         base = random_payouts(pop, PrizeSchedule(5, 1.0), np.random.default_rng(3), 30)
         doubled = random_payouts(pop, PrizeSchedule(5, 2.0), np.random.default_rng(3), 30)
         np.testing.assert_array_equal(doubled, 2.0 * base)
+
+
+def batched_rows(rng, n, k, rows):
+    blocks = drawing._random_winner_rows(rng, n, k, rows)
+    return np.concatenate([block for _, block in blocks])
+
+
+def choice_loop(rng, n, k, rows):
+    """The per-drawing reference the batched random kernel must reproduce."""
+    out = np.empty((rows, k), dtype=np.int64)
+    for row in out:
+        row[:] = rng.choice(n, size=k, replace=False, shuffle=False)
+    return out
+
+
+class TestBatchedKernelsExact:
+    ROWS = 2 * drawing._BATCH_ROWS + 3
+    CROSSOVER = drawing._REPLAY_MAX_K
+
+    @pytest.mark.parametrize("n, k", [
+        (20, 19), (20, 20), (1, 1), (40, 10), (50, 7), (2_000, 500), (10_000, 500),
+        (10_001, 500),
+        (100_000, CROSSOVER - 1), (100_000, CROSSOVER), (100_000, CROSSOVER + 1),
+        (2**24, 10),  # large range: Lemire rejections in most batches
+    ])
+    def test_random_rows_equal_choice_loop(self, n, k):
+        for seed in (0, 1):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = batched_rows(rng, n, k, self.ROWS)
+            assert np.array_equal(rows, choice_loop(ref, n, k, self.ROWS))
+            # both leave the generator in the same state
+            assert rng.integers(2**63) == ref.integers(2**63)
+
+    def test_outside_floyd_regime_falls_back(self):
+        # numpy tail-shuffles when n > 10_000 and k > n // 20
+        n, k = 10_001, 501
+        assert k <= drawing._REPLAY_MAX_K
+        rows = batched_rows(np.random.default_rng(3), n, k, 5)
+        assert np.array_equal(rows, choice_loop(np.random.default_rng(3), n, k, 5))
+
+    @pytest.mark.parametrize("k", [10, CROSSOVER + 1])
+    def test_random_payouts_equal_per_drawing_sums(self, k):
+        pop = generate(ParetoParams(1.04, 150.0), 20_000, 59)
+        sched = PrizeSchedule(k, 3.0)
+        rng = np.random.default_rng(61)
+        ref = np.array([pop.balances[row].sum()
+                        for row in choice_loop(rng, pop.count, k, self.ROWS)])
+        got = random_payouts(pop, sched, np.random.default_rng(61), self.ROWS)
+        assert np.array_equal(got, ref * sched.multiple)
+        matrix = random_winner_matrix(pop, sched, np.random.default_rng(61), self.ROWS)
+        assert np.array_equal(matrix, choice_loop(np.random.default_rng(61), pop.count,
+                                                  k, self.ROWS))
+
+    @pytest.mark.parametrize("n, k", [(300, 6), (301, 6), (1000, 1000)])
+    def test_bracketed_scalar_bound_equals_array_bound(self, n, k):
+        pop = generate(ParetoParams(1.12, 250.0), n, 67)
+        sched = PrizeSchedule(k, 2.0)
+        bounds = bracket_bounds(n, k)
+        offsets = np.random.default_rng(71).integers(0, np.diff(bounds), size=(self.ROWS, k))
+        ref = pop.sorted_balances()[bounds[:-1] + offsets].sum(axis=1) * sched.multiple
+        got = bracketed_payouts(pop, sched, np.random.default_rng(71), self.ROWS)
+        assert np.array_equal(got, ref)

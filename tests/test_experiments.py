@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from plsim import experiments
 from plsim.drawing import (
     PrizeSchedule,
     expected_payout,
@@ -70,6 +71,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing"):
             config_from_dict({"pareto": {"alpha": 2.0, "b": 1.0}})
 
+    def test_mistyped_field_message(self):
+        data = config_to_dict(small_config())
+        for field, bad in (("pareto", None), ("schedules", 5), ("runs", [4])):
+            with pytest.raises(ValueError, match="wrong type"):
+                config_from_dict({**data, field: bad})
+
     def test_full_scale_presets(self):
         br = bracketing_config()
         assert br.runs == 200 and br.draws_per_run == 10_000
@@ -98,6 +105,28 @@ class TestBracketing:
         for a, b in zip(serial.cells, parallel.cells):
             np.testing.assert_array_equal(a.random_values, b.random_values)
             np.testing.assert_array_equal(a.bracket_values, b.bracket_values)
+
+    def test_workers_clamped_to_runs(self, monkeypatch):
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return map(func, items)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config(runs=2)
+        pooled = run_bracketing(cfg, workers=3).to_csv_string()
+        assert pooled == run_bracketing(cfg, workers=1).to_csv_string()
+        assert seen == [2]
 
     def test_schedule_cells_invariant_to_later_schedules(self):
         # drawing streams are keyed by schedule index, so results for a
