@@ -1,55 +1,9 @@
 """Monte Carlo simulation and risk analysis for dynamic prize-linked
 savings programs over heavy-tailed account populations."""
 
-from .cpt import (
-    CptParams,
-    DynamicPrizeSpec,
-    FixedPrizeSpec,
-    UtilityParts,
-    utility_dynamic,
-    utility_fixed_growth,
-    utility_fixed_no_growth,
-    value,
-    weight_gain,
-    weight_loss,
-)
-from .drawing import (
-    DrawOutcome,
-    PrizeSchedule,
-    best_payout,
-    draw_bracketed,
-    draw_random,
-    expected_interest,
-    expected_payout,
-    worst_payout,
-)
-from .experiments import (
-    BracketingResult,
-    CapResult,
-    ExperimentConfig,
-    bracketing_config,
-    caps_config,
-    run_bracketing,
-    run_caps,
-)
-from .pareto import (
-    ParetoParams,
-    alpha_from_gini,
-    gini_from_alpha,
-    mean,
-    pdf,
-    quantile,
-    sample,
-    tail_fraction,
-)
-from .population import AccountPopulation, apply_cap, generate
-from .risk import (
-    PayoutDistribution,
-    compare_percentage_higher,
-    relative_difference,
-    scale,
-    std_dev,
-    var_approx,
-)
+from .drawing import PrizeSchedule, draw, expected_payout
+from .experiments import Result, bracketing_config, run_bracketing
+from .pareto import ParetoParams
+from .population import generate
 
 __version__ = "0.1.0"

@@ -12,20 +12,14 @@ from __future__ import annotations
 import csv
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 
 import click
 import numpy as np
 
 from . import cpt, experiments
-from .drawing import (
-    PrizeSchedule,
-    best_payout,
-    draw_bracketed,
-    draw_random,
-    expected_payout,
-    worst_payout,
-)
+from .drawing import PrizeSchedule, best_payout, draw, expected_payout, worst_payout
 from .pareto import ParetoParams, mean, quantile
 from .population import generate
 
@@ -45,14 +39,23 @@ def main():
     """Monte Carlo toolkit for dynamic prize-linked savings programs."""
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
-
-
 def _fail(message: str):
     raise click.ClickException(message)
+
+
+@contextmanager
+def _output(path: str, option: str = "--out"):
+    """Text stream writing to ``path``, or stdout for ``-``; a path that
+    cannot be opened is a one-line error naming ``option``."""
+    if path == "-":
+        yield sys.stdout
+        return
+    try:
+        stream = open(path, "w", newline="")
+    except OSError as exc:
+        _fail(f"cannot write {option} {path}: {exc.strerror}")
+    with stream:
+        yield stream
 
 
 def _progress(message: str):
@@ -83,17 +86,13 @@ def cmd_table1(params_csv: str, out: str):
     except ValueError as exc:
         _fail(str(exc))
 
-    stream, close = _open_out(out)
-    try:
+    with _output(out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(TABLE1_COLUMNS)
         for params in pairs:
             cells = [mean(params)] + [quantile(params, p) for p in TABLE1_PERCENTILES]
             writer.writerow([f"{params.alpha:g}", f"{params.b:g}"]
                             + [f"{v:.2f}" for v in cells])
-    finally:
-        if close:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +135,13 @@ def _load_config(config_path: str | None, want_caps: bool, runs, draws,
 
 
 def _emit_result(result, out: str, json_out: str | None):
-    stream, close = _open_out(out)
-    try:
+    # the JSON target opens first, so a bad --json-out leaves no CSV behind
+    json_target = nullcontext() if json_out is None else _output(json_out, "--json-out")
+    with json_target as json_stream, _output(out) as stream:
         result.write_csv(stream)
-    finally:
-        if close:
-            stream.close()
-    if json_out is not None:
-        with open(json_out, "w") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        if json_stream is not None:
+            json.dump(result.to_json_dict(), json_stream, indent=2)
+            json_stream.write("\n")
 
 
 _experiment_options = [
@@ -273,8 +269,7 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
         _fail(str(exc))
 
     emit_diffs = points >= 2
-    stream, close = _open_out(out)
-    try:
+    with _output(out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CPT_CSV_COLUMNS)
         for pt in report:
@@ -292,9 +287,6 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
             else:
                 row += [""] * 9
             writer.writerow(row)
-    finally:
-        if close:
-            stream.close()
 
 
 # ---------------------------------------------------------------------------
@@ -321,17 +313,16 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
         sched = PrizeSchedule(prizes, multiple)
         rng = np.random.default_rng(seed)
         pop = generate(params, accounts, rng)
-        drawer = draw_random if mechanism == "random" else draw_bracketed
-        outcome = drawer(pop, sched, rng)
+        outcome = draw(pop, sched, mechanism, rng)
     except ValueError as exc:
         _fail(str(exc))
 
     if dump_path is not None:
-        np.savetxt(dump_path, pop.balances, fmt="%.6f")
+        with _output(dump_path, "--dump-balances") as stream:
+            np.savetxt(stream, pop.balances, fmt="%.6f")
 
     expected = expected_payout(pop, sched)
-    stream, close = _open_out(out)
-    try:
+    with _output(out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["mechanism", "accounts", "prizes", "multiple", "seed",
                          "payout", "expected", "scaled", "best", "worst"])
@@ -342,9 +333,6 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
             f"{best_payout(pop, sched, mechanism):.6f}",
             f"{worst_payout(pop, sched, mechanism):.6f}",
         ])
-    finally:
-        if close:
-            stream.close()
 
 
 if __name__ == "__main__":

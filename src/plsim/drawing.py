@@ -15,6 +15,10 @@ Two ways to pick winners for a drawing of ``count`` prizes worth
 The total payout of a drawing is ``multiple`` times the sum of the winners'
 balances.
 
+Each mechanism draws its winners in one kernel, which ``winner_blocks``
+exposes in blocks of drawings. ``payouts`` prices those blocks, uncapped and
+at each balance cap, and ``draw`` is a single drawing of the same kernel.
+
 Batched drawings return the same integers as drawing one at a time. The
 random kernel replays ``Generator.choice(n, k, replace=False,
 shuffle=False)``, which numpy runs as Floyd's algorithm (Bentley & Floyd, "A
@@ -101,32 +105,56 @@ def bracket_bounds(n: int, k: int) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(sizes)))
 
 
-def _check_drawable(pop: AccountPopulation, sched: PrizeSchedule):
+def _check(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str):
+    if mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}, expected one of {MECHANISMS}")
     if sched.count > pop.count:
         raise ValueError(
             f"cannot draw {sched.count} distinct winners from {pop.count} accounts"
         )
 
 
-def draw_random(pop: AccountPopulation, sched: PrizeSchedule,
-                rng: np.random.Generator) -> DrawOutcome:
-    """One drawing with winners chosen uniformly without replacement."""
-    _check_drawable(pop, sched)
-    winners = rng.choice(pop.count, size=sched.count, replace=False, shuffle=False)
-    payout = float(pop.balances[winners].sum() * sched.multiple)
-    return DrawOutcome(winners=winners, payout=payout)
+def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
+                  rng: np.random.Generator, draws: int):
+    """Winners of ``draws`` drawings, yielded as ``(first row, block)`` with
+    at most ``_BATCH_ROWS`` drawings a block and one row per drawing.
+
+    Entries index ``pop.balances`` for the random mechanism and
+    ``pop.sorted_balances()`` for the bracketed one.
+    """
+    _check(pop, sched, mechanism)
+    kernel = _random_winner_rows if mechanism == "random" else _bracketed_winner_rows
+    return kernel(rng, pop.count, sched.count, draws)
 
 
-def draw_bracketed(pop: AccountPopulation, sched: PrizeSchedule,
-                   rng: np.random.Generator) -> DrawOutcome:
-    """One drawing with one uniform winner per balance bracket."""
-    _check_drawable(pop, sched)
-    bounds = bracket_bounds(pop.count, sched.count)
-    sizes = np.diff(bounds)
-    positions = bounds[:-1] + rng.integers(0, sizes)
-    winners = pop.sort_order()[positions]
-    payout = float(pop.balances[winners].sum() * sched.multiple)
-    return DrawOutcome(winners=winners, payout=payout)
+def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
+            rng: np.random.Generator, draws: int, caps=()) -> np.ndarray:
+    """Payouts of ``draws`` drawings, shape (1 + len(caps), draws).
+
+    Row 0 is uncapped; row i prices the same winners with every balance
+    truncated at ``caps[i - 1]``. ``caps`` must be descending.
+    """
+    blocks = winner_blocks(pop, sched, mechanism, rng, draws)
+    won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
+    out = np.empty((1 + len(caps), draws))
+    for lo, block in blocks:
+        won = won_from[block]
+        out[0, lo:lo + len(block)] = won.sum(axis=1)
+        # min(min(x, c1), c2) == min(x, c2) for c1 >= c2, so each cap can
+        # truncate the previous level's buffer in place
+        for row, cap in enumerate(caps, 1):
+            np.minimum(won, cap, out=won)
+            out[row, lo:lo + len(block)] = won.sum(axis=1)
+    return out * sched.multiple
+
+
+def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
+         rng: np.random.Generator) -> DrawOutcome:
+    """One drawing: the first and only row of ``winner_blocks``."""
+    (_, block), = winner_blocks(pop, sched, mechanism, rng, 1)
+    winners = block[0] if mechanism == "random" else pop.sort_order()[block[0]]
+    return DrawOutcome(winners=winners,
+                       payout=float(pop.balances[winners].sum() * sched.multiple))
 
 
 def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
@@ -193,46 +221,16 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
         yield lo, block
 
 
-def random_payouts(pop: AccountPopulation, sched: PrizeSchedule,
-                   rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Payouts of ``draws`` independent random-mechanism drawings."""
-    _check_drawable(pop, sched)
-    out = np.empty(draws)
-    for lo, block in _random_winner_rows(rng, pop.count, sched.count, draws):
-        out[lo:lo + len(block)] = pop.balances[block].sum(axis=1)
-    return out * sched.multiple
-
-
-def random_winner_matrix(pop: AccountPopulation, sched: PrizeSchedule,
-                         rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Winner index sets of ``draws`` random drawings, one row per drawing.
-
-    Used where payouts must be re-evaluated later against modified balances
-    (the cap experiment re-prices identical winner sets at every cap level).
-    """
-    _check_drawable(pop, sched)
-    winners = np.empty((draws, sched.count), dtype=np.int64)
-    for lo, block in _random_winner_rows(rng, pop.count, sched.count, draws):
-        winners[lo:lo + len(block)] = block
-    return winners
-
-
-def bracketed_payouts(pop: AccountPopulation, sched: PrizeSchedule,
-                      rng: np.random.Generator, draws: int) -> np.ndarray:
-    """Payouts of ``draws`` independent bracketed drawings."""
-    _check_drawable(pop, sched)
-    sbal = pop.sorted_balances()
-    n, k = pop.count, sched.count
+def _bracketed_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
+    """Sorted-order positions of one winner per bracket for ``rows`` bracketed
+    drawings, in blocks like ``_random_winner_rows``."""
     bounds = bracket_bounds(n, k)
     # equal brackets: a scalar bound draws the same integers as the array of
     # sizes, and numpy draws it faster
     sizes = n // k if n % k == 0 else np.diff(bounds)
-    out = np.empty(draws)
-    for lo in range(0, draws, _BATCH_ROWS):
-        m = min(_BATCH_ROWS, draws - lo)
-        positions = bounds[:-1] + rng.integers(0, sizes, size=(m, k))
-        out[lo:lo + m] = sbal[positions].sum(axis=1)
-    return out * sched.multiple
+    for lo in range(0, rows, _BATCH_ROWS):
+        m = min(_BATCH_ROWS, rows - lo)
+        yield lo, bounds[:-1] + rng.integers(0, sizes, size=(m, k))
 
 
 def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
@@ -242,7 +240,8 @@ def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
     random: the ``count`` largest accounts all win. bracketed: each bracket's
     largest account wins.
     """
-    sbal = _mechanism_sorted(pop, sched, mechanism)
+    _check(pop, sched, mechanism)
+    sbal = pop.sorted_balances()
     if mechanism == "random":
         total = sbal[-sched.count:].sum()
     else:
@@ -253,16 +252,11 @@ def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
 def best_payout(pop: AccountPopulation, sched: PrizeSchedule,
                 mechanism: str) -> float:
     """Smallest payout the mechanism can produce for this sample."""
-    sbal = _mechanism_sorted(pop, sched, mechanism)
+    _check(pop, sched, mechanism)
+    sbal = pop.sorted_balances()
     if mechanism == "random":
         total = sbal[:sched.count].sum()
     else:
         total = sbal[bracket_bounds(pop.count, sched.count)[:-1]].sum()
     return float(total * sched.multiple)
 
-
-def _mechanism_sorted(pop, sched, mechanism) -> np.ndarray:
-    if mechanism not in MECHANISMS:
-        raise ValueError(f"unknown mechanism {mechanism!r}, expected one of {MECHANISMS}")
-    _check_drawable(pop, sched)
-    return pop.sorted_balances()

@@ -25,19 +25,12 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .drawing import (
-    PrizeSchedule,
-    bracketed_payouts,
-    expected_payout,
-    random_payouts,
-    random_winner_matrix,
-    worst_payout,
-)
+from .drawing import PrizeSchedule, expected_payout, payouts, worst_payout
 from .pareto import ParetoParams
 from .population import AccountPopulation, apply_cap, generate
 from .risk import (
@@ -149,21 +142,42 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
+def _known(data: dict, names, where: str) -> dict:
+    """``data`` itself, after refusing any key outside ``names``."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{where} must be an object, got {data!r}")
+    unknown = sorted(data.keys() - set(names))
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r} in {where}")
+    return data
+
+
+def _integer(data: dict, key: str) -> int:
+    value = data[key]
+    # JSON integers only: int() would truncate 1.7, and parse "7" and true
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     try:
+        _known(data, [f.name for f in fields(ExperimentConfig)], "config")
+        pareto = _known(data["pareto"], ("alpha", "b"), "pareto")
+        schedules = [_known(s, ("count", "multiple"), "schedule")
+                     for s in data["schedules"]]
         return ExperimentConfig(
-            pareto=ParetoParams(float(data["pareto"]["alpha"]),
-                                float(data["pareto"]["b"])),
-            n_accounts=int(data["n_accounts"]),
+            pareto=ParetoParams(float(pareto["alpha"]), float(pareto["b"])),
+            n_accounts=_integer(data, "n_accounts"),
             schedules=tuple(
-                PrizeSchedule(int(s["count"]), float(s["multiple"]))
-                for s in data["schedules"]
+                PrizeSchedule(_integer(s, "count"), float(s["multiple"]))
+                for s in schedules
             ),
-            draws_per_run=int(data["draws_per_run"]),
-            runs=int(data["runs"]),
+            draws_per_run=_integer(data, "draws_per_run"),
+            runs=_integer(data, "runs"),
             var_levels=tuple(float(v) for v in data["var_levels"]),
             caps=tuple(float(c) for c in data["caps"]) if "caps" in data else None,
-            master_seed=int(data["master_seed"]),
+            master_seed=_integer(data, "master_seed"),
         )
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc}") from exc
@@ -181,155 +195,16 @@ def _stream(master_seed: int, *key: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# bracketing experiment
+# results
 
 
 @dataclass(frozen=True)
-class BracketingCell:
-    """Per-run scaled payouts for one (schedule, VaR level) pair."""
+class Cell:
+    """Per-run scaled values for one (schedule, VaR level) pair.
 
-    schedule: PrizeSchedule
-    level: float | None
-    random_values: np.ndarray
-    bracket_values: np.ndarray
-
-    @property
-    def random_avg(self) -> float:
-        return float(self.random_values.mean())
-
-    @property
-    def bracket_avg(self) -> float:
-        return float(self.bracket_values.mean())
-
-    @property
-    def pct_bracket_higher(self) -> float:
-        return compare_percentage_higher(self.bracket_values, self.random_values)
-
-    @property
-    def random_std(self) -> float | None:
-        return std_dev(self.random_values) if self.random_values.size > 1 else None
-
-    @property
-    def bracket_std(self) -> float | None:
-        return std_dev(self.bracket_values) if self.bracket_values.size > 1 else None
-
-    @property
-    def rel_diff_pct(self) -> float:
-        return relative_difference(self.random_avg, self.bracket_avg)
-
-
-BRACKETING_CSV_COLUMNS = (
-    "params", "schedule", "var_level", "random_avg", "bracket_avg",
-    "pct_bracket_higher", "random_std", "bracket_std", "rel_diff_pct",
-)
-
-
-@dataclass(frozen=True)
-class BracketingResult:
-    config: ExperimentConfig
-    cells: tuple[BracketingCell, ...]
-
-    def cell(self, schedule_index: int, level: float | None) -> BracketingCell:
-        per_schedule = len(self.config.var_levels) + 1
-        offset = schedule_index * per_schedule
-        levels = list(self.config.var_levels) + [None]
-        return self.cells[offset + levels.index(level)]
-
-    def write_csv(self, stream) -> None:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(BRACKETING_CSV_COLUMNS)
-        params = self.config.pareto.label()
-        for cell in self.cells:
-            writer.writerow([
-                params,
-                cell.schedule.label(),
-                level_label(cell.level),
-                f"{cell.random_avg:.6f}",
-                f"{cell.bracket_avg:.6f}",
-                f"{cell.pct_bracket_higher:.2f}",
-                "" if cell.random_std is None else f"{cell.random_std:.6f}",
-                "" if cell.bracket_std is None else f"{cell.bracket_std:.6f}",
-                f"{cell.rel_diff_pct:.2f}",
-            ])
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
-    def to_json_dict(self) -> dict:
-        return {
-            "experiment": "bracketing",
-            "config": config_to_dict(self.config),
-            "cells": [
-                {
-                    "schedule": cell.schedule.label(),
-                    "var_level": level_label(cell.level),
-                    "random": cell.random_values.tolist(),
-                    "bracket": cell.bracket_values.tolist(),
-                }
-                for cell in self.cells
-            ],
-        }
-
-
-def _bracketing_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
-    """One run: fresh population, both mechanisms, all schedules.
-
-    Returns (n_schedules, n_levels + 1, 2) scaled values; the trailing level
-    row holds the analytic worst payouts, the last axis is (random, bracket).
-    """
-    pop = generate(config.pareto, config.n_accounts,
-                   _stream(config.master_seed, run_index, _POPULATION_STREAM))
-    n_levels = len(config.var_levels)
-    out = np.empty((len(config.schedules), n_levels + 1, 2))
-    for i, sched in enumerate(config.schedules):
-        expected = expected_payout(pop, sched)
-        rng_random = _stream(config.master_seed, run_index, _RANDOM_STREAM, i)
-        rng_bracket = _stream(config.master_seed, run_index, _BRACKET_STREAM, i)
-        random_dist = scale(
-            random_payouts(pop, sched, rng_random, config.draws_per_run), expected)
-        bracket_dist = scale(
-            bracketed_payouts(pop, sched, rng_bracket, config.draws_per_run), expected)
-        for j, level in enumerate(config.var_levels):
-            out[i, j, 0] = var_approx(random_dist, level)
-            out[i, j, 1] = var_approx(bracket_dist, level)
-        out[i, n_levels, 0] = worst_payout(pop, sched, "random") / expected
-        out[i, n_levels, 1] = worst_payout(pop, sched, "bracketed") / expected
-    return out
-
-
-def run_bracketing(config: ExperimentConfig, workers: int = 1) -> BracketingResult:
-    """Execute the bracketing protocol; deterministic for a fixed master seed
-    regardless of ``workers``."""
-    if config.caps is not None:
-        raise ValueError("bracketing experiment takes a config without caps")
-    per_run = _map_runs(_bracketing_run, config, workers)
-    data = np.stack(per_run)  # (runs, n_sched, n_levels + 1, 2)
-    levels = list(config.var_levels) + [None]
-    cells = tuple(
-        BracketingCell(
-            schedule=sched,
-            level=level,
-            random_values=data[:, i, j, 0].copy(),
-            bracket_values=data[:, i, j, 1].copy(),
-        )
-        for i, sched in enumerate(config.schedules)
-        for j, level in enumerate(levels)
-    )
-    return BracketingResult(config=config, cells=cells)
-
-
-# ---------------------------------------------------------------------------
-# cap experiment
-
-
-@dataclass(frozen=True)
-class CapCell:
-    """Per-run scaled payouts for one (schedule, VaR level) across cap levels.
-
-    ``values`` has shape (n_cap_levels, runs); row 0 is uncapped, later rows
-    follow the configured caps in descending order.
+    ``values`` has shape (variants, runs): (random, bracketed) in the
+    bracketing experiment; uncapped and then each cap, descending, in the cap
+    experiment. A level of None denotes the analytic worst payout.
     """
 
     schedule: PrizeSchedule
@@ -342,44 +217,64 @@ class CapCell:
 
     @property
     def pct_higher(self) -> list[float | None]:
-        # each cap level against the previous one; uncapped has no baseline
+        # each variant against the previous one; the first has no baseline
         out: list[float | None] = [None]
         for prev, cur in zip(self.values, self.values[1:]):
             out.append(compare_percentage_higher(cur, prev))
         return out
 
+    @property
+    def stds(self) -> list[float | None]:
+        return [std_dev(row) if row.size > 1 else None for row in self.values]
+
+
+BRACKETING_CSV_COLUMNS = (
+    "params", "schedule", "var_level", "random_avg", "bracket_avg",
+    "pct_bracket_higher", "random_std", "bracket_std", "rel_diff_pct",
+)
+
 
 @dataclass(frozen=True)
-class CapResult:
-    config: ExperimentConfig
-    cells: tuple[CapCell, ...]
-    raw_payout_comparisons: int
+class Result:
+    """Cells of one experiment, schedule by schedule, each schedule's VaR
+    levels followed by its worst payout."""
 
-    def cell(self, schedule_index: int, level: float | None) -> CapCell:
+    config: ExperimentConfig
+    cells: tuple[Cell, ...]
+
+    @property
+    def raw_payout_comparisons(self) -> int:
+        """Drawings whose raw payout the cap experiment checked against the
+        previous cap level; 0 for the bracketing experiment."""
+        c = self.config
+        return c.runs * len(c.schedules) * c.draws_per_run * len(c.caps or ())
+
+    def cell(self, schedule_index: int, level: float | None) -> Cell:
         per_schedule = len(self.config.var_levels) + 1
         offset = schedule_index * per_schedule
         levels = list(self.config.var_levels) + [None]
         return self.cells[offset + levels.index(level)]
 
-    def csv_columns(self) -> tuple[str, ...]:
-        cols = ["params", "schedule", "var_level", "uncapped_avg"]
-        for cap in self.config.caps:
-            cols.append(f"cap_{cap:g}_avg")
-            cols.append(f"cap_{cap:g}_pct_higher")
-        return tuple(cols)
-
     def write_csv(self, stream) -> None:
+        caps = self.config.caps
         writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(self.csv_columns())
+        if caps is None:
+            writer.writerow(BRACKETING_CSV_COLUMNS)
+        else:
+            writer.writerow(["params", "schedule", "var_level", "uncapped_avg"] + [
+                f"cap_{cap:g}_{stat}" for cap in caps for stat in ("avg", "pct_higher")])
         params = self.config.pareto.label()
         for cell in self.cells:
-            avgs = cell.averages
-            pcts = cell.pct_higher
+            avgs, pcts = cell.averages, cell.pct_higher
             row = [params, cell.schedule.label(), level_label(cell.level),
                    f"{avgs[0]:.6f}"]
-            for avg, pct in zip(avgs[1:], pcts[1:]):
-                row.append(f"{avg:.6f}")
-                row.append(f"{pct:.2f}")
+            if caps is None:
+                row += [f"{avgs[1]:.6f}", f"{pcts[1]:.2f}"]
+                row += ["" if sd is None else f"{sd:.6f}" for sd in cell.stds]
+                row.append(f"{relative_difference(*avgs):.2f}")
+            else:
+                for avg, pct in zip(avgs[1:], pcts[1:]):
+                    row += [f"{avg:.6f}", f"{pct:.2f}"]
             writer.writerow(row)
 
     def to_csv_string(self) -> str:
@@ -388,23 +283,58 @@ class CapResult:
         return buf.getvalue()
 
     def to_json_dict(self) -> dict:
-        cap_labels = ["uncapped"] + [f"{c:g}" for c in self.config.caps]
-        return {
-            "experiment": "caps",
-            "config": config_to_dict(self.config),
-            "raw_payout_comparisons": self.raw_payout_comparisons,
-            "cells": [
-                {
-                    "schedule": cell.schedule.label(),
-                    "var_level": level_label(cell.level),
-                    "scaled": {
-                        label: cell.values[li].tolist()
-                        for li, label in enumerate(cap_labels)
-                    },
-                }
-                for cell in self.cells
-            ],
-        }
+        caps = self.config.caps
+        doc = {"experiment": "bracketing" if caps is None else "caps",
+               "config": config_to_dict(self.config)}
+        if caps is None:
+            labels = ("random", "bracket")
+        else:
+            doc["raw_payout_comparisons"] = self.raw_payout_comparisons
+            labels = ["uncapped"] + [f"{c:g}" for c in caps]
+        cells = []
+        for cell in self.cells:
+            values = {label: row.tolist() for label, row in zip(labels, cell.values)}
+            cells.append({"schedule": cell.schedule.label(),
+                          "var_level": level_label(cell.level),
+                          **(values if caps is None else {"scaled": values})})
+        doc["cells"] = cells
+        return doc
+
+
+# ---------------------------------------------------------------------------
+# runs
+
+
+def _population(config: ExperimentConfig, run_index: int) -> AccountPopulation:
+    return generate(config.pareto, config.n_accounts,
+                    _stream(config.master_seed, run_index, _POPULATION_STREAM))
+
+
+def _levels(config: ExperimentConfig, raw: np.ndarray, expected: float,
+            worst: float) -> list[float]:
+    """VaR at each configured level, then the worst payout, scaled by
+    ``expected``."""
+    dist = scale(raw, expected)
+    return [var_approx(dist, level) for level in config.var_levels] + [worst / expected]
+
+
+def _bracketing_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
+    """One run: fresh population, both mechanisms, all schedules.
+
+    Returns (n_schedules, n_levels + 1, 2) scaled values; the trailing level
+    row holds the analytic worst payouts, the last axis is (random, bracket).
+    """
+    pop = _population(config, run_index)
+    out = np.empty((len(config.schedules), len(config.var_levels) + 1, 2))
+    for i, sched in enumerate(config.schedules):
+        expected = expected_payout(pop, sched)
+        for v, (mechanism, role) in enumerate((("random", _RANDOM_STREAM),
+                                               ("bracketed", _BRACKET_STREAM))):
+            rng = _stream(config.master_seed, run_index, role, i)
+            raw = payouts(pop, sched, mechanism, rng, config.draws_per_run)[0]
+            out[i, :, v] = _levels(config, raw, expected,
+                                   worst_payout(pop, sched, mechanism))
+    return out
 
 
 def _caps_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
@@ -414,72 +344,58 @@ def _caps_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     trailing level row is the analytic worst. Winner sets are drawn once per
     schedule and re-priced at every cap level.
     """
-    pop = generate(config.pareto, config.n_accounts,
-                   _stream(config.master_seed, run_index, _POPULATION_STREAM))
+    pop = _population(config, run_index)
     caps = config.caps
-    capped_pops: list[AccountPopulation] = [pop]
-    capped_pops += [apply_cap(pop, cap) for cap in caps]
-    n_levels = len(config.var_levels)
-    out = np.empty((len(config.schedules), n_levels + 1, len(capped_pops)))
+    capped_pops = [pop] + [apply_cap(pop, cap) for cap in caps]
+    out = np.empty((len(config.schedules), len(config.var_levels) + 1,
+                    len(capped_pops)))
     for i, sched in enumerate(config.schedules):
         rng = _stream(config.master_seed, run_index, _RANDOM_STREAM, i)
-        winners = random_winner_matrix(pop, sched, rng, config.draws_per_run)
-        drawn = pop.balances[winners]  # (draws, count)
+        raw = payouts(pop, sched, "random", rng, config.draws_per_run, caps)
+        if np.any(raw[1:] > raw[:-1]):
+            raise RuntimeError(
+                "invariant violation: a drawing's raw payout increased "
+                "after lowering the cap"
+            )
         # capping preserves sort order, so the top slice caps elementwise
         top = pop.sorted_balances()[-sched.count:]
-        previous_raw = None
         for li, cpop in enumerate(capped_pops):
-            if li == 0:
-                balances_won, top_capped = drawn, top
-            else:
-                balances_won = np.minimum(drawn, caps[li - 1])
-                top_capped = np.minimum(top, caps[li - 1])
-            raw = balances_won.sum(axis=1) * sched.multiple
-            if previous_raw is not None and np.any(raw > previous_raw):
-                raise RuntimeError(
-                    "invariant violation: a drawing's raw payout increased "
-                    "after lowering the cap"
-                )
-            previous_raw = raw
-            expected = expected_payout(cpop, sched)
-            dist = scale(raw, expected)
-            for j, level in enumerate(config.var_levels):
-                out[i, j, li] = var_approx(dist, level)
-            out[i, n_levels, li] = float(top_capped.sum() * sched.multiple) / expected
+            if li > 0:
+                top = np.minimum(top, caps[li - 1])
+            out[i, :, li] = _levels(config, raw[li], expected_payout(cpop, sched),
+                                    float(top.sum() * sched.multiple))
     return out
 
 
-def run_caps(config: ExperimentConfig, workers: int = 1) -> CapResult:
+def run_bracketing(config: ExperimentConfig, workers: int = 1) -> Result:
+    """Execute the bracketing protocol; deterministic for a fixed master seed
+    regardless of ``workers``."""
+    if config.caps is not None:
+        raise ValueError("bracketing experiment takes a config without caps")
+    return _run(_bracketing_run, config, workers)
+
+
+def run_caps(config: ExperimentConfig, workers: int = 1) -> Result:
     """Execute the cap protocol; deterministic for a fixed master seed
     regardless of ``workers``."""
     if config.caps is None:
         raise ValueError("cap experiment requires a config with caps")
-    per_run = _map_runs(_caps_run, config, workers)
-    data = np.stack(per_run)  # (runs, n_sched, n_levels + 1, n_cap_levels)
+    return _run(_caps_run, config, workers)
+
+
+def _run(run_func, config: ExperimentConfig, workers: int) -> Result:
+    workers = min(workers, config.runs)
+    if workers <= 1:
+        per_run = [run_func(config, r) for r in range(config.runs)]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # map preserves submission order, so aggregation stays deterministic
+            per_run = list(pool.map(partial(run_func, config), range(config.runs)))
+    data = np.stack(per_run)  # (runs, n_sched, n_levels + 1, n_variants)
     levels = list(config.var_levels) + [None]
     cells = tuple(
-        CapCell(
-            schedule=sched,
-            level=level,
-            values=data[:, i, j, :].T.copy(),
-        )
+        Cell(schedule=sched, level=level, values=data[:, i, j, :].T.copy())
         for i, sched in enumerate(config.schedules)
         for j, level in enumerate(levels)
     )
-    comparisons = (config.runs * len(config.schedules)
-                   * config.draws_per_run * len(config.caps))
-    return CapResult(config=config, cells=cells,
-                     raw_payout_comparisons=comparisons)
-
-
-# ---------------------------------------------------------------------------
-# run scheduling
-
-
-def _map_runs(run_func, config: ExperimentConfig, workers: int) -> list[np.ndarray]:
-    workers = min(workers, config.runs)
-    if workers <= 1:
-        return [run_func(config, r) for r in range(config.runs)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map preserves submission order, so aggregation stays deterministic
-        return list(pool.map(partial(run_func, config), range(config.runs)))
+    return Result(config=config, cells=cells)

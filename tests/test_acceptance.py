@@ -36,7 +36,7 @@ from plsim.drawing import (
     best_payout,
     bracket_bounds,
     expected_interest,
-    random_winner_matrix,
+    winner_blocks,
     worst_payout,
 )
 from plsim.experiments import (
@@ -155,21 +155,21 @@ def test_criterion_3_expected_interest_exact():
 def test_criterion_4_reduced_scale_table2_bands(big_bracketing):
     serial, _ = big_bracketing
     cell = serial.cell(0, 0.05)  # 1000x100%
-    assert 1.80 <= cell.random_avg <= 2.30, cell.random_avg
-    assert 1.62 <= cell.bracket_avg <= 2.11, cell.bracket_avg
+    assert 1.80 <= cell.averages[0] <= 2.30, cell.averages[0]
+    assert 1.62 <= cell.averages[1] <= 2.11, cell.averages[1]
     print(f"criterion 4 PASS: 20-run 5% VaR averages random="
-          f"{cell.random_avg:.4f} in [1.80, 2.30], bracket="
-          f"{cell.bracket_avg:.4f} in [1.62, 2.11]")
+          f"{cell.averages[0]:.4f} in [1.80, 2.30], bracket="
+          f"{cell.averages[1]:.4f} in [1.62, 2.11]")
 
 
 def test_criterion_5_worst_payout_statistics(big_bracketing):
     serial, _ = big_bracketing
     worst = serial.cell(0, None)
-    assert abs(worst.bracket_avg - 14.43) <= 0.05 * 14.43, worst.bracket_avg
-    assert worst.random_avg >= 2.0 * worst.bracket_avg
-    print(f"criterion 5 PASS: bracket worst avg {worst.bracket_avg:.4f} "
-          f"within 5% of 14.43; random worst avg {worst.random_avg:.4f} is "
-          f"{worst.random_avg / worst.bracket_avg:.1f}x the bracket worst")
+    assert abs(worst.averages[1] - 14.43) <= 0.05 * 14.43, worst.averages[1]
+    assert worst.averages[0] >= 2.0 * worst.averages[1]
+    print(f"criterion 5 PASS: bracket worst avg {worst.averages[1]:.4f} "
+          f"within 5% of 14.43; random worst avg {worst.averages[0]:.4f} is "
+          f"{worst.averages[0] / worst.averages[1]:.1f}x the bracket worst")
 
 
 def test_criterion_6_scaled_worst_never_increases(caps_results):
@@ -203,7 +203,8 @@ def test_criterion_7_raw_payouts_monotone_under_caps(caps_results):
             for i, sched in enumerate(DEFAULT_SCHEDULES):
                 rng = np.random.default_rng(np.random.SeedSequence(
                     ACCEPTANCE_SEED, spawn_key=(run_index, 1, i)))
-                winners = random_winner_matrix(pop, sched, rng, CAPS_DRAWS)
+                blocks = winner_blocks(pop, sched, "random", rng, CAPS_DRAWS)
+                winners = np.concatenate([block for _, block in blocks])
                 drawn = pop.balances[winners]
                 prev = drawn.sum(axis=1) * sched.multiple
                 for cap in DEFAULT_CAPS:
@@ -316,8 +317,8 @@ def test_criterion_10_cpt_sign_suite(big_bracketing):
     # below the random 0.1% average for the 100% and 200% schedules
     serial, _ = big_bracketing
     for i, label in ((0, "1000x100%"), (1, "500x200%")):
-        bracket_top = serial.cell(i, 0.0001).bracket_avg
-        random_01 = serial.cell(i, 0.001).random_avg
+        bracket_top = serial.cell(i, 0.0001).averages[1]
+        random_01 = serial.cell(i, 0.001).averages[0]
         assert bracket_top < random_01, (label, bracket_top, random_01)
     print("criterion 10 PASS: dynamic/fixed-growth curvature signs hold on "
           "220-point grids, analytic derivatives match differences to 1e-6, "

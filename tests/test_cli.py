@@ -124,6 +124,24 @@ class TestBracketingCommand:
             assert result.exit_code == 2
             assert "--threads" in result.stderr
 
+    def test_unwritable_out_fails_with_one_line(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        result = runner.invoke(main, [
+            "bracketing", "--runs", "1", "--draws", "5", "--accounts", "2000",
+            "--out", str(out)])
+        assert result.exit_code == 1
+        assert "--out" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_unwritable_json_out_leaves_no_csv(self, runner, tmp_path):
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, [
+            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
+            "--out", str(out), "--json-out", str(tmp_path / "missing" / "b.json")])
+        assert result.exit_code == 1
+        assert "--json-out" in result.stderr
+        assert not out.exists()
+
     def test_progress_stays_off_stdout(self, runner):
         result = runner.invoke(main, [
             "bracketing", "--runs", "1", "--draws", "5", "--accounts", "2000"])
@@ -159,6 +177,15 @@ class TestCapsCommand:
             if row["var_level"] == "worst":
                 assert row["cap_5000_pct_higher"] == "0.00"
                 assert row["cap_800_pct_higher"] == "0.00"
+
+    def test_misspelled_caps_key_fails(self, runner, tmp_path):
+        doc = json.loads((GOLDEN / "golden_caps.json").read_text())
+        doc["capz"] = doc.pop("caps")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["caps", "--config", str(bad)])
+        assert result.exit_code == 1
+        assert "'capz'" in result.stderr
 
     def test_bad_caps_fail(self, runner):
         result = runner.invoke(main, [
@@ -263,6 +290,15 @@ class TestDrawCommand:
         lines = dump.read_text().strip().splitlines()
         assert len(lines) == 50
         assert all(float(v) >= 150.0 for v in lines)
+
+    def test_unwritable_dump_fails_with_one_line(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
+            "--prizes", "2", "--multiple", "1",
+            "--dump-balances", str(tmp_path / "missing" / "balances.txt")])
+        assert result.exit_code == 1
+        assert "--dump-balances" in result.stderr
+        assert "Traceback" not in result.output
 
     def test_invalid_inputs_fail(self, runner):
         assert runner.invoke(main, [

@@ -9,13 +9,11 @@ from plsim.drawing import (
     PrizeSchedule,
     best_payout,
     bracket_bounds,
-    bracketed_payouts,
-    draw_bracketed,
-    draw_random,
+    draw,
     expected_interest,
     expected_payout,
-    random_payouts,
-    random_winner_matrix,
+    payouts,
+    winner_blocks,
     worst_payout,
 )
 from plsim.pareto import ParetoParams
@@ -80,18 +78,18 @@ class TestDrawRandom:
     def test_rejects_oversized_schedule(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            draw_random(POP4, PrizeSchedule(5, 1.0), rng)
+            draw(POP4, PrizeSchedule(5, 1.0), "random", rng)
 
     def test_all_accounts_win_when_count_is_population(self):
         rng = np.random.default_rng(0)
-        out = draw_random(POP4, PrizeSchedule(4, 2.0), rng)
+        out = draw(POP4, PrizeSchedule(4, 2.0), "random", rng)
         assert out.payout == pytest.approx(2.0 * 1000.0)
         assert sorted(out.winners.tolist()) == [0, 1, 2, 3]
 
     def test_outcome_invariants(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            out = draw_random(POP4, TWO_AT_100, rng)
+            out = draw(POP4, TWO_AT_100, "random", rng)
             assert len(set(out.winners.tolist())) == 2
             assert out.payout == pytest.approx(POP4.balances[out.winners].sum())
 
@@ -103,7 +101,7 @@ class TestDrawRandom:
         per_account = np.zeros(4)
         draws = 60_000
         for _ in range(draws):
-            out = draw_random(POP4, TWO_AT_100, rng)
+            out = draw(POP4, TWO_AT_100, "random", rng)
             counts[index[frozenset(out.winners.tolist())]] += 1
             per_account[out.winners] += 1
         assert stats.chisquare(counts).pvalue > 0.001
@@ -117,7 +115,7 @@ class TestDrawBracketed:
         rng = np.random.default_rng(13)
         seen = set()
         for _ in range(500):
-            out = draw_bracketed(POP4, TWO_AT_100, rng)
+            out = draw(POP4, TWO_AT_100, "bracketed", rng)
             seen.add(out.payout)
             assert out.payout in (400.0, 500.0, 600.0)
         assert seen == {400.0, 500.0, 600.0}
@@ -128,7 +126,7 @@ class TestDrawBracketed:
         per_account = np.zeros(4)
         draws = 40_000
         for _ in range(draws):
-            out = draw_bracketed(POP4, TWO_AT_100, rng)
+            out = draw(POP4, TWO_AT_100, "bracketed", rng)
             counts[out.winners.min(), out.winners.max() - 2] += 1
             per_account[out.winners] += 1
         assert stats.chisquare(counts.ravel()).pvalue > 0.001
@@ -139,14 +137,14 @@ class TestDrawBracketed:
         rng = np.random.default_rng(17)
         counts = np.zeros(4)
         for _ in range(40_000):
-            out = draw_bracketed(POP4, PrizeSchedule(1, 1.0), rng)
+            out = draw(POP4, PrizeSchedule(1, 1.0), "bracketed", rng)
             counts[out.winners[0]] += 1
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_rejects_oversized_schedule(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            draw_bracketed(POP4, PrizeSchedule(9, 1.0), rng)
+            draw(POP4, PrizeSchedule(9, 1.0), "bracketed", rng)
 
 
 class TestWorstBest:
@@ -173,44 +171,50 @@ class TestWorstBest:
         pop = generate(ParetoParams(1.12, 250.0), 500, 31)
         sched = PrizeSchedule(25, 3.0)
         rng = np.random.default_rng(37)
-        for mech, drawer in (("random", draw_random), ("bracketed", draw_bracketed)):
+        for mech in ("random", "bracketed"):
             lo, hi = best_payout(pop, sched, mech), worst_payout(pop, sched, mech)
             for _ in range(300):
-                assert lo <= drawer(pop, sched, rng).payout <= hi
+                assert lo <= draw(pop, sched, mech, rng).payout <= hi
 
 
 class TestBatchHelpers:
     def test_random_payouts_match_single_draws(self):
         pop = generate(ParetoParams(1.04, 150.0), 300, 41)
         sched = PrizeSchedule(7, 2.0)
-        batch = random_payouts(pop, sched, np.random.default_rng(99), 50)
+        batch = payouts(pop, sched, "random", np.random.default_rng(99), 50)[0]
         rng = np.random.default_rng(99)
-        singles = np.array([draw_random(pop, sched, rng).payout for _ in range(50)])
+        singles = np.array([draw(pop, sched, "random", rng).payout for _ in range(50)])
         np.testing.assert_allclose(batch, singles)
 
     def test_bracketed_payouts_match_single_draws(self):
         pop = generate(ParetoParams(1.04, 150.0), 300, 43)
         sched = PrizeSchedule(6, 1.0)
-        batch = bracketed_payouts(pop, sched, np.random.default_rng(7), 40)
+        batch = payouts(pop, sched, "bracketed", np.random.default_rng(7), 40)[0]
         rng = np.random.default_rng(7)
-        singles = np.array([draw_bracketed(pop, sched, rng).payout for _ in range(40)])
+        singles = np.array([draw(pop, sched, "bracketed", rng).payout for _ in range(40)])
         np.testing.assert_allclose(batch, singles)
 
     def test_winner_matrix_consistent_with_payouts(self):
         pop = generate(ParetoParams(1.04, 150.0), 300, 47)
         sched = PrizeSchedule(9, 4.0)
-        winners = random_winner_matrix(pop, sched, np.random.default_rng(31), 60)
+        winners = winner_matrix(pop, sched, np.random.default_rng(31), 60)
         replayed = pop.balances[winners].sum(axis=1) * sched.multiple
-        direct = random_payouts(pop, sched, np.random.default_rng(31), 60)
+        direct = payouts(pop, sched, "random", np.random.default_rng(31), 60)[0]
         np.testing.assert_allclose(replayed, direct)
         # rows are distinct winner sets
         assert all(len(set(row.tolist())) == sched.count for row in winners)
 
     def test_payout_linear_in_multiple(self):
         pop = generate(ParetoParams(1.04, 150.0), 200, 53)
-        base = random_payouts(pop, PrizeSchedule(5, 1.0), np.random.default_rng(3), 30)
-        doubled = random_payouts(pop, PrizeSchedule(5, 2.0), np.random.default_rng(3), 30)
+        base = payouts(pop, PrizeSchedule(5, 1.0), "random", np.random.default_rng(3), 30)[0]
+        doubled = payouts(pop, PrizeSchedule(5, 2.0), "random", np.random.default_rng(3), 30)[0]
         np.testing.assert_array_equal(doubled, 2.0 * base)
+
+
+def winner_matrix(pop, sched, rng, draws):
+    """Random-mechanism winners of ``draws`` drawings, one row per drawing."""
+    blocks = winner_blocks(pop, sched, "random", rng, draws)
+    return np.concatenate([block for _, block in blocks])
 
 
 def batched_rows(rng, n, k, rows):
@@ -258,9 +262,9 @@ class TestBatchedKernelsExact:
         rng = np.random.default_rng(61)
         ref = np.array([pop.balances[row].sum()
                         for row in choice_loop(rng, pop.count, k, self.ROWS)])
-        got = random_payouts(pop, sched, np.random.default_rng(61), self.ROWS)
+        got = payouts(pop, sched, "random", np.random.default_rng(61), self.ROWS)[0]
         assert np.array_equal(got, ref * sched.multiple)
-        matrix = random_winner_matrix(pop, sched, np.random.default_rng(61), self.ROWS)
+        matrix = winner_matrix(pop, sched, np.random.default_rng(61), self.ROWS)
         assert np.array_equal(matrix, choice_loop(np.random.default_rng(61), pop.count,
                                                   k, self.ROWS))
 
@@ -271,5 +275,5 @@ class TestBatchedKernelsExact:
         bounds = bracket_bounds(n, k)
         offsets = np.random.default_rng(71).integers(0, np.diff(bounds), size=(self.ROWS, k))
         ref = pop.sorted_balances()[bounds[:-1] + offsets].sum(axis=1) * sched.multiple
-        got = bracketed_payouts(pop, sched, np.random.default_rng(71), self.ROWS)
+        got = payouts(pop, sched, "bracketed", np.random.default_rng(71), self.ROWS)[0]
         assert np.array_equal(got, ref)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from plsim import experiments
 from plsim.drawing import (
     PrizeSchedule,
     expected_payout,
-    random_payouts,
-    random_winner_matrix,
+    payouts,
+    winner_blocks,
     worst_payout,
 )
 from plsim.experiments import (
@@ -27,6 +28,7 @@ from plsim.population import apply_cap, generate
 from plsim.risk import scale, var_approx
 
 P104 = ParetoParams(1.04, 150.0)
+ROOT = Path(__file__).parent.parent
 
 
 def small_config(**overrides):
@@ -77,6 +79,33 @@ class TestConfig:
             with pytest.raises(ValueError, match="wrong type"):
                 config_from_dict({**data, field: bad})
 
+    @pytest.mark.parametrize("bad", [400.7, True, "7"])
+    def test_integer_fields_take_only_json_integers(self, bad):
+        data = config_to_dict(small_config())
+        for field in ("n_accounts", "runs", "draws_per_run", "master_seed"):
+            with pytest.raises(ValueError, match=f"wrong type: {field}"):
+                config_from_dict({**data, field: bad})
+        schedules = [{**data["schedules"][0], "count": bad}]
+        with pytest.raises(ValueError, match="wrong type: count"):
+            config_from_dict({**data, "schedules": schedules})
+
+    def test_unknown_fields_rejected(self):
+        data = config_to_dict(small_config(caps=(1000.0,)))
+        with pytest.raises(ValueError, match="'capz' in config"):
+            config_from_dict({**data, "capz": [100.0]})
+        with pytest.raises(ValueError, match="'beta' in pareto"):
+            config_from_dict({**data, "pareto": {**data["pareto"], "beta": 1.0}})
+        schedules = [{**data["schedules"][0], "multple": 2.0}]
+        with pytest.raises(ValueError, match="'multple' in schedule"):
+            config_from_dict({**data, "schedules": schedules})
+
+    def test_shipped_configs_load(self):
+        paths = sorted(ROOT.glob("configs/*.json")) + sorted(
+            ROOT.glob("tests/golden/*.json"))
+        assert len(paths) == 6
+        for path in paths:
+            config_from_dict(json.loads(path.read_text()))
+
     def test_full_scale_presets(self):
         br = bracketing_config()
         assert br.runs == 200 and br.draws_per_run == 10_000
@@ -103,8 +132,8 @@ class TestBracketing:
         parallel = run_bracketing(cfg, workers=3)
         assert serial.to_csv_string() == parallel.to_csv_string()
         for a, b in zip(serial.cells, parallel.cells):
-            np.testing.assert_array_equal(a.random_values, b.random_values)
-            np.testing.assert_array_equal(a.bracket_values, b.bracket_values)
+            np.testing.assert_array_equal(a.values[0], b.values[0])
+            np.testing.assert_array_equal(a.values[1], b.values[1])
 
     def test_workers_clamped_to_runs(self, monkeypatch):
         seen = []
@@ -134,9 +163,9 @@ class TestBracketing:
         lone = run_bracketing(small_config(schedules=(PrizeSchedule(20, 1.0),)))
         both = run_bracketing(small_config())
         np.testing.assert_array_equal(
-            lone.cell(0, 0.05).random_values, both.cell(0, 0.05).random_values)
+            lone.cell(0, 0.05).values[0], both.cell(0, 0.05).values[0])
         np.testing.assert_array_equal(
-            lone.cell(0, None).bracket_values, both.cell(0, None).bracket_values)
+            lone.cell(0, None).values[1], both.cell(0, None).values[1])
 
     def test_degenerate_single_run_single_draw(self):
         cfg = small_config(runs=1, draws_per_run=1, var_levels=(0.5,))
@@ -148,20 +177,20 @@ class TestBracketing:
             expected = expected_payout(pop, sched)
             rng = np.random.default_rng(
                 np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 1, i)))
-            lone = random_payouts(pop, sched, rng, 1)[0] / expected
+            lone = payouts(pop, sched, "random", rng, 1)[0, 0] / expected
             cell = result.cell(i, 0.5)
-            assert cell.random_values[0] == pytest.approx(lone, rel=1e-12)
-            assert cell.random_avg == pytest.approx(lone, rel=1e-12)
-            assert cell.random_std is None
+            assert cell.values[0][0] == pytest.approx(lone, rel=1e-12)
+            assert cell.averages[0] == pytest.approx(lone, rel=1e-12)
+            assert cell.stds[0] is None
             worst_cell = result.cell(i, None)
-            assert worst_cell.random_values[0] == pytest.approx(
+            assert worst_cell.values[0][0] == pytest.approx(
                 worst_payout(pop, sched, "random") / expected, rel=1e-12)
 
     def test_worst_cell_ordering(self):
         result = run_bracketing(small_config())
         for i in range(2):
             cell = result.cell(i, None)
-            assert np.all(cell.bracket_values <= cell.random_values)
+            assert np.all(cell.values[1] <= cell.values[0])
 
     def test_csv_shape(self):
         result = run_bracketing(small_config())
@@ -189,7 +218,7 @@ class TestBracketing:
                        np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 0)))
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 1, 0)))
-        scaled = random_payouts(pop, cfg.schedules[0], rng, 400) / expected_payout(
+        scaled = payouts(pop, cfg.schedules[0], "random", rng, 400)[0] / expected_payout(
             pop, cfg.schedules[0])
         band = 3.0 * scaled.std(ddof=1) / math.sqrt(scaled.size)
         assert abs(scaled.mean() - 1.0) < band
@@ -234,7 +263,7 @@ class TestCaps:
         plain = run_bracketing(cfg)
         np.testing.assert_allclose(
             capped.cell(0, 0.05).values[0],
-            plain.cell(0, 0.05).random_values, rtol=1e-12)
+            plain.cell(0, 0.05).values[0], rtol=1e-12)
 
     def test_scaling_uses_capped_mean(self):
         cfg = small_config(caps=(2_000.0,), runs=1, draws_per_run=30,
@@ -244,7 +273,8 @@ class TestCaps:
                        np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 0)))
         rng = np.random.default_rng(
             np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 1, 0)))
-        winners = random_winner_matrix(pop, cfg.schedules[0], rng, 30)
+        blocks = winner_blocks(pop, cfg.schedules[0], "random", rng, 30)
+        winners = np.concatenate([block for _, block in blocks])
         capped_pop = apply_cap(pop, 2_000.0)
         raw = capped_pop.balances[winners].sum(axis=1) * cfg.schedules[0].multiple
         dist = scale(raw, expected_payout(capped_pop, cfg.schedules[0]))

@@ -57,13 +57,13 @@ def full_check(seed: int) -> dict:
         draws_per_run=DRAWS, runs=RUNS,
         var_levels=(0.05, 0.01, 0.001, 0.0001), master_seed=seed)
     result = run_bracketing(config)
-    r5 = result.cell(0, 0.05).random_avg
-    b5 = result.cell(0, 0.05).bracket_avg
-    bworst = result.cell(0, None).bracket_avg
-    rworst = result.cell(0, None).random_avg
+    r5 = result.cell(0, 0.05).averages[0]
+    b5 = result.cell(0, 0.05).averages[1]
+    bworst = result.cell(0, None).averages[1]
+    rworst = result.cell(0, None).averages[0]
     orderings = {
-        sched.label(): (result.cell(i, 0.0001).bracket_avg,
-                        result.cell(i, 0.001).random_avg)
+        sched.label(): (result.cell(i, 0.0001).averages[1],
+                        result.cell(i, 0.001).averages[0])
         for i, sched in enumerate(SCHEDULES)
     }
     checks = {
