@@ -18,7 +18,7 @@ from dataclasses import replace
 import click
 import numpy as np
 
-from . import cpt, experiments
+from . import cpt, drawing, experiments
 from .drawing import PrizeSchedule, best_payout, draw, expected_payout, worst_payout
 from .pareto import ParetoParams, mean, quantile
 from .population import generate
@@ -99,35 +99,25 @@ def cmd_table1(params_csv: str, out: str):
 # experiments
 
 
-def _load_config(config_path: str | None, want_caps: bool, runs, draws,
-                 accounts, seed, caps_csv=None) -> experiments.ExperimentConfig:
+def _load_config(config_path: str | None, preset, runs, draws, accounts, seed,
+                 caps_csv=None) -> experiments.ExperimentConfig:
     if config_path is not None:
         with open(config_path) as fh:
             try:
                 config = experiments.config_from_dict(json.load(fh))
             except (json.JSONDecodeError, ValueError) as exc:
                 _fail(f"invalid config {config_path}: {exc}")
-    elif want_caps:
-        config = experiments.caps_config()
     else:
-        config = experiments.bracketing_config()
+        config = preset()
 
-    overrides = {}
-    if runs is not None:
-        overrides["runs"] = runs
-    if draws is not None:
-        overrides["draws_per_run"] = draws
-    if accounts is not None:
-        overrides["n_accounts"] = accounts
-    if seed is not None:
-        overrides["master_seed"] = seed
+    flags = {"runs": runs, "draws_per_run": draws, "n_accounts": accounts,
+             "master_seed": seed}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     if caps_csv is not None:
         try:
             overrides["caps"] = tuple(float(c) for c in caps_csv.split(","))
         except ValueError:
             _fail(f"could not parse --caps {caps_csv!r}")
-    if want_caps and config.caps is None and "caps" not in overrides:
-        overrides["caps"] = experiments.DEFAULT_CAPS
     try:
         return replace(config, **overrides) if overrides else config
     except ValueError as exc:
@@ -166,6 +156,24 @@ def _with_experiment_options(func):
     return func
 
 
+def _experiment(name: str, protocol, config, threads: int, out: str,
+                json_out: str | None):
+    """Progress line, the run and its outputs. The commands pass
+    ``experiments.run_*`` as looked up when they run, not at import, so a
+    wrapper installed on ``experiments`` in the meantime sees the call."""
+    variants = (f"{len(config.schedules)} schedules" if config.caps is None
+                else f"caps {','.join(f'{c:g}' for c in config.caps)}")
+    try:
+        experiments.require_caps(config, name == "caps")
+        _progress(f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
+                  f"{variants}, seed {config.master_seed}")
+        result = protocol(config, workers=threads)
+    except ValueError as exc:
+        _fail(str(exc))
+    _emit_result(result, out, json_out)
+    _progress(f"{name}: done")
+
+
 @main.command("bracketing")
 @_with_experiment_options
 def cmd_bracketing(config_path, runs, draws, accounts, seed, threads, out, json_out):
@@ -174,17 +182,10 @@ def cmd_bracketing(config_path, runs, draws, accounts, seed, threads, out, json_
     Without --config, uses the full-scale preset: 100,000 accounts, four
     schedules, 10,000 draws per run, 200 runs.
     """
-    config = _load_config(config_path, False, runs, draws, accounts, seed)
-    if config.caps is not None:
-        _fail("bracketing config must not define caps")
-    _progress(f"bracketing: {config.runs} runs x {config.draws_per_run} draws, "
-              f"{len(config.schedules)} schedules, seed {config.master_seed}")
-    try:
-        result = experiments.run_bracketing(config, workers=threads)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit_result(result, out, json_out)
-    _progress("bracketing: done")
+    config = _load_config(config_path, experiments.bracketing_config, runs, draws,
+                          accounts, seed)
+    _experiment("bracketing", experiments.run_bracketing, config, threads, out,
+                json_out)
 
 
 @main.command("caps")
@@ -196,18 +197,11 @@ def cmd_caps(config_path, runs, draws, accounts, seed, threads, out, json_out,
     """Re-price identical drawings under descending balance caps.
 
     Without --config, uses the full-scale preset: 1,000 draws per run,
-    2,000 runs, caps 250000/50000/10000.
+    2,000 runs, caps 250000/50000/10000. A config without caps needs --caps.
     """
-    config = _load_config(config_path, True, runs, draws, accounts, seed, caps_csv)
-    _progress(f"caps: {config.runs} runs x {config.draws_per_run} draws, "
-              f"caps {','.join(f'{c:g}' for c in config.caps)}, "
-              f"seed {config.master_seed}")
-    try:
-        result = experiments.run_caps(config, workers=threads)
-    except ValueError as exc:
-        _fail(str(exc))
-    _emit_result(result, out, json_out)
-    _progress("caps: done")
+    config = _load_config(config_path, experiments.caps_config, runs, draws,
+                          accounts, seed, caps_csv)
+    _experiment("caps", experiments.run_caps, config, threads, out, json_out)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
 @click.option("--accounts", type=int, required=True)
 @click.option("--prizes", type=int, required=True)
 @click.option("--multiple", type=float, required=True)
-@click.option("--mechanism", type=click.Choice(["random", "bracketed"]),
+@click.option("--mechanism", type=click.Choice(drawing.MECHANISMS),
               default="random", show_default=True)
 @click.option("--seed", type=int, default=experiments.DEFAULT_SEED,
               show_default=True)

@@ -33,6 +33,7 @@ so the golden outputs are tied to the numpy version they were cut with.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,19 +235,21 @@ def _bracketed_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
 
 
 def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
-                 mechanism: str) -> float:
-    """Largest payout the mechanism can produce for this sample.
+                 mechanism: str, cap: float = math.inf) -> float:
+    """Largest payout the mechanism can produce for this sample, with every
+    balance truncated at ``cap``.
 
     random: the ``count`` largest accounts all win. bracketed: each bracket's
-    largest account wins.
+    largest account wins. Capping keeps the balance order, so the same
+    accounts win at any cap, and only their balances are truncated.
     """
     _check(pop, sched, mechanism)
     sbal = pop.sorted_balances()
     if mechanism == "random":
-        total = sbal[-sched.count:].sum()
+        top = sbal[-sched.count:]
     else:
-        total = sbal[bracket_bounds(pop.count, sched.count)[1:] - 1].sum()
-    return float(total * sched.multiple)
+        top = sbal[bracket_bounds(pop.count, sched.count)[1:] - 1]
+    return float(np.minimum(top, cap).sum() * sched.multiple)
 
 
 def best_payout(pop: AccountPopulation, sched: PrizeSchedule,

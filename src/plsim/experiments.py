@@ -1,19 +1,16 @@
 """Monte Carlo experiment protocols for the two risk-management mechanisms.
 
-Bracketing experiment (per run): generate a fresh population, perform
-``draws_per_run`` drawings under the random mechanism and the same number
-under the bracketed mechanism for every schedule, scale each payout by the
-expected payout of that sample, and record the VaR approximations plus the
-analytic worst payout for both mechanisms. Aggregates across runs compare
-the two mechanisms.
-
-Cap experiment (per run): generate a fresh population, draw winner sets once
-per schedule under the random mechanism, then re-price the *same* winner sets
-against the balances truncated at each cap level (uncapped first, then each
-cap in descending order), rescaling by the capped sample's expected payout
-and re-sorting before reading off VaR approximations. The paired design is
-essential: lowering the cap can never increase a drawing's raw payout, and
-the engine verifies that for every drawing.
+Both experiments share one protocol per run: generate a fresh population;
+for every schedule and mechanism, perform ``draws_per_run`` drawings and
+price them at each price level; scale each level's payouts by the sample's
+expected payout at that level; record the VaR approximations and the analytic
+worst payout. The config's caps alone pick the variants, mechanisms times
+price levels. Without caps (bracketing experiment) they are the random and the
+bracketed mechanism, uncapped. With caps (cap experiment) they are the random
+mechanism uncapped and then at each cap, descending: the *same* winner sets
+are re-priced at every cap. The paired design is essential: lowering the cap
+can never increase a drawing's raw payout, and the engine verifies that for
+every drawing.
 
 Runs are independent: every run derives its generator substreams from the
 master seed and its own index, so results are bit-identical regardless of
@@ -24,13 +21,14 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .drawing import PrizeSchedule, expected_payout, payouts, worst_payout
+from .drawing import MECHANISMS, PrizeSchedule, expected_payout, payouts, worst_payout
 from .pareto import ParetoParams
 from .population import AccountPopulation, apply_cap, generate
 from .risk import (
@@ -55,8 +53,7 @@ CAPS_VAR_LEVELS = (0.05, 0.01, 0.001)
 
 # substream roles: (master_seed, run, role, schedule) -> independent stream
 _POPULATION_STREAM = 0
-_RANDOM_STREAM = 1
-_BRACKET_STREAM = 2
+_DRAW_STREAMS = {"random": 1, "bracketed": 2}
 
 
 @dataclass(frozen=True)
@@ -250,10 +247,18 @@ class Result:
         return c.runs * len(c.schedules) * c.draws_per_run * len(c.caps or ())
 
     def cell(self, schedule_index: int, level: float | None) -> Cell:
-        per_schedule = len(self.config.var_levels) + 1
-        offset = schedule_index * per_schedule
-        levels = list(self.config.var_levels) + [None]
-        return self.cells[offset + levels.index(level)]
+        """The cell of a schedule at a configured VaR level, matched with
+        ``math.isclose``, or at None for the worst payout."""
+        levels = self.config.var_levels
+        if level is None:
+            j = len(levels)
+        else:
+            j = next((j for j, known in enumerate(levels)
+                      if math.isclose(known, level)), None)
+            if j is None:
+                raise ValueError(f"VaR level {level} is not one of the "
+                                 f"configured levels {list(levels)}")
+        return self.cells[schedule_index * (len(levels) + 1) + j]
 
     def write_csv(self, stream) -> None:
         caps = self.config.caps
@@ -318,79 +323,62 @@ def _levels(config: ExperimentConfig, raw: np.ndarray, expected: float,
     return [var_approx(dist, level) for level in config.var_levels] + [worst / expected]
 
 
-def _bracketing_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
-    """One run: fresh population, both mechanisms, all schedules.
+def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
+    """One run of either experiment: fresh population, every schedule.
 
-    Returns (n_schedules, n_levels + 1, 2) scaled values; the trailing level
-    row holds the analytic worst payouts, the last axis is (random, bracket).
+    Returns (n_schedules, n_levels + 1, n_variants) scaled values, the last
+    level row holding the analytic worst payouts. The variants are mechanisms
+    times price levels, see the module docstring.
     """
     pop = _population(config, run_index)
-    out = np.empty((len(config.schedules), len(config.var_levels) + 1, 2))
+    caps = config.caps or ()
+    priced = [(math.inf, pop)] + [(cap, apply_cap(pop, cap)) for cap in caps]
+    out = []
     for i, sched in enumerate(config.schedules):
-        expected = expected_payout(pop, sched)
-        for v, (mechanism, role) in enumerate((("random", _RANDOM_STREAM),
-                                               ("bracketed", _BRACKET_STREAM))):
-            rng = _stream(config.master_seed, run_index, role, i)
-            raw = payouts(pop, sched, mechanism, rng, config.draws_per_run)[0]
-            out[i, :, v] = _levels(config, raw, expected,
-                                   worst_payout(pop, sched, mechanism))
-    return out
+        variants = []
+        for mechanism in ("random",) if caps else MECHANISMS:
+            rng = _stream(config.master_seed, run_index, _DRAW_STREAMS[mechanism], i)
+            raw = payouts(pop, sched, mechanism, rng, config.draws_per_run, caps)
+            if np.any(raw[1:] > raw[:-1]):
+                raise RuntimeError("invariant violation: a drawing's raw payout "
+                                   "increased after lowering the cap")
+            variants += [_levels(config, row, expected_payout(cpop, sched),
+                                 worst_payout(pop, sched, mechanism, cap))
+                         for row, (cap, cpop) in zip(raw, priced)]
+        out.append(np.array(variants).T)
+    return np.array(out)
 
 
-def _caps_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
-    """One run of the cap protocol.
-
-    Returns (n_schedules, n_levels + 1, n_cap_levels) scaled values; the
-    trailing level row is the analytic worst. Winner sets are drawn once per
-    schedule and re-priced at every cap level.
-    """
-    pop = _population(config, run_index)
-    caps = config.caps
-    capped_pops = [pop] + [apply_cap(pop, cap) for cap in caps]
-    out = np.empty((len(config.schedules), len(config.var_levels) + 1,
-                    len(capped_pops)))
-    for i, sched in enumerate(config.schedules):
-        rng = _stream(config.master_seed, run_index, _RANDOM_STREAM, i)
-        raw = payouts(pop, sched, "random", rng, config.draws_per_run, caps)
-        if np.any(raw[1:] > raw[:-1]):
-            raise RuntimeError(
-                "invariant violation: a drawing's raw payout increased "
-                "after lowering the cap"
-            )
-        # capping preserves sort order, so the top slice caps elementwise
-        top = pop.sorted_balances()[-sched.count:]
-        for li, cpop in enumerate(capped_pops):
-            if li > 0:
-                top = np.minimum(top, caps[li - 1])
-            out[i, :, li] = _levels(config, raw[li], expected_payout(cpop, sched),
-                                    float(top.sum() * sched.multiple))
-    return out
+def require_caps(config: ExperimentConfig, wanted: bool) -> None:
+    """Refuse a config of the other experiment: the cap experiment needs
+    caps, the bracketing experiment takes none."""
+    if wanted != (config.caps is not None):
+        raise ValueError("cap experiment requires a config with caps" if wanted
+                         else "bracketing experiment takes a config without caps")
 
 
 def run_bracketing(config: ExperimentConfig, workers: int = 1) -> Result:
     """Execute the bracketing protocol; deterministic for a fixed master seed
     regardless of ``workers``."""
-    if config.caps is not None:
-        raise ValueError("bracketing experiment takes a config without caps")
-    return _run(_bracketing_run, config, workers)
+    require_caps(config, False)
+    return _run(config, workers)
 
 
 def run_caps(config: ExperimentConfig, workers: int = 1) -> Result:
     """Execute the cap protocol; deterministic for a fixed master seed
     regardless of ``workers``."""
-    if config.caps is None:
-        raise ValueError("cap experiment requires a config with caps")
-    return _run(_caps_run, config, workers)
+    require_caps(config, True)
+    return _run(config, workers)
 
 
-def _run(run_func, config: ExperimentConfig, workers: int) -> Result:
+def _run(config: ExperimentConfig, workers: int) -> Result:
     workers = min(workers, config.runs)
     if workers <= 1:
-        per_run = [run_func(config, r) for r in range(config.runs)]
+        per_run = [_one_run(config, r) for r in range(config.runs)]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves submission order, so aggregation stays deterministic
-            per_run = list(pool.map(partial(run_func, config), range(config.runs)))
+            per_run = list(pool.map(partial(_one_run, config), range(config.runs)))
     data = np.stack(per_run)  # (runs, n_sched, n_levels + 1, n_variants)
     levels = list(config.var_levels) + [None]
     cells = tuple(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pareto import ParetoParams, quantile
+from .pareto import ParetoParams, sample
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,7 @@ def generate(params: ParetoParams, n: int, seed) -> AccountPopulation:
     if n < 1:
         raise ValueError("population must contain at least one account")
     rng = np.random.default_rng(seed)
-    return AccountPopulation.from_balances(quantile(params, rng.random(n)))
+    return AccountPopulation.from_balances(sample(params, rng, n))
 
 
 def apply_cap(pop: AccountPopulation, cap: float) -> AccountPopulation:

@@ -142,6 +142,16 @@ class TestBracketingCommand:
         assert "--json-out" in result.stderr
         assert not out.exists()
 
+    def test_caps_config_fails_with_one_line(self, runner, tmp_path):
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, [
+            "bracketing", "--config", str(GOLDEN / "golden_caps.json"),
+            "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "Error: bracketing experiment takes a config without caps"]
+        assert not out.exists()
+
     def test_progress_stays_off_stdout(self, runner):
         result = runner.invoke(main, [
             "bracketing", "--runs", "1", "--draws", "5", "--accounts", "2000"])
@@ -186,6 +196,25 @@ class TestCapsCommand:
         result = runner.invoke(main, ["caps", "--config", str(bad)])
         assert result.exit_code == 1
         assert "'capz'" in result.stderr
+
+    def test_config_without_caps_fails_with_one_line(self, runner, tmp_path):
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_bracketing.json"),
+            "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == [
+            "Error: cap experiment requires a config with caps"]
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_caps_flag_completes_a_config_without_caps(self, runner, tmp_path):
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_bracketing.json"),
+            "--caps", "5000,800", "--out", str(out)])
+        assert result.exit_code == 0
+        assert "cap_800_avg" in read_csv(out)[0]
 
     def test_bad_caps_fail(self, runner):
         result = runner.invoke(main, [

@@ -158,6 +158,12 @@ class TestWorstBest:
         with pytest.raises(ValueError):
             worst_payout(POP4, TWO_AT_100, "sorted")
 
+    def test_capped_worst_truncates_the_same_winners(self):
+        assert worst_payout(POP4, TWO_AT_100, "random", 350.0) == 650.0
+        assert worst_payout(POP4, TWO_AT_100, "bracketed", 350.0) == 550.0
+        assert worst_payout(POP4, TWO_AT_100, "random", 50.0) == 100.0
+        assert worst_payout(POP4, TWO_AT_100, "random", np.inf) == 700.0
+
     def test_bracketing_tightens_bounds_everywhere(self):
         rng = np.random.default_rng(23)
         for _ in range(300):

@@ -224,6 +224,19 @@ class TestBracketing:
         assert abs(scaled.mean() - 1.0) < band
 
 
+class TestResultCell:
+    def test_level_matched_despite_rounding(self):
+        result = run_bracketing(small_config(runs=1))
+        assert result.cell(1, 1 - 0.95) is result.cell(1, 0.05)
+        assert result.cell(1, 0.2 / 10) is result.cell(1, 0.02)
+        assert result.cell(1, None) is result.cells[-1]
+
+    def test_unknown_level_names_configured_levels(self):
+        result = run_bracketing(small_config(runs=1))
+        with pytest.raises(ValueError, match=r"0\.03 .*\[0\.05, 0\.02\]"):
+            result.cell(0, 0.03)
+
+
 class TestCaps:
     def test_requires_caps(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
-"""Invariants of the drawing kernels, checked over generated inputs."""
+"""Invariants of the drawing kernels, the VaR reading and the config format,
+checked over generated inputs."""
+
+import json
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,8 +16,10 @@ from plsim.drawing import (
     payouts,
     worst_payout,
 )
+from plsim.experiments import ExperimentConfig, config_from_dict, config_to_dict
 from plsim.pareto import ParetoParams
-from plsim.population import generate
+from plsim.population import apply_cap, generate
+from plsim.risk import scale, var_approx
 
 # small populations keep each example to milliseconds; up to 300 drawings
 # cross the 128-row block boundary of the batched kernels
@@ -79,3 +84,51 @@ def test_batched_payouts_equal_single_draws(case):
     rng = np.random.default_rng(seed)
     singles = [draw(pop, sched, mechanism, rng).payout for _ in range(draws)]
     assert np.array_equal(batched, singles)
+
+
+@properties
+@given(drawings(), descending_caps)
+def test_capped_worst_payout_equals_worst_of_capped_population(case, caps):
+    pop, sched, mechanism, seed, draws = case
+    got = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws, caps)
+    assert np.all(got[0] <= worst_payout(pop, sched, mechanism) * (1 + 1e-12))
+    for row, cap in zip(got[1:], caps):
+        worst = worst_payout(pop, sched, mechanism, cap)
+        assert worst == worst_payout(apply_cap(pop, cap), sched, mechanism)
+        assert np.all(row <= worst * (1 + 1e-12))
+
+
+@properties
+@given(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=300),
+       st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                min_size=2, max_size=6))
+def test_var_non_decreasing_as_level_falls(raw, levels):
+    dist = scale(raw, float(np.mean(raw)))
+    values = [var_approx(dist, level) for level in sorted(levels, reverse=True)]
+    assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+
+
+@st.composite
+def configs(draw_from):
+    schedules = draw_from(st.lists(
+        st.builds(PrizeSchedule, st.integers(1, 50), st.floats(0.01, 100.0)),
+        min_size=1, max_size=4))
+    caps = draw_from(st.none() | descending_caps)
+    return ExperimentConfig(
+        pareto=ParetoParams(draw_from(st.floats(1.01, 5.0)),
+                            draw_from(st.floats(1.0, 1e4))),
+        n_accounts=draw_from(st.integers(max(s.count for s in schedules), 10**6)),
+        schedules=tuple(schedules),
+        draws_per_run=draw_from(st.integers(1, 10**5)),
+        runs=draw_from(st.integers(1, 10**4)),
+        var_levels=tuple(draw_from(st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4))),
+        caps=None if caps is None else tuple(caps),
+        master_seed=draw_from(st.integers(0, 2**63)),
+    )
+
+
+@properties
+@given(configs())
+def test_config_round_trips_through_json(config):
+    assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
