@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import shutil
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 
 import click
@@ -46,16 +48,35 @@ def _fail(message: str):
 @contextmanager
 def _output(path: str, option: str = "--out"):
     """Text stream writing to ``path``, or stdout for ``-``; a path that
-    cannot be opened is a one-line error naming ``option``."""
+    cannot be written is a one-line error naming ``option``.
+
+    A file is written beside ``path`` under a temporary name and renamed over
+    it, keeping its permission bits, only when the block completes, so a
+    failed command leaves the file as it was. A symlink's target is the file
+    written. Devices and pipes, such as /dev/null, are written in place.
+    """
     if path == "-":
         yield sys.stdout
         return
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
+    tmp = path if in_place else os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
     try:
-        stream = open(path, "w", newline="")
+        stream = open(tmp, "w" if in_place else "x", newline="")
     except OSError as exc:
         _fail(f"cannot write {option} {path}: {exc.strerror}")
-    with stream:
-        yield stream
+    try:
+        with stream:
+            yield stream
+        if not in_place:
+            with suppress(FileNotFoundError):
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+    finally:
+        if not in_place:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def _progress(message: str):
@@ -125,7 +146,8 @@ def _load_config(config_path: str | None, preset, runs, draws, accounts, seed,
 
 
 def _emit_result(result, out: str, json_out: str | None):
-    # the JSON target opens first, so a bad --json-out leaves no CSV behind
+    # the JSON target opens first, so a bad --json-out leaves no CSV behind,
+    # and commits last, so a bad --out leaves an existing JSON file as it was
     json_target = nullcontext() if json_out is None else _output(json_out, "--json-out")
     with json_target as json_stream, _output(out) as stream:
         result.write_csv(stream)
@@ -311,12 +333,12 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
     except ValueError as exc:
         _fail(str(exc))
 
-    if dump_path is not None:
-        with _output(dump_path, "--dump-balances") as stream:
-            np.savetxt(stream, pop.balances, fmt="%.6f")
-
     expected = expected_payout(pop, sched)
-    with _output(out) as stream:
+    dump_target = (nullcontext() if dump_path is None
+                   else _output(dump_path, "--dump-balances"))
+    with dump_target as dump, _output(out) as stream:
+        if dump is not None:
+            np.savetxt(dump, pop.balances, fmt="%.6f")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["mechanism", "accounts", "prizes", "multiple", "seed",
                          "payout", "expected", "scaled", "best", "worst"])

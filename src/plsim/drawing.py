@@ -27,8 +27,10 @@ i draws from [0, n-k+i] by Lemire's multiply-and-reject on one value of the
 bit generator's 32-bit stream, and takes n-k+i instead when an earlier slot
 already holds its draw. The replay reads that stream in bulk with
 ``rng.integers(0, 2**32, dtype=np.uint32)`` and resolves the collisions
-vectorised. It relies on numpy internals that NEP 19 does not promise to keep,
-so the golden outputs are tied to the numpy version they were cut with.
+vectorised by sorting uint32 keys (draw << bits) | slot, bits the bit length
+of k; it calls ``choice`` per drawing where ``n << bits > 2**32``. It relies
+on numpy internals that NEP 19 does not promise to keep, so the golden
+outputs are tied to the numpy version they were cut with.
 """
 
 from __future__ import annotations
@@ -45,10 +47,12 @@ MECHANISMS = ("random", "bracketed")
 # rows per slice when batching drawings, keeps gather buffers in cache
 _BATCH_ROWS = 128
 
-# above this prize count one Generator.choice call per drawing beats the
-# replay; above this population Lemire rejections (up to n / 2**32 of the raw
-# values) get frequent enough for the same
-_REPLAY_MAX_K = 512
+# the largest prize count on the replay, chosen to cover the paper's k = 1000:
+# there it beats one Generator.choice call per drawing 1.5x at n = 100,000 and
+# is about even (1.0-1.2x) at n = 4,000 to 10,000 and 2**22; at k = 2048 the
+# calls win at n = 8,192 (0.6-0.8x). Above this population Lemire rejections
+# (up to n / 2**32 of the raw values) get frequent enough for the calls to win
+_REPLAY_MAX_K = 1024
 _REPLAY_MAX_N = 2**24
 
 
@@ -168,8 +172,12 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
     slower, the kernel makes those calls itself.
     """
     floyd = n <= 10_000 or k <= n // 20
+    # the replay sorts its collision keys (draw << shift) | slot as uint32;
+    # where they do not fit, int64 keys made it slower than the calls
+    shift = k.bit_length()
     # the calls also win on dense drawings (n < 4k), whose slots often collide
-    if not floyd or k > _REPLAY_MAX_K or n > _REPLAY_MAX_N or n < 4 * k:
+    if (not floyd or k > _REPLAY_MAX_K or n > _REPLAY_MAX_N or n < 4 * k
+            or n << shift > 2**32):
         for lo in range(0, rows, _BATCH_ROWS):
             block = np.empty((min(_BATCH_ROWS, rows - lo), k), dtype=np.int64)
             for row in block:
@@ -182,7 +190,6 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
     reject_below = np.uint64(2**32) % sizes
     # about one rejection per window, so a rejection recomputes little
     window = 2**32 // n
-    shift = k.bit_length()
     for lo in range(0, rows, _BATCH_ROWS):
         m = min(_BATCH_ROWS, rows - lo)
         need = m * k
@@ -206,7 +213,8 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
         # when it repeats an earlier draw of the row, or equals top[p] for an
         # earlier slot p that took top[p]
         held = np.zeros(m * k, dtype=bool)
-        keyed = np.sort((block << shift) | np.arange(k), axis=1)
+        keyed = (block.astype(np.uint32) << shift) | np.arange(k, dtype=np.uint32)
+        keyed.sort(axis=1)
         repeat = np.flatnonzero((keyed[:, 1:] ^ keyed[:, :-1]) < 1 << shift)
         r, c = np.divmod(repeat, k - 1)
         held[r * k + (keyed[r, c + 1] & (1 << shift) - 1)] = True

@@ -1,11 +1,16 @@
 import csv
 import json
+import os
+import stat
+import subprocess
+import sys
 
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import plsim
 from plsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -216,6 +221,54 @@ class TestCapsCommand:
         assert result.exit_code == 0
         assert "cap_800_avg" in read_csv(out)[0]
 
+    def test_bad_out_leaves_existing_json_out_byte_identical(self, runner, tmp_path):
+        keep = tmp_path / "keep.json"
+        keep.write_bytes(b'{"kept": true}\n')
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--json-out", str(keep), "--out", str(tmp_path / "missing" / "x.csv")])
+        assert result.exit_code == 1
+        assert "--out" in result.stderr
+        assert keep.read_bytes() == b'{"kept": true}\n'
+
+    def test_outputs_leave_no_temporary_files(self, runner, tmp_path):
+        args = ["caps", "--config", str(GOLDEN / "golden_caps.json"),
+                "--json-out", str(tmp_path / "c.json")]
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.json"]
+        # the JSON target is already open when --out fails to open
+        result = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "c.csv")])
+        assert result.exit_code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.json"]
+
+    def test_out_through_a_symlink_replaces_its_target(self, runner, tmp_path):
+        target = tmp_path / "data" / "c.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "c.csv"
+        link.symlink_to(target)
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"), "--out", str(link)])
+        assert result.exit_code == 0
+        assert link.is_symlink()
+        assert "cap_800_avg" in read_csv(target)[0]
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in target.parent.iterdir()] == ["c.csv"]
+
+    @pytest.mark.skipif(not os.path.islink("/dev/stdout"), reason="no /dev/stdout link")
+    def test_out_dev_stdout_redirected_to_a_file(self, tmp_path):
+        out = tmp_path / "c.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(plsim.__file__).parents[1])}
+        with open(out, "w") as stdout:
+            subprocess.run([
+                sys.executable, "-c", "from plsim.cli import main; main()",
+                "caps", "--config", str(GOLDEN / "golden_caps.json"), "--out", "/dev/stdout",
+            ], stdout=stdout, stderr=subprocess.DEVNULL, env=env, check=True)
+        assert os.path.islink("/dev/stdout")
+        assert "cap_800_avg" in read_csv(out)[0]
+
     def test_bad_caps_fail(self, runner):
         result = runner.invoke(main, [
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
@@ -319,6 +372,17 @@ class TestDrawCommand:
         lines = dump.read_text().strip().splitlines()
         assert len(lines) == 50
         assert all(float(v) >= 150.0 for v in lines)
+
+    def test_bad_out_leaves_existing_dump_byte_identical(self, runner, tmp_path):
+        dump = tmp_path / "balances.txt"
+        dump.write_bytes(b"1.0\n")
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
+            "--prizes", "2", "--multiple", "1", "--dump-balances", str(dump),
+            "--out", str(tmp_path / "missing" / "d.csv")])
+        assert result.exit_code == 1
+        assert dump.read_bytes() == b"1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["balances.txt"]
 
     def test_unwritable_dump_fails_with_one_line(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -236,6 +236,20 @@ def choice_loop(rng, n, k, rows):
     return out
 
 
+class CountingGenerator:
+    """A Generator's ``integers`` and ``choice``, counting ``choice`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.choice_calls = rng, 0
+
+    def integers(self, *args, **kwargs):
+        return self.rng.integers(*args, **kwargs)
+
+    def choice(self, *args, **kwargs):
+        self.choice_calls += 1
+        return self.rng.choice(*args, **kwargs)
+
+
 class TestBatchedKernelsExact:
     ROWS = 2 * drawing._BATCH_ROWS + 3
     CROSSOVER = drawing._REPLAY_MAX_K
@@ -245,6 +259,11 @@ class TestBatchedKernelsExact:
         (10_001, 500),
         (100_000, CROSSOVER - 1), (100_000, CROSSOVER), (100_000, CROSSOVER + 1),
         (2**24, 10),  # large range: Lemire rejections in most batches
+        (100_000, 511), (100_000, 512), (100_000, 513),  # the key shift widens
+        (100_000, 1000),  # the paper's largest schedule
+        (2**22, 1000), (2**22 + 1, 1000),  # the last uint32 key; the calls
+        (2**23, 1000),  # half of its keys would overflow uint32
+        (2**24, 255), (2**24, 256),  # the same at the largest replayed population
     ])
     def test_random_rows_equal_choice_loop(self, n, k):
         for seed in (0, 1):
@@ -261,7 +280,18 @@ class TestBatchedKernelsExact:
         rows = batched_rows(np.random.default_rng(3), n, k, 5)
         assert np.array_equal(rows, choice_loop(np.random.default_rng(3), n, k, 5))
 
-    @pytest.mark.parametrize("k", [10, CROSSOVER + 1])
+    @pytest.mark.parametrize("n, k, replayed", [
+        (100_000, 10, True), (100_000, 100, True), (100_000, 500, True),
+        (100_000, 1000, True), (100_000, CROSSOVER + 1, False),
+        (2**22, 1000, True), (2**22 + 1, 1000, False),
+        (2**24, 255, True), (2**24, 256, False),  # keys that do not fit uint32
+    ])
+    def test_replay_serves_prize_counts_up_to_its_crossover(self, n, k, replayed):
+        rng = CountingGenerator(np.random.default_rng(0))
+        batched_rows(rng, n, k, 3)
+        assert (rng.choice_calls == 0) == replayed
+
+    @pytest.mark.parametrize("k", [10, 513, CROSSOVER + 1])
     def test_random_payouts_equal_per_drawing_sums(self, k):
         pop = generate(ParetoParams(1.04, 150.0), 20_000, 59)
         sched = PrizeSchedule(k, 3.0)

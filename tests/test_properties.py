@@ -16,7 +16,13 @@ from plsim.drawing import (
     payouts,
     worst_payout,
 )
-from plsim.experiments import ExperimentConfig, config_from_dict, config_to_dict
+from plsim.experiments import (
+    ExperimentConfig,
+    config_from_dict,
+    config_to_dict,
+    run_bracketing,
+    run_caps,
+)
 from plsim.pareto import ParetoParams
 from plsim.population import apply_cap, generate
 from plsim.risk import scale, var_approx
@@ -132,3 +138,26 @@ def configs(draw_from):
 @given(configs())
 def test_config_round_trips_through_json(config):
     assert config_from_dict(json.loads(json.dumps(config_to_dict(config)))) == config
+
+
+@st.composite
+def tiny_configs(draw_from):
+    n = draw_from(st.integers(1, 200))
+    schedules = draw_from(st.lists(
+        st.builds(PrizeSchedule, st.integers(1, n), st.floats(0.1, 10.0)),
+        min_size=1, max_size=2))
+    caps = draw_from(st.none() | descending_caps)
+    return ExperimentConfig(
+        pareto=ParetoParams(1.04, 150.0), n_accounts=n, schedules=tuple(schedules),
+        draws_per_run=draw_from(st.integers(1, 50)), runs=draw_from(st.integers(2, 4)),
+        var_levels=(0.95, 0.99), caps=None if caps is None else tuple(caps),
+        master_seed=draw_from(st.integers(0, 2**32)))
+
+
+# each example starts a pool of two processes
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(tiny_configs())
+def test_output_identical_at_one_and_two_workers(config):
+    run = run_bracketing if config.caps is None else run_caps
+    one, two = (json.dumps(run(config, workers=w).to_json_dict()) for w in (1, 2))
+    assert one == two
