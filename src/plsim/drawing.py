@@ -66,8 +66,9 @@ class PrizeSchedule:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("a schedule needs at least one prize")
-        if not self.multiple > 0.0:
-            raise ValueError("prize multiple must be positive")
+        if not 0.0 < self.multiple < math.inf:
+            raise ValueError(
+                f"prize multiple must be finite and positive, got {self.multiple}")
 
     def label(self) -> str:
         return f"{self.count}x{self.multiple * 100:g}%"
@@ -81,10 +82,15 @@ class DrawOutcome:
     payout: float
 
 
-def expected_payout(pop: AccountPopulation, sched: PrizeSchedule) -> float:
-    """count * multiple * mean balance; exact for both mechanisms because
-    every account is equally likely to win each prize."""
-    return sched.count * sched.multiple * pop.mean
+def expected_payout(pop: AccountPopulation, sched: PrizeSchedule,
+                    cap: float = math.inf) -> float:
+    """count * multiple * mean balance, with every balance truncated at
+    ``cap``; exact for both mechanisms because every account is equally
+    likely to win each prize. The capped mean is the one ``apply_cap``
+    gives, without building the capped population.
+    """
+    mean = pop.mean if cap == math.inf else float(np.minimum(pop.balances, cap).mean())
+    return sched.count * sched.multiple * mean
 
 
 def expected_interest(schedules, n_accounts: int) -> float:
@@ -128,8 +134,10 @@ def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     ``pop.sorted_balances()`` for the bracketed one.
     """
     _check(pop, sched, mechanism)
-    kernel = _random_winner_rows if mechanism == "random" else _bracketed_winner_rows
-    return kernel(rng, pop.count, sched.count, draws)
+    kernel = _random_rows if mechanism == "random" else _bracketed_rows
+    starts = range(0, draws, _BATCH_ROWS)
+    heights = (min(_BATCH_ROWS, draws - lo) for lo in starts)
+    return zip(starts, kernel(rng, pop.count, sched.count, heights))
 
 
 def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -162,14 +170,14 @@ def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                        payout=float(pop.balances[winners].sum() * sched.multiple))
 
 
-def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
-    """Winner sets of ``rows`` random drawings of ``k`` out of ``n`` accounts,
-    yielded as ``(first row, block)`` with at most ``_BATCH_ROWS`` rows a block.
+def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
+    """The random kernel: for each ``m <= _BATCH_ROWS`` in ``heights``, yields
+    the winner sets, ``k`` of ``n`` accounts, of the next ``m`` drawings.
 
-    Row d equals the d-th of ``rows`` successive calls of ``rng.choice(n, k,
-    replace=False, shuffle=False)``, and ``rng`` ends in the state those calls
-    leave it in. Where numpy does not use Floyd's algorithm, or the replay is
-    slower, the kernel makes those calls itself.
+    Row d of the blocks equals the d-th of successive calls of
+    ``rng.choice(n, k, replace=False, shuffle=False)``, and ``rng`` ends in
+    the state those calls leave it in. Where numpy does not use Floyd's
+    algorithm, or the replay is slower, the kernel makes those calls itself.
     """
     floyd = n <= 10_000 or k <= n // 20
     # the replay sorts its collision keys (draw << shift) | slot as uint32;
@@ -178,11 +186,9 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
     # the calls also win on dense drawings (n < 4k), whose slots often collide
     if (not floyd or k > _REPLAY_MAX_K or n > _REPLAY_MAX_N or n < 4 * k
             or n << shift > 2**32):
-        for lo in range(0, rows, _BATCH_ROWS):
-            block = np.empty((min(_BATCH_ROWS, rows - lo), k), dtype=np.int64)
-            for row in block:
-                row[:] = rng.choice(n, size=k, replace=False, shuffle=False)
-            yield lo, block
+        for m in heights:
+            yield np.array([rng.choice(n, size=k, replace=False, shuffle=False)
+                            for _ in range(m)])
         return
 
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
@@ -190,8 +196,9 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
     reject_below = np.uint64(2**32) % sizes
     # about one rejection per window, so a rejection recomputes little
     window = 2**32 // n
-    for lo in range(0, rows, _BATCH_ROWS):
-        m = min(_BATCH_ROWS, rows - lo)
+    # a generator: each block's temporaries live until the next block's replace
+    # them; freed per block, they made later kernels fault in fresh pages
+    for m in heights:
         need = m * k
         block = np.empty((m, k), dtype=np.int64)
         flat = block.ravel()
@@ -227,19 +234,31 @@ def _random_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
                 break
             held[at[more]] = True
         np.copyto(block, top, where=held.reshape(m, k))
-        yield lo, block
+        yield block
 
 
-def _bracketed_winner_rows(rng: np.random.Generator, n: int, k: int, rows: int):
-    """Sorted-order positions of one winner per bracket for ``rows`` bracketed
-    drawings, in blocks like ``_random_winner_rows``."""
+def _bracketed_rows(rng: np.random.Generator, n: int, k: int, heights):
+    """The bracketed kernel: yields the sorted-order positions of one winner
+    per bracket for the next ``m`` drawings, for each ``m`` in ``heights``."""
     bounds = bracket_bounds(n, k)
     # equal brackets: a scalar bound draws the same integers as the array of
     # sizes, and numpy draws it faster
     sizes = n // k if n % k == 0 else np.diff(bounds)
-    for lo in range(0, rows, _BATCH_ROWS):
-        m = min(_BATCH_ROWS, rows - lo)
-        yield lo, bounds[:-1] + rng.integers(0, sizes, size=(m, k))
+    for m in heights:
+        yield bounds[:-1] + rng.integers(0, sizes, size=(m, k))
+
+
+def _extremes(pop: AccountPopulation, sched: PrizeSchedule,
+              mechanism: str) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted-order positions of the winners of the smallest and of the
+    largest payout: the ``count`` smallest and largest accounts (random), or
+    each bracket's smallest and largest account (bracketed)."""
+    _check(pop, sched, mechanism)
+    n, k = pop.count, sched.count
+    if mechanism == "random":
+        return np.arange(k), np.arange(n - k, n)
+    bounds = bracket_bounds(n, k)
+    return bounds[:-1], bounds[1:] - 1
 
 
 def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
@@ -247,27 +266,15 @@ def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
     """Largest payout the mechanism can produce for this sample, with every
     balance truncated at ``cap``.
 
-    random: the ``count`` largest accounts all win. bracketed: each bracket's
-    largest account wins. Capping keeps the balance order, so the same
-    accounts win at any cap, and only their balances are truncated.
+    Capping keeps the balance order, so the same accounts win at any cap,
+    and only their balances are truncated.
     """
-    _check(pop, sched, mechanism)
-    sbal = pop.sorted_balances()
-    if mechanism == "random":
-        top = sbal[-sched.count:]
-    else:
-        top = sbal[bracket_bounds(pop.count, sched.count)[1:] - 1]
-    return float(np.minimum(top, cap).sum() * sched.multiple)
+    _, worst = _extremes(pop, sched, mechanism)
+    return float(np.minimum(pop.sorted_balances()[worst], cap).sum() * sched.multiple)
 
 
 def best_payout(pop: AccountPopulation, sched: PrizeSchedule,
                 mechanism: str) -> float:
     """Smallest payout the mechanism can produce for this sample."""
-    _check(pop, sched, mechanism)
-    sbal = pop.sorted_balances()
-    if mechanism == "random":
-        total = sbal[:sched.count].sum()
-    else:
-        total = sbal[bracket_bounds(pop.count, sched.count)[:-1]].sum()
-    return float(total * sched.multiple)
-
+    best, _ = _extremes(pop, sched, mechanism)
+    return float(pop.sorted_balances()[best].sum() * sched.multiple)

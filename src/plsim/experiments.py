@@ -2,15 +2,16 @@
 
 Both experiments share one protocol per run: generate a fresh population;
 for every schedule and mechanism, perform ``draws_per_run`` drawings and
-price them at each price level; scale each level's payouts by the sample's
-expected payout at that level; record the VaR approximations and the analytic
-worst payout. The config's caps alone pick the variants, mechanisms times
-price levels. Without caps (bracketing experiment) they are the random and the
-bracketed mechanism, uncapped. With caps (cap experiment) they are the random
-mechanism uncapped and then at each cap, descending: the *same* winner sets
-are re-priced at every cap. The paired design is essential: lowering the cap
-can never increase a drawing's raw payout, and the engine verifies that for
-every drawing.
+price them at each price level, a cap being the level at which every balance
+is truncated; sort each level's raw payouts, read the VaR order statistics at
+``risk.var_rank`` and the analytic worst payout, and scale them by the
+sample's expected payout at that level, from the mean of the capped balances.
+The config's caps alone pick the variants, mechanisms times price levels.
+Without caps (bracketing experiment) they are the random and the bracketed
+mechanism, uncapped. With caps (cap experiment) they are the random mechanism
+uncapped and then at each cap, descending: the *same* winner sets are
+re-priced at every cap. The paired design is essential: lowering the cap can
+never increase a drawing's raw payout, and the engine checks every drawing.
 
 Runs are independent: every run derives its generator substreams from the
 master seed and its own index, so results are bit-identical regardless of
@@ -23,21 +24,15 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .drawing import MECHANISMS, PrizeSchedule, expected_payout, payouts, worst_payout
 from .pareto import ParetoParams
-from .population import AccountPopulation, apply_cap, generate
-from .risk import (
-    compare_percentage_higher,
-    relative_difference,
-    scale,
-    std_dev,
-    var_approx,
-)
+from .population import AccountPopulation, generate
+from .risk import compare_percentage_higher, relative_difference, std_dev, var_rank
 
 DEFAULT_SEED = 42
 
@@ -78,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("runs must be >= 1")
         if self.draws_per_run < 1:
             raise ValueError("draws_per_run must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_accounts < max(s.count for s in self.schedules):
             raise ValueError("n_accounts must cover the largest prize count")
         for lvl in self.var_levels:
@@ -94,32 +91,17 @@ class ExperimentConfig:
 
 def bracketing_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentConfig:
     """Full-scale bracketing setup: 100,000 accounts, 10,000 draws, 200 runs."""
-    base = ExperimentConfig(
-        pareto=pareto or ParetoParams(1.04, 150.0),
-        n_accounts=100_000,
-        schedules=DEFAULT_SCHEDULES,
-        draws_per_run=10_000,
-        runs=200,
-        var_levels=BRACKETING_VAR_LEVELS,
-        caps=None,
-        master_seed=DEFAULT_SEED,
-    )
-    return replace(base, **overrides) if overrides else base
+    return ExperimentConfig(**{
+        "pareto": pareto or ParetoParams(1.04, 150.0), "n_accounts": 100_000,
+        "schedules": DEFAULT_SCHEDULES, "draws_per_run": 10_000, "runs": 200,
+        "var_levels": BRACKETING_VAR_LEVELS, **overrides})
 
 
 def caps_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentConfig:
     """Full-scale cap setup: 1,000 draws, 2,000 runs, caps 250k/50k/10k."""
-    base = ExperimentConfig(
-        pareto=pareto or ParetoParams(1.04, 150.0),
-        n_accounts=100_000,
-        schedules=DEFAULT_SCHEDULES,
-        draws_per_run=1_000,
-        runs=2_000,
-        var_levels=CAPS_VAR_LEVELS,
-        caps=DEFAULT_CAPS,
-        master_seed=DEFAULT_SEED,
-    )
-    return replace(base, **overrides) if overrides else base
+    return bracketing_config(pareto, **{
+        "draws_per_run": 1_000, "runs": 2_000, "var_levels": CAPS_VAR_LEVELS,
+        "caps": DEFAULT_CAPS, **overrides})
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -149,12 +131,20 @@ def _known(data: dict, names, where: str) -> dict:
     return data
 
 
-def _integer(data: dict, key: str) -> int:
-    value = data[key]
-    # JSON integers only: int() would truncate 1.7, and parse "7" and true
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{key} must be an integer, got {value!r}")
-    return value
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               list: (list, "a list")}
+
+
+def _typed(value, kind: type, name: str):
+    # JSON values only: int() and float() would truncate 1.7 and parse "7" and true
+    types, what = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return kind(value)
+
+
+def _floats(data: dict, key: str) -> tuple[float, ...]:
+    return tuple(_typed(v, float, key) for v in _typed(data[key], list, key))
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -162,19 +152,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         _known(data, [f.name for f in fields(ExperimentConfig)], "config")
         pareto = _known(data["pareto"], ("alpha", "b"), "pareto")
         schedules = [_known(s, ("count", "multiple"), "schedule")
-                     for s in data["schedules"]]
+                     for s in _typed(data["schedules"], list, "schedules")]
         return ExperimentConfig(
-            pareto=ParetoParams(float(pareto["alpha"]), float(pareto["b"])),
-            n_accounts=_integer(data, "n_accounts"),
+            pareto=ParetoParams(_typed(pareto["alpha"], float, "alpha"),
+                                _typed(pareto["b"], float, "b")),
+            n_accounts=_typed(data["n_accounts"], int, "n_accounts"),
             schedules=tuple(
-                PrizeSchedule(_integer(s, "count"), float(s["multiple"]))
+                PrizeSchedule(_typed(s["count"], int, "count"),
+                              _typed(s["multiple"], float, "multiple"))
                 for s in schedules
             ),
-            draws_per_run=_integer(data, "draws_per_run"),
-            runs=_integer(data, "runs"),
-            var_levels=tuple(float(v) for v in data["var_levels"]),
-            caps=tuple(float(c) for c in data["caps"]) if "caps" in data else None,
-            master_seed=_integer(data, "master_seed"),
+            draws_per_run=_typed(data["draws_per_run"], int, "draws_per_run"),
+            runs=_typed(data["runs"], int, "runs"),
+            var_levels=_floats(data, "var_levels"),
+            caps=_floats(data, "caps") if "caps" in data else None,
+            master_seed=_typed(data["master_seed"], int, "master_seed"),
         )
     except KeyError as exc:
         raise ValueError(f"config is missing required field {exc}") from exc
@@ -315,14 +307,6 @@ def _population(config: ExperimentConfig, run_index: int) -> AccountPopulation:
                     _stream(config.master_seed, run_index, _POPULATION_STREAM))
 
 
-def _levels(config: ExperimentConfig, raw: np.ndarray, expected: float,
-            worst: float) -> list[float]:
-    """VaR at each configured level, then the worst payout, scaled by
-    ``expected``."""
-    dist = scale(raw, expected)
-    return [var_approx(dist, level) for level in config.var_levels] + [worst / expected]
-
-
 def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     """One run of either experiment: fresh population, every schedule.
 
@@ -332,7 +316,8 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     """
     pop = _population(config, run_index)
     caps = config.caps or ()
-    priced = [(math.inf, pop)] + [(cap, apply_cap(pop, cap)) for cap in caps]
+    prices = (math.inf, *caps)
+    ranks = [var_rank(config.draws_per_run, level) for level in config.var_levels]
     out = []
     for i, sched in enumerate(config.schedules):
         variants = []
@@ -342,10 +327,11 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
             if np.any(raw[1:] > raw[:-1]):
                 raise RuntimeError("invariant violation: a drawing's raw payout "
                                    "increased after lowering the cap")
-            variants += [_levels(config, row, expected_payout(cpop, sched),
-                                 worst_payout(pop, sched, mechanism, cap))
-                         for row, (cap, cpop) in zip(raw, priced)]
-        out.append(np.array(variants).T)
+            worst = [worst_payout(pop, sched, mechanism, cap) for cap in prices]
+            expected = [expected_payout(pop, sched, cap) for cap in prices]
+            levels = np.column_stack((np.sort(raw, axis=1)[:, ranks], worst))
+            variants.append(levels / np.array(expected)[:, None])
+        out.append(np.concatenate(variants).T)
     return np.array(out)
 
 

@@ -15,6 +15,7 @@ state is the caller-owned generator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,19 +36,18 @@ __all__ = [
 class ParetoParams:
     """Shape/scale pair; ``b`` equals the minimum possible value.
 
-    ``alpha`` must exceed 1 so the mean is finite.
+    ``alpha`` must exceed 1 so the mean is finite, and both must be finite.
     """
 
     alpha: float
     b: float
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
+        if not 1.0 < self.alpha < math.inf:
             raise ValueError(
-                f"alpha must exceed 1 for a finite mean, got {self.alpha}"
-            )
-        if not self.b > 0.0:
-            raise ValueError(f"scale b must be positive, got {self.b}")
+                f"alpha must be finite and exceed 1 for a finite mean, got {self.alpha}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"scale b must be finite and positive, got {self.b}")
 
     def label(self) -> str:
         return f"{self.alpha:g}/{self.b:g}"

@@ -6,6 +6,8 @@ off the ascending order statistics: the k-th smallest with
 k = round((1 - q) * draws). The single exception is the level whose
 resolution equals the whole distribution (q * draws == 1, e.g. 0.01% of
 10,000 draws or 0.1% of 1,000 draws): there the maximum is reported.
+``var_rank`` holds that rule. Division by a positive number is monotone, so
+sorting raw payouts and scaling the k-th smallest gives the same float.
 """
 
 from __future__ import annotations
@@ -48,24 +50,28 @@ def scale(payouts, expected: float) -> PayoutDistribution:
     return PayoutDistribution(np.sort(np.asarray(payouts, dtype=float) / expected))
 
 
-def var_approx(dist: PayoutDistribution, level: float) -> float:
-    """Empirical VaR approximation at the given tail probability.
+def var_rank(draws: int, level: float) -> int:
+    """Position of the VaR at the given tail probability among ``draws``
+    ascending payouts.
 
     Meaningful when level * draws >= 1; at or below that resolution limit
-    the maximum is reported (the topmost approximation the distribution can
+    it is the maximum's (the topmost approximation the distribution can
     resolve). Non-integer (1 - level) * draws rounds to nearest.
     """
-    draws = dist.draws
     if draws == 0:
         raise ValueError("empty payout distribution")
     if not 0.0 < level < 1.0:
         raise ValueError("VaR level must lie in (0, 1)")
-    values = dist.scaled_payouts
     if level * draws <= 1.0 + _LEVEL_EPS:
-        return float(values[-1])
+        return draws - 1
     k = int(round((1.0 - level) * draws))
-    k = min(max(k, 1), draws)
-    return float(values[k - 1])
+    return min(max(k, 1), draws) - 1
+
+
+def var_approx(dist: PayoutDistribution, level: float) -> float:
+    """Empirical VaR approximation at the given tail probability: the
+    payout at ``var_rank``."""
+    return float(dist.scaled_payouts[var_rank(dist.draws, level)])
 
 
 def compare_percentage_higher(a, b) -> float:

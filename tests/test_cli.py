@@ -14,6 +14,7 @@ import plsim
 from plsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+JSON_GOLDEN = GOLDEN / "json_out"  # --json-out of the two golden configs
 
 
 @pytest.fixture
@@ -63,6 +64,14 @@ class TestTable1:
         assert runner.invoke(main, ["table1", "--params", "0.9,150"]).exit_code != 0
         assert runner.invoke(main, ["table1", "--params", "abc,150"]).exit_code != 0
 
+    @pytest.mark.parametrize("params", ["1.04,inf", "inf,150", "1.04,nan"])
+    def test_non_finite_params_fail_with_one_line(self, runner, params):
+        result = runner.invoke(main, ["table1", "--params", params])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "finite" in result.stderr
+
 
 class TestBracketingCommand:
     def test_golden(self, runner, tmp_path):
@@ -72,6 +81,36 @@ class TestBracketingCommand:
             "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "bracketing_small.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_json_out_golden(self, runner, tmp_path, threads):
+        # every per-run value at full precision, which the CSV rounds away
+        out = tmp_path / "b.json"
+        result = runner.invoke(main, [
+            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
+            "--threads", threads, "--out", str(tmp_path / "b.csv"), "--json-out", str(out)])
+        assert result.exit_code == 0
+        assert out.read_bytes() == (JSON_GOLDEN / "bracketing_small.json").read_bytes()
+
+    def test_negative_seed_fails_with_one_line(self, runner, tmp_path):
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, [
+            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
+            "--seed", "-1", "--threads", "2", "--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["Error: master_seed must be >= 0, got -1"]
+        assert not out.exists()
+
+    def test_infinite_scale_in_config_fails_with_one_line(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        # JSON reads 1e400 as infinity
+        bad.write_text((GOLDEN / "golden_bracketing.json").read_text().replace(
+            '"b": 150.0', '"b": 1e400'))
+        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
+        assert result.exit_code == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert "scale b must be finite" in result.stderr
+        assert result.stdout == ""
 
     def test_threads_do_not_change_output(self, runner, tmp_path):
         args = ["bracketing", "--config", str(GOLDEN / "golden_bracketing.json")]
@@ -172,6 +211,29 @@ class TestCapsCommand:
             "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "caps_small.csv").read_bytes()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_json_out_golden(self, runner, tmp_path, threads):
+        out = tmp_path / "c.json"
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--threads", threads, "--out", str(tmp_path / "c.csv"), "--json-out", str(out)])
+        assert result.exit_code == 0
+        assert out.read_bytes() == (JSON_GOLDEN / "caps_small.json").read_bytes()
+
+    @pytest.mark.parametrize("field, bad", [
+        ("caps", "321"), ("caps", [5000.0, "800"]), ("var_levels", [True])])
+    def test_mistyped_float_fields_fail_with_one_line(self, runner, tmp_path, field, bad):
+        doc = json.loads((GOLDEN / "golden_caps.json").read_text())
+        doc[field] = bad
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / "c.csv"
+        result = runner.invoke(main, ["caps", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert f"wrong type: {field}" in result.stderr
+        assert not out.exists()
 
     def test_caps_flag_overrides(self, runner, tmp_path):
         out = tmp_path / "c.csv"
@@ -392,6 +454,15 @@ class TestDrawCommand:
         assert result.exit_code == 1
         assert "--dump-balances" in result.stderr
         assert "Traceback" not in result.output
+
+    def test_infinite_multiple_fails_with_one_line(self, runner):
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "100",
+            "--prizes", "3", "--multiple", "inf"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "Error: prize multiple must be finite and positive, got inf"]
 
     def test_invalid_inputs_fail(self, runner):
         assert runner.invoke(main, [

@@ -30,6 +30,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             PrizeSchedule(5, 0.0)
 
+    @pytest.mark.parametrize("multiple", [np.inf, np.nan])
+    def test_rejects_non_finite_multiple(self, multiple):
+        with pytest.raises(ValueError, match="finite"):
+            PrizeSchedule(3, multiple)
+
     def test_label(self):
         assert PrizeSchedule(1000, 1.0).label() == "1000x100%"
         assert PrizeSchedule(10, 99.0).label() == "10x9900%"
@@ -47,6 +52,11 @@ class TestExpectedPayout:
         payouts = [POP4.balances[list(s)].sum() for s in combinations(range(4), 2)]
         assert expected_payout(POP4, TWO_AT_100) == pytest.approx(np.mean(payouts))
         assert expected_payout(POP4, TWO_AT_100) == pytest.approx(500.0)
+
+    def test_capped_mean_prices_the_same_schedule(self):
+        # balances 100, 200, 250, 250: mean 200
+        assert expected_payout(POP4, TWO_AT_100, 250.0) == 400.0
+        assert expected_payout(POP4, TWO_AT_100, np.inf) == 500.0
 
 
 class TestExpectedInterest:
@@ -224,8 +234,8 @@ def winner_matrix(pop, sched, rng, draws):
 
 
 def batched_rows(rng, n, k, rows):
-    blocks = drawing._random_winner_rows(rng, n, k, rows)
-    return np.concatenate([block for _, block in blocks])
+    heights = [min(drawing._BATCH_ROWS, rows - lo) for lo in range(0, rows, drawing._BATCH_ROWS)]
+    return np.concatenate(list(drawing._random_rows(rng, n, k, heights)))
 
 
 def choice_loop(rng, n, k, rows):

@@ -89,6 +89,49 @@ class TestConfig:
         with pytest.raises(ValueError, match="wrong type: count"):
             config_from_dict({**data, "schedules": schedules})
 
+    @pytest.mark.parametrize("bad", ["1.04", True, None, [1.5]])
+    def test_float_fields_take_only_json_numbers(self, bad):
+        data = config_to_dict(small_config(caps=(1000.0,)))
+        for field, changed in (
+                ("alpha", {"pareto": {**data["pareto"], "alpha": bad}}),
+                ("b", {"pareto": {**data["pareto"], "b": bad}}),
+                ("multiple", {"schedules": [{**data["schedules"][0], "multiple": bad}]}),
+                ("var_levels", {"var_levels": [0.05, bad]}),
+                ("caps", {"caps": [bad]})):
+            with pytest.raises(ValueError, match=f"wrong type: {field}"):
+                config_from_dict({**data, **changed})
+
+    def test_float_fields_take_json_integers(self):
+        data = config_to_dict(small_config(caps=(1000.0,)))
+        config = config_from_dict({**data, "pareto": {"alpha": 2, "b": 150},
+                                   "caps": [1000]})
+        assert config == small_config(pareto=ParetoParams(2.0, 150.0), caps=(1000.0,))
+        assert isinstance(config.pareto.b, float)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("schedules", {"count": 20, "multiple": 1.0}), ("var_levels", "0.05"),
+        ("var_levels", 0.05), ("caps", "321"), ("caps", 1000.0)])
+    def test_list_fields_take_only_json_lists(self, field, bad):
+        data = config_to_dict(small_config(caps=(1000.0,)))
+        with pytest.raises(ValueError, match=f"wrong type: {field}"):
+            config_from_dict({**data, field: bad})
+
+    def test_infinite_parameters_rejected(self):
+        data = config_to_dict(small_config())
+        # JSON reads 1e400 as infinity
+        doc = json.loads(json.dumps(data).replace('"b": 150.0', '"b": 1e400'))
+        assert doc["pareto"]["b"] == math.inf
+        with pytest.raises(ValueError, match="finite"):
+            config_from_dict(doc)
+        schedules = [{**data["schedules"][0], "multiple": math.inf}]
+        with pytest.raises(ValueError, match="finite"):
+            config_from_dict({**data, "schedules": schedules})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="master_seed"):
+            small_config(master_seed=-1)
+        assert small_config(master_seed=0).master_seed == 0
+
     def test_unknown_fields_rejected(self):
         data = config_to_dict(small_config(caps=(1000.0,)))
         with pytest.raises(ValueError, match="'capz' in config"):

@@ -40,6 +40,12 @@ class TestParams:
         with pytest.raises(ValueError):
             ParetoParams(2.0, -1.0)
 
+    @pytest.mark.parametrize("alpha, b", [
+        (np.inf, 150.0), (1.04, np.inf), (np.nan, 150.0), (1.04, np.nan)])
+    def test_rejects_non_finite_parameters(self, alpha, b):
+        with pytest.raises(ValueError, match="finite"):
+            ParetoParams(alpha, b)
+
 
 class TestPdf:
     def test_at_scale_equals_alpha_over_b(self):

@@ -2,6 +2,7 @@
 checked over generated inputs."""
 
 import json
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from plsim.drawing import (
     best_payout,
     bracket_bounds,
     draw,
+    expected_payout,
     payouts,
     worst_payout,
 )
@@ -25,7 +27,7 @@ from plsim.experiments import (
 )
 from plsim.pareto import ParetoParams
 from plsim.population import apply_cap, generate
-from plsim.risk import scale, var_approx
+from plsim.risk import scale, var_approx, var_rank
 
 # small populations keep each example to milliseconds; up to 300 drawings
 # cross the 128-row block boundary of the batched kernels
@@ -112,6 +114,22 @@ def test_var_non_decreasing_as_level_falls(raw, levels):
     dist = scale(raw, float(np.mean(raw)))
     values = [var_approx(dist, level) for level in sorted(levels, reverse=True)]
     assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+
+
+@properties
+@given(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=300),
+       st.floats(1e-3, 1e6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_var_of_sorted_raw_payouts_equals_var_of_scaled(raw, expected, level):
+    # the run sorts raw payouts and scales the order statistic it reads
+    got = np.sort(raw)[var_rank(len(raw), level)] / expected
+    assert got == var_approx(scale(raw, expected), level)
+
+
+@properties
+@given(drawings(), st.floats(100.0, 1e6) | st.just(math.inf))
+def test_expected_payout_at_cap_equals_that_of_capped_population(case, cap):
+    pop, sched, *_ = case
+    assert expected_payout(pop, sched, cap) == expected_payout(apply_cap(pop, cap), sched)
 
 
 @st.composite
