@@ -257,6 +257,9 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
     """
     if points < 1:
         _fail("--points must be >= 1")
+    for option, x in (("--x-min", x_min), ("--x-max", x_max)):
+        if not np.isfinite(x):
+            _fail(f"{option} must be finite, got {x}")
     if x_max < x_min:
         _fail("--x-max must be >= --x-min")
     try:

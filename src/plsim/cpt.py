@@ -25,6 +25,7 @@ forms; everything else is probed with central finite differences.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -72,6 +73,11 @@ class CptParams:
                 )
 
 
+def _check_growth_rate(rate: float) -> None:
+    if not 0.0 <= rate < math.inf:
+        raise ValueError(f"growth rate must be finite and non-negative, got {rate}")
+
+
 @dataclass(frozen=True)
 class FixedPrizeSpec:
     """Fixed prize ``prize``, win-probability slope ``prob_per_unit``
@@ -82,12 +88,12 @@ class FixedPrizeSpec:
     growth_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.prize > 0.0:
-            raise ValueError("prize must be positive")
-        if not self.prob_per_unit > 0.0:
-            raise ValueError("probability slope must be positive")
-        if self.growth_rate < 0.0:
-            raise ValueError("growth rate must be non-negative")
+        if not 0.0 < self.prize < math.inf:
+            raise ValueError(f"prize must be finite and positive, got {self.prize}")
+        if not 0.0 < self.prob_per_unit < math.inf:
+            raise ValueError("probability slope must be finite and positive, "
+                             f"got {self.prob_per_unit}")
+        _check_growth_rate(self.growth_rate)
 
     def max_savings(self) -> float:
         """Upper end of the analyzed region: the prize net of forgone growth
@@ -107,10 +113,10 @@ class DynamicPrizeSpec:
     growth_rate: float = 0.0
 
     def __post_init__(self):
-        if self.growth_rate < 0.0:
-            raise ValueError("growth rate must be non-negative")
-        if not self.multiple > self.growth_rate:
-            raise ValueError("prize multiple must exceed the growth rate")
+        _check_growth_rate(self.growth_rate)
+        if not self.growth_rate < self.multiple < math.inf:
+            raise ValueError("prize multiple must be finite and exceed the growth "
+                             f"rate, got {self.multiple}")
         if not 0.0 < self.win_prob < 1.0:
             raise ValueError("win probability must lie in (0, 1)")
 
@@ -361,14 +367,16 @@ def sign_report(model: str, params: CptParams, spec, x_grid) -> list[CurvePoint]
     """Evaluate a model over a grid and probe first/second differences of
     the gain, loss, and total components at every point.
 
-    Grid points must lie inside the model's domain; points where the stencil
-    itself would step outside get values but no differences.
+    Grid points must be finite and lie inside the model's domain; points
+    where the stencil itself would step outside get values but no
+    differences.
     """
     lo, hi, hi_exclusive = model_domain(model, spec)
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
-    bad = grid[(grid < lo) | (grid > hi) | (hi_exclusive & (grid >= hi))]
+    bad = grid[~np.isfinite(grid) | (grid < lo) | (grid > hi)
+               | (hi_exclusive & (grid >= hi))]
     if bad.size:
         raise ValueError(f"grid points outside the model domain: {bad.tolist()}")
     parts = _components(model, params, spec)

@@ -192,8 +192,11 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
         return
 
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
-    sizes = np.tile(top.astype(np.uint64) + 1, _BATCH_ROWS)  # range sizes, per slot
-    reject_below = np.uint64(2**32) % sizes
+    size = top.astype(np.uint64) + 1
+    # range sizes and Lemire thresholds 2**32 % size are computed per slot,
+    # then tiled to one entry per slot of a full block
+    sizes = np.tile(size, _BATCH_ROWS)
+    reject_below = np.tile(np.uint64(2**32) % size, _BATCH_ROWS)
     # about one rejection per window, so a rejection recomputes little
     window = 2**32 // n
     # a generator: each block's temporaries live until the next block's replace

@@ -318,6 +318,9 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     caps = config.caps or ()
     prices = (math.inf, *caps)
     ranks = [var_rank(config.draws_per_run, level) for level in config.var_levels]
+    # each level's (capped) mean balance, once per run: a schedule's expected
+    # payout is count * multiple times it, the float expected_payout gives
+    means = [expected_payout(pop, PrizeSchedule(1, 1.0), cap) for cap in prices]
     out = []
     for i, sched in enumerate(config.schedules):
         variants = []
@@ -328,7 +331,7 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
                 raise RuntimeError("invariant violation: a drawing's raw payout "
                                    "increased after lowering the cap")
             worst = [worst_payout(pop, sched, mechanism, cap) for cap in prices]
-            expected = [expected_payout(pop, sched, cap) for cap in prices]
+            expected = [sched.count * sched.multiple * mean for mean in means]
             levels = np.column_stack((np.sort(raw, axis=1)[:, ranks], worst))
             variants.append(levels / np.array(expected)[:, None])
         out.append(np.concatenate(variants).T)

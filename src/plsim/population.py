@@ -13,8 +13,11 @@ from .pareto import ParetoParams, sample
 class AccountPopulation:
     """Immutable sample of account balances with a cached mean.
 
-    Balances stay in generation order; sorting (needed for bracketing) is
-    cached lazily and shared, which is safe because the array is read-only.
+    Balances stay in generation order. The sorted values (needed for
+    bracketing and the extreme payouts) come from ``np.sort`` and the account
+    order from a stable ``argsort``, which only ``draw`` asks for; each is
+    computed on first use and cached, which is safe because the arrays are
+    read-only.
     """
 
     balances: np.ndarray
@@ -34,13 +37,16 @@ class AccountPopulation:
     def sorted_balances(self) -> np.ndarray:
         cached = getattr(self, "_sorted", None)
         if cached is None:
-            cached = self.balances[self.sort_order()]
+            # equal to balances[sort_order()], since tied values are equal
+            # and positive balances hold no NaN, without the index sort
+            cached = np.sort(self.balances)
             cached.setflags(write=False)
             object.__setattr__(self, "_sorted", cached)
         return cached
 
     def sort_order(self) -> np.ndarray:
-        # stable: ties broken by account index
+        # stable: ties broken by account index; computed only for draw, which
+        # maps a bracketed winner's sorted position back to its account
         cached = getattr(self, "_order", None)
         if cached is None:
             cached = np.argsort(self.balances, kind="stable")

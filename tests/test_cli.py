@@ -392,6 +392,20 @@ class TestCptCommand:
         rows = list(csv.DictReader(result.stdout.splitlines()))
         assert float(rows[0]["gain"]) == 0.0
 
+    @pytest.mark.parametrize("args", [
+        ["--model", "dynamic", "--x-min", "nan", "--x-max", "100"],
+        ["--model", "dynamic", "--x-min", "1", "--x-max", "inf"],
+        ["--model", "dynamic", "--x-min", "1", "--x-max", "100", "--w", "inf"],
+        ["--model", "fixed", "--x-min", "1", "--x-max", "100", "--y", "inf"],
+        ["--model", "fixed-growth", "--x-min", "1", "--x-max", "100", "--r", "nan"],
+    ])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+    def test_non_finite_input_fails_with_one_line(self, runner, args):
+        result = runner.invoke(main, ["cpt", *args, "--points", "3"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+
     def test_bad_grid_fails(self, runner):
         assert runner.invoke(main, [
             "cpt", "--model", "dynamic", "--x-min", "10", "--x-max", "5",

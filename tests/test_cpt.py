@@ -222,6 +222,28 @@ class TestDynamic:
             DynamicPrizeSpec(multiple=1.0, win_prob=0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("field", ["prize", "prob_per_unit", "growth_rate"])
+    def test_fixed_spec_rejects(self, field, bad):
+        fields = {"prize": 10_000.0, "prob_per_unit": 1e-6, "growth_rate": 0.05}
+        with pytest.raises(ValueError, match="finite"):
+            FixedPrizeSpec(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("field", ["multiple", "growth_rate"])
+    def test_dynamic_spec_rejects(self, field, bad):
+        fields = {"multiple": 1.0, "win_prob": 0.01, "growth_rate": 0.05}
+        with pytest.raises(ValueError, match="finite"):
+            DynamicPrizeSpec(**{**fields, field: bad})
+
+    @pytest.mark.parametrize("model, spec", [("fixed", FIXED_NG),
+                                             ("fixed-growth", FIXED_G),
+                                             ("dynamic", DYN)])
+    def test_grid_point_outside_domain(self, model, spec, bad):
+        with pytest.raises(ValueError, match="outside"):
+            sign_report(model, PARAMS, spec, np.array([1.0, bad]))
+
+
 class TestSignReport:
     def test_dynamic_signs(self):
         grid = np.geomspace(0.1, 1e5, 50)

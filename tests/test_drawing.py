@@ -192,6 +192,23 @@ class TestWorstBest:
             for _ in range(300):
                 assert lo <= draw(pop, sched, mech, rng).payout <= hi
 
+    def test_sorted_values_leave_the_account_order_uncomputed(self, monkeypatch):
+        # only draw maps a sorted position back to an account; every other
+        # reader of the sort needs the values alone, which np.sort gives
+        # without the index sort
+        def argsort(*args, **kwargs):
+            raise AssertionError("the account order was computed")
+
+        monkeypatch.setattr(np, "argsort", argsort)
+        pop = generate(ParetoParams(1.04, 150.0), 2000, 3)
+        sched = PrizeSchedule(10, 2.0)
+        assert np.all(np.diff(pop.sorted_balances()) >= 0.0)
+        for mech in ("random", "bracketed"):
+            worst_payout(pop, sched, mech)
+            worst_payout(pop, sched, mech, 1000.0)
+            best_payout(pop, sched, mech)
+        payouts(pop, sched, "bracketed", np.random.default_rng(5), 300, (1000.0,))
+
 
 class TestBatchHelpers:
     def test_random_payouts_match_single_draws(self):

@@ -26,7 +26,7 @@ from plsim.experiments import (
     run_caps,
 )
 from plsim.pareto import ParetoParams
-from plsim.population import apply_cap, generate
+from plsim.population import AccountPopulation, apply_cap, generate
 from plsim.risk import scale, var_approx, var_rank
 
 # small populations keep each example to milliseconds; up to 300 drawings
@@ -130,6 +130,21 @@ def test_var_of_sorted_raw_payouts_equals_var_of_scaled(raw, expected, level):
 def test_expected_payout_at_cap_equals_that_of_capped_population(case, cap):
     pop, sched, *_ = case
     assert expected_payout(pop, sched, cap) == expected_payout(apply_cap(pop, cap), sched)
+
+
+@st.composite
+def tied_populations(draw_from):
+    # balances drawn from a handful of values, so most of them tie
+    values = draw_from(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=4))
+    picks = draw_from(st.lists(st.integers(0, len(values) - 1), min_size=1,
+                               max_size=300))
+    return AccountPopulation.from_balances([values[i] for i in picks])
+
+
+@properties
+@given(tied_populations())
+def test_sorted_balances_are_the_balances_in_sort_order(pop):
+    assert np.array_equal(pop.sorted_balances(), pop.balances[pop.sort_order()])
 
 
 @st.composite
