@@ -29,6 +29,7 @@ TABLE1_PERCENTILES = (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999)
 TABLE1_COLUMNS = ("alpha", "b", "mean", "median", "p90", "p95", "p99",
                   "p99.9", "p99.99")
 
+CPT_MODELS = ("fixed", "fixed-growth", "dynamic")
 _CPT_CSV_COLUMNS = (
     "x", "gain", "loss", "total",
     "gain_d1", "gain_d2", "loss_d1", "loss_d2", "total_d1", "total_d2",
@@ -45,6 +46,21 @@ def _fail(message: str):
     raise click.ClickException(message)
 
 
+def _in_place(path: str) -> bool:
+    """Whether ``path`` is a device or pipe, written in place, not replaced."""
+    return os.path.exists(path) and not os.path.isfile(path)
+
+
+def _distinct_outputs(out: str, other: str | None, option: str):
+    """Refuse --out and ``option`` naming one file: each would rename its
+    temporary file over it and the last would silently win. Stdout and
+    devices written in place may be named twice."""
+    if other is None or "-" in (out, other) or _in_place(out):
+        return
+    if os.path.realpath(out) == os.path.realpath(other):
+        _fail(f"--out and {option} name the same file: {out}, {other}")
+
+
 @contextmanager
 def _output(path: str, option: str = "--out"):
     """Text stream writing to ``path``, or stdout for ``-``; a path that
@@ -58,7 +74,7 @@ def _output(path: str, option: str = "--out"):
     if path == "-":
         yield sys.stdout
         return
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    in_place = _in_place(path)
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = path if in_place else os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
@@ -183,6 +199,7 @@ def _experiment(name: str, protocol, config, threads: int, out: str,
     """Progress line, the run and its outputs. The commands pass
     ``experiments.run_*`` as looked up when they run, not at import, so a
     wrapper installed on ``experiments`` in the meantime sees the call."""
+    _distinct_outputs(out, json_out, "--json-out")
     variants = (f"{len(config.schedules)} schedules" if config.caps is None
                 else f"caps {','.join(f'{c:g}' for c in config.caps)}")
     try:
@@ -231,7 +248,7 @@ def cmd_caps(config_path, runs, draws, accounts, seed, threads, out, json_out,
 
 
 @main.command("cpt")
-@click.option("--model", type=click.Choice(cpt.MODELS), required=True)
+@click.option("--model", type=click.Choice(CPT_MODELS), required=True)
 @click.option("--x-min", type=float, required=True)
 @click.option("--x-max", type=float, required=True)
 @click.option("--points", type=int, required=True)
@@ -242,7 +259,7 @@ def cmd_caps(config_path, runs, draws, accounts, seed, threads, out, json_out,
 @click.option("--c", "prob_per_unit", type=float, default=1e-6, show_default=True,
               help="Fixed models: win-probability slope per unit saved.")
 @click.option("--r", "growth_rate", type=float, default=0.05, show_default=True,
-              help="Assumed growth rate.")
+              help="Assumed growth rate; --model fixed ignores it (r = 0).")
 @click.option("--w", "multiple", type=float, default=1.0, show_default=True,
               help="Dynamic model: prize multiple.")
 @click.option("--p", "win_prob", type=float, default=0.01, show_default=True,
@@ -283,29 +300,21 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
         grid = np.linspace(x_min, x_max, points)
 
     try:
-        report = cpt.sign_report(model, cpt.CptParams(), spec, grid)
+        report = cpt.sign_report(cpt.CptParams(), spec, grid)
     except ValueError as exc:
         _fail(str(exc))
 
-    emit_diffs = points >= 2
     with _output(out) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CPT_CSV_COLUMNS)
         for pt in report:
-            row = [f"{pt.x:.10g}", f"{pt.gain:.10g}", f"{pt.loss:.10g}",
-                   f"{pt.total:.10g}"]
             diffs = (pt.gain_slope, pt.gain_curvature, pt.loss_slope,
                      pt.loss_curvature, pt.total_slope, pt.total_curvature)
-            if emit_diffs:
-                row += ["" if d is None else f"{d:.10g}" for d in diffs]
-                row += [
-                    cpt.sign_char(pt.gain_slope) + cpt.sign_char(pt.gain_curvature),
-                    cpt.sign_char(pt.loss_slope) + cpt.sign_char(pt.loss_curvature),
-                    cpt.sign_char(pt.total_slope) + cpt.sign_char(pt.total_curvature),
-                ]
-            else:
-                row += [""] * 9
-            writer.writerow(row)
+            writer.writerow(
+                [f"{v:.10g}" for v in (pt.x, pt.gain, pt.loss, pt.total)]
+                + ["" if d is None else f"{d:.10g}" for d in diffs]
+                + [cpt.sign_char(s) + cpt.sign_char(c)
+                   for s, c in zip(diffs[::2], diffs[1::2])])
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +336,7 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
 @click.option("--out", default="-", show_default=True)
 def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, out):
     """Run a single drawing against a fresh population (debug tool)."""
+    _distinct_outputs(out, dump_path, "--dump-balances")
     try:
         params = ParetoParams(alpha, b)
         sched = PrizeSchedule(prizes, multiple)

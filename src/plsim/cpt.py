@@ -6,18 +6,18 @@ Value function and probability weighting follow the standard two-part form:
           = -lam * (-x)**b           for losses (0 < b < 1, lam >= 1)
     w(p)  =  p**e / (p**e + (1-p)**e)**(1/e)
 
-with separate weighting exponents for gains and losses. Three prize models
-are evaluated over the savings amount X:
+with separate weighting exponents for gains and losses. Two prize specs
+are evaluated over the savings amount X; each owns its domain:
 
-* fixed          a fixed prize ``y``; the chance of winning grows linearly
-                 in X (slope ``c``), losing returns the principal, so the
-                 loss branch is identically zero.
-* fixed-growth   as above but the saver expects growth at rate ``r``, so a
-                 win is worth y - X*r and not winning is felt as the loss
-                 -X*r. Defined for X < y/r.
-* dynamic        the prize is a multiple ``w`` of the balance and the win
-                 probability ``p`` is the same for every account; a win is
-                 worth X*(w - r), not winning costs the forgone growth.
+* FixedPrizeSpec    a fixed prize ``y``; the chance of winning grows linearly
+                    in X (slope ``c``) and the saver expects growth at rate
+                    ``r``, so a win is worth y - X*r and not winning is felt
+                    as the loss -X*r. Defined for X*c <= 1 and X < y/r. At
+                    r = 0 (the fixed model) losing returns the principal, so
+                    the loss branch is identically zero.
+* DynamicPrizeSpec  the prize is a multiple ``w`` of the balance and the win
+                    probability ``p`` is the same for every account; a win
+                    is worth X*(w - r), not winning costs the forgone growth.
 
 Analytic first/second derivatives are provided where they are simple closed
 forms; everything else is probed with central finite differences.
@@ -35,9 +35,6 @@ from .pareto import _maybe_scalar
 
 # below this weighting exponent the weighting form is no longer monotone
 _MONOTONE_WEIGHT_EXP = 0.28
-
-MODELS = ("fixed", "fixed-growth", "dynamic")
-
 
 @dataclass(frozen=True)
 class CptParams:
@@ -102,6 +99,15 @@ class FixedPrizeSpec:
             return np.inf
         return self.prize / self.growth_rate
 
+    def domain(self) -> tuple[float, float, bool]:
+        """(low, high, high_exclusive) for the savings amount: X*c <= 1, and
+        X < prize/r where that bound is the tighter one."""
+        prob_limit = 1.0 / self.prob_per_unit
+        growth_limit = self.max_savings()
+        if growth_limit <= prob_limit:
+            return 0.0, growth_limit, True
+        return 0.0, prob_limit, False
+
 
 @dataclass(frozen=True)
 class DynamicPrizeSpec:
@@ -119,6 +125,10 @@ class DynamicPrizeSpec:
                              f"rate, got {self.multiple}")
         if not 0.0 < self.win_prob < 1.0:
             raise ValueError("win probability must lie in (0, 1)")
+
+    def domain(self) -> tuple[float, float, bool]:
+        """(low, high, high_exclusive) for the savings amount: any X >= 0."""
+        return 0.0, math.inf, False
 
 
 @dataclass(frozen=True)
@@ -180,18 +190,13 @@ def weight_inflection(exponent: float) -> float:
 # prize-model utilities
 
 
-def utility_fixed_no_growth(params: CptParams, spec: FixedPrizeSpec, x):
-    """Fixed prize, no growth expectation: v(prize) * w_gain(X*c).
-
-    Not winning returns the principal, so the loss branch is zero and the
-    total is the gain term alone.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    p = x_arr * spec.prob_per_unit
-    if np.any(x_arr < 0.0) or np.any(p > 1.0):
-        raise ValueError("requires 0 <= X and X * prob_per_unit <= 1")
-    out = value(params, spec.prize) * _weight(p, params.gain_weight_exp)
-    return _maybe_scalar(np.asarray(out), x)
+def _utility(params: CptParams, x, won, p, lost) -> UtilityParts:
+    """gain = v(won) * w_gain(p); loss = v(lost) * w_loss(1 - p), each
+    shaped like ``x``."""
+    gain = value(params, won) * weight_gain(params, p)
+    loss = value(params, lost) * weight_loss(params, 1.0 - p)
+    return UtilityParts(gain=_maybe_scalar(gain, x), loss=_maybe_scalar(loss, x),
+                        total=_maybe_scalar(gain + loss, x))
 
 
 def utility_fixed_growth(params: CptParams, spec: FixedPrizeSpec, x) -> UtilityParts:
@@ -199,7 +204,9 @@ def utility_fixed_growth(params: CptParams, spec: FixedPrizeSpec, x) -> UtilityP
 
     gain = v(prize - X*r) * w_gain(X*c); loss = v(-X*r) * w_loss(1 - X*c).
     Defined on 0 <= X < prize/r (beyond that even a win is a loss, outside
-    the analyzed region).
+    the analyzed region). At r = 0 this is the fixed model: the loss is
+    +0.0 because not winning returns the principal, and the total equals
+    the gain exactly.
     """
     x_arr = np.asarray(x, dtype=float)
     p = x_arr * spec.prob_per_unit
@@ -207,15 +214,8 @@ def utility_fixed_growth(params: CptParams, spec: FixedPrizeSpec, x) -> UtilityP
         raise ValueError("requires 0 <= X and X * prob_per_unit <= 1")
     if np.any(x_arr >= spec.max_savings()):
         raise ValueError("requires X < prize / growth_rate")
-    gain = value(params, spec.prize - x_arr * spec.growth_rate) * _weight(
-        p, params.gain_weight_exp)
-    loss = value(params, -x_arr * spec.growth_rate) * _weight(
-        1.0 - p, params.loss_weight_exp)
-    return UtilityParts(
-        gain=_maybe_scalar(np.asarray(gain), x),
-        loss=_maybe_scalar(np.asarray(loss), x),
-        total=_maybe_scalar(np.asarray(gain + loss), x),
-    )
+    rate = spec.growth_rate
+    return _utility(params, x, spec.prize - x_arr * rate, p, -x_arr * rate)
 
 
 def utility_dynamic(params: CptParams, spec: DynamicPrizeSpec, x) -> UtilityParts:
@@ -226,15 +226,9 @@ def utility_dynamic(params: CptParams, spec: DynamicPrizeSpec, x) -> UtilityPart
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr < 0.0):
         raise ValueError("savings amount must be non-negative")
-    gain = value(params, x_arr * (spec.multiple - spec.growth_rate)) * _weight(
-        spec.win_prob, params.gain_weight_exp)
-    loss = value(params, -x_arr * spec.growth_rate) * _weight(
-        1.0 - spec.win_prob, params.loss_weight_exp)
-    return UtilityParts(
-        gain=_maybe_scalar(np.asarray(gain), x),
-        loss=_maybe_scalar(np.asarray(loss), x),
-        total=_maybe_scalar(np.asarray(gain + loss), x),
-    )
+    rate = spec.growth_rate
+    return _utility(params, x, x_arr * (spec.multiple - rate), spec.win_prob,
+                    -x_arr * rate)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +312,7 @@ def sign_char(v: float | None) -> str:
 @dataclass(frozen=True)
 class CurvePoint:
     """Utility components at one savings amount plus their finite
-    differences (None where the stencil would leave the model's domain)."""
+    differences (None where the stencil would leave the spec's domain)."""
 
     x: float
     gain: float
@@ -332,46 +326,15 @@ class CurvePoint:
     total_curvature: float | None = None
 
 
-def model_domain(model: str, spec) -> tuple[float, float, bool]:
-    """(low, high, high_exclusive) for the savings amount under a model."""
-    if model == "fixed":
-        return 0.0, 1.0 / spec.prob_per_unit, False
-    if model == "fixed-growth":
-        prob_limit = 1.0 / spec.prob_per_unit
-        growth_limit = spec.max_savings()
-        if growth_limit <= prob_limit:
-            return 0.0, growth_limit, True
-        return 0.0, prob_limit, False
-    if model == "dynamic":
-        return 0.0, np.inf, False
-    raise ValueError(f"unknown model {model!r}, expected one of {MODELS}")
+def sign_report(params: CptParams, spec, x_grid) -> list[CurvePoint]:
+    """Evaluate a prize spec over a grid and probe first/second differences
+    of the gain, loss, and total components at every point.
 
-
-def _components(model: str, params: CptParams, spec):
-    if model == "fixed":
-        def parts(x):
-            gain = utility_fixed_no_growth(params, spec, x)
-            return gain, 0.0, gain
-    elif model == "fixed-growth":
-        def parts(x):
-            u = utility_fixed_growth(params, spec, x)
-            return u.gain, u.loss, u.total
-    else:
-        def parts(x):
-            u = utility_dynamic(params, spec, x)
-            return u.gain, u.loss, u.total
-    return parts
-
-
-def sign_report(model: str, params: CptParams, spec, x_grid) -> list[CurvePoint]:
-    """Evaluate a model over a grid and probe first/second differences of
-    the gain, loss, and total components at every point.
-
-    Grid points must be finite and lie inside the model's domain; points
-    where the stencil itself would step outside get values but no
-    differences.
+    Grid points must be finite and lie inside the spec's domain; points
+    where the stencil itself would step outside, and the point of a
+    one-point grid, get values but no differences.
     """
-    lo, hi, hi_exclusive = model_domain(model, spec)
+    lo, hi, hi_exclusive = spec.domain()
     grid = np.asarray(x_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-D array")
@@ -379,21 +342,20 @@ def sign_report(model: str, params: CptParams, spec, x_grid) -> list[CurvePoint]
                | (hi_exclusive & (grid >= hi))]
     if bad.size:
         raise ValueError(f"grid points outside the model domain: {bad.tolist()}")
-    parts = _components(model, params, spec)
+    utility = utility_dynamic if isinstance(spec, DynamicPrizeSpec) else utility_fixed_growth
     out = []
     for x in grid.tolist():
-        gain, loss, total = parts(x)
         h = adaptive_step(x)
-        feasible = (x - h) >= lo and ((x + h) < hi if hi_exclusive else (x + h) <= hi)
+        feasible = grid.size > 1 and (x - h) >= lo and (
+            (x + h) < hi if hi_exclusive else (x + h) <= hi)
+        # the utility at each stencil point, evaluated once for all three parts
+        stencil = (x - h, x, x + h) if feasible else (x,)
+        at = {t: utility(params, spec, t) for t in stencil}
         diffs: dict[str, float | None] = {}
-        for name, idx in (("gain", 0), ("loss", 1), ("total", 2)):
-            if feasible:
-                f = lambda t, i=idx: parts(t)[i]
-                diffs[f"{name}_slope"] = first_diff(f, x, h)
-                diffs[f"{name}_curvature"] = second_diff(f, x, h)
-            else:
-                diffs[f"{name}_slope"] = None
-                diffs[f"{name}_curvature"] = None
-        out.append(CurvePoint(x=x, gain=float(gain), loss=float(loss),
-                              total=float(total), **diffs))
+        for name in ("gain", "loss", "total"):
+            f = lambda t, name=name: getattr(at[t], name)
+            diffs[f"{name}_slope"] = first_diff(f, x, h) if feasible else None
+            diffs[f"{name}_curvature"] = second_diff(f, x, h) if feasible else None
+        out.append(CurvePoint(x=x, gain=at[x].gain, loss=at[x].loss,
+                              total=at[x].total, **diffs))
     return out

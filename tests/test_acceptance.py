@@ -289,13 +289,13 @@ def test_criterion_10_cpt_sign_suite(big_bracketing):
 
     # dynamic gain: rising and diminishing everywhere on a 220-point log grid
     dyn_grid = np.geomspace(1e-2, 1e6, 220)
-    for pt in sign_report("dynamic", params, dyn, dyn_grid):
+    for pt in sign_report(params, dyn, dyn_grid):
         assert pt.gain_slope > 0.0, pt.x
         assert pt.gain_curvature < 0.0, pt.x
 
     # fixed-growth gain: diminishing on (0, prize/rate)
     fg_grid = np.geomspace(1.0, 0.995 * fixed_g.max_savings(), 220)
-    for pt in sign_report("fixed-growth", params, fixed_g, fg_grid):
+    for pt in sign_report(params, fixed_g, fg_grid):
         assert pt.gain_curvature < 0.0, pt.x
 
     # analytic derivatives against finite differences, 1e-6 relative

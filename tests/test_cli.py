@@ -331,6 +331,35 @@ class TestCapsCommand:
         assert os.path.islink("/dev/stdout")
         assert "cap_800_avg" in read_csv(out)[0]
 
+    def test_out_and_json_out_naming_one_file_fail(self, runner, tmp_path):
+        same = tmp_path / "f"
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--out", str(same), "--json-out", str(same)])
+        assert result.exit_code == 1
+        assert "--out" in result.stderr and "--json-out" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert not same.exists()
+
+    def test_out_through_a_symlink_to_the_json_out_file_fails(self, runner, tmp_path):
+        target = tmp_path / "f"
+        target.write_bytes(b"kept\n")
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--out", str(link), "--json-out", str(target)])
+        assert result.exit_code == 1
+        assert "--json-out" in result.stderr
+        assert target.read_bytes() == b"kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "link"]
+
+    def test_out_and_json_out_to_dev_null(self, runner):
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--out", os.devnull, "--json-out", os.devnull])
+        assert result.exit_code == 0
+
     def test_bad_caps_fail(self, runner):
         result = runner.invoke(main, [
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
@@ -346,6 +375,26 @@ class TestCptCommand:
             "--points", "5", "--out", str(out)])
         assert result.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "cpt_dynamic_small.csv").read_bytes()
+
+    @pytest.mark.parametrize("golden, args", [
+        # ends at 1/c, so the last row has no differences
+        ("cpt_fixed_small.csv", ["--model", "fixed", "--x-min", "0", "--x-max", "1e6",
+                                 "--points", "11", "--spacing", "linear"]),
+        ("cpt_fixed_growth_small.csv", ["--model", "fixed-growth", "--x-min", "1",
+                                        "--x-max", "199999.99", "--points", "30"]),
+    ])
+    def test_fixed_golden(self, runner, tmp_path, golden, args):
+        out = tmp_path / "cpt.csv"
+        result = runner.invoke(main, ["cpt", *args, "--out", str(out)])
+        assert result.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_unknown_model_rejected(self, runner):
+        result = runner.invoke(main, [
+            "cpt", "--model", "cubic", "--x-min", "1", "--x-max", "100",
+            "--points", "3"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
 
     def test_dynamic_gain_slopes_positive(self, runner):
         result = runner.invoke(main, [
@@ -459,6 +508,19 @@ class TestDrawCommand:
         assert result.exit_code == 1
         assert dump.read_bytes() == b"1.0\n"
         assert [p.name for p in tmp_path.iterdir()] == ["balances.txt"]
+
+    def test_out_and_dump_naming_one_file_fail_leaving_it_as_it_was(self, runner, tmp_path):
+        same = tmp_path / "f"
+        same.write_bytes(b"1.0\n")
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "100",
+            "--prizes", "3", "--multiple", "1",
+            "--out", str(same), "--dump-balances", str(same)])
+        assert result.exit_code == 1
+        assert "--out" in result.stderr and "--dump-balances" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
+        assert same.read_bytes() == b"1.0\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f"]
 
     def test_unwritable_dump_fails_with_one_line(self, runner, tmp_path):
         result = runner.invoke(main, [

@@ -16,7 +16,6 @@ from plsim.cpt import (
     sign_report,
     utility_dynamic,
     utility_fixed_growth,
-    utility_fixed_no_growth,
     value,
     weight_gain,
     weight_inflection,
@@ -113,22 +112,22 @@ class TestWeights:
 
 class TestFixedNoGrowth:
     def test_boundary_values(self):
-        assert utility_fixed_no_growth(PARAMS, FIXED_NG, 0.0) == 0.0
-        top = utility_fixed_no_growth(PARAMS, FIXED_NG, 1.0 / FIXED_NG.prob_per_unit)
+        assert utility_fixed_growth(PARAMS, FIXED_NG, 0.0).gain == 0.0
+        top = utility_fixed_growth(PARAMS, FIXED_NG, 1.0 / FIXED_NG.prob_per_unit).gain
         assert top == pytest.approx(value(PARAMS, FIXED_NG.prize))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            utility_fixed_no_growth(PARAMS, FIXED_NG, 1.0 / FIXED_NG.prob_per_unit + 1.0)
+            utility_fixed_growth(PARAMS, FIXED_NG, 1.0 / FIXED_NG.prob_per_unit + 1.0).gain
         with pytest.raises(ValueError):
-            utility_fixed_no_growth(PARAMS, FIXED_NG, -1.0)
+            utility_fixed_growth(PARAMS, FIXED_NG, -1.0).gain
 
     def test_concave_below_weight_inflection(self):
         # diminishing returns hold where the weighting curve is concave,
         # i.e. win probabilities below the located inflection (with margin)
         inflection = weight_inflection(PARAMS.gain_weight_exp)
         x_top = 0.85 * inflection / FIXED_NG.prob_per_unit
-        f = lambda x: utility_fixed_no_growth(PARAMS, FIXED_NG, x)
+        f = lambda x: utility_fixed_growth(PARAMS, FIXED_NG, x).gain
         for x in np.geomspace(1_000.0, x_top, 80):
             assert second_diff(f, x) < 0.0
 
@@ -241,13 +240,13 @@ class TestNonFiniteInput:
                                              ("dynamic", DYN)])
     def test_grid_point_outside_domain(self, model, spec, bad):
         with pytest.raises(ValueError, match="outside"):
-            sign_report(model, PARAMS, spec, np.array([1.0, bad]))
+            sign_report(PARAMS, spec, np.array([1.0, bad]))
 
 
 class TestSignReport:
     def test_dynamic_signs(self):
         grid = np.geomspace(0.1, 1e5, 50)
-        report = sign_report("dynamic", PARAMS, DYN, grid)
+        report = sign_report(PARAMS, DYN, grid)
         assert len(report) == 50
         for pt in report:
             assert pt.gain_slope > 0.0 and pt.gain_curvature < 0.0
@@ -255,7 +254,7 @@ class TestSignReport:
             assert sign_char(pt.gain_slope) == "+"
 
     def test_fixed_model_loss_is_flat_zero(self):
-        report = sign_report("fixed", PARAMS, FIXED_NG, np.geomspace(10.0, 1e5, 10))
+        report = sign_report(PARAMS, FIXED_NG, np.geomspace(10.0, 1e5, 10))
         for pt in report:
             assert pt.loss == 0.0
             assert sign_char(pt.loss_slope) == "0"
@@ -263,21 +262,16 @@ class TestSignReport:
 
     def test_out_of_domain_grid_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            sign_report("fixed-growth", PARAMS, FIXED_G,
-                        np.array([1.0, FIXED_G.max_savings() + 1.0]))
+            sign_report(PARAMS, FIXED_G, np.array([1.0, FIXED_G.max_savings() + 1.0]))
 
     def test_stencil_infeasible_at_boundary(self):
-        report = sign_report("dynamic", PARAMS, DYN, np.array([0.0, 1.0]))
+        report = sign_report(PARAMS, DYN, np.array([0.0, 1.0]))
         assert report[0].gain_slope is None
         assert report[0].total_curvature is None
         assert report[1].gain_slope is not None
 
-    def test_unknown_model_rejected(self):
-        with pytest.raises(ValueError):
-            sign_report("cubic", PARAMS, DYN, np.array([1.0]))
-
     def test_point_fields(self):
-        pt = sign_report("dynamic", PARAMS, DYN, np.array([2.0]))[0]
+        pt = sign_report(PARAMS, DYN, np.array([2.0]))[0]
         assert isinstance(pt, CurvePoint)
         parts = utility_dynamic(PARAMS, DYN, 2.0)
         assert pt.gain == pytest.approx(parts.gain)

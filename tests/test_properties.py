@@ -1,5 +1,5 @@
-"""Invariants of the drawing kernels, the VaR reading and the config format,
-checked over generated inputs."""
+"""Invariants of the drawing kernels, the VaR reading, the config format and
+the CPT prize specs, checked over generated inputs."""
 
 import json
 import math
@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from plsim.cpt import CptParams, FixedPrizeSpec, utility_fixed_growth
 from plsim.drawing import (
     MECHANISMS,
     PrizeSchedule,
@@ -194,3 +195,15 @@ def test_output_identical_at_one_and_two_workers(config):
     run = run_bracketing if config.caps is None else run_caps
     one, two = (json.dumps(run(config, workers=w).to_json_dict()) for w in (1, 2))
     assert one == two
+
+
+@properties
+@given(st.floats(1e-2, 1e7), st.floats(1e-9, 1.0), st.floats(0.0, 1.0))
+def test_fixed_growth_at_zero_rate_is_the_fixed_model(prize, slope, share):
+    # share is the win probability X*c, so X spans [0, 1/c]
+    spec = FixedPrizeSpec(prize, slope)
+    assert spec.domain() == (0.0, 1.0 / slope, False)
+    parts = utility_fixed_growth(CptParams(), spec, share / slope)
+    # not winning returns the principal: a loss of +0.0, which prints as 0
+    assert parts.loss == 0.0 and math.copysign(1.0, parts.loss) == 1.0
+    assert parts.total == parts.gain
