@@ -3,8 +3,9 @@ experiments, CPT curve dumps, and a single-drawing debug tool.
 
 Every subcommand is deterministic given its inputs and the seed (default
 42, documented in the README so published CSV outputs can be reproduced
-verbatim). Data goes to --out (stdout by default); progress goes to stderr
-so piped CSV stays clean.
+verbatim). Each validates its input, opens all its outputs (``_outputs``),
+computes, writes, and commits the outputs together. Data goes to --out
+(stdout by default); progress goes to stderr so piped CSV stays clean.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import shutil
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 
 import click
@@ -23,7 +24,7 @@ import numpy as np
 from . import cpt, drawing, experiments
 from .drawing import PrizeSchedule, best_payout, draw, expected_payout, worst_payout
 from .pareto import ParetoParams, mean, quantile
-from .population import generate
+from .population import generate, require_float64_range
 
 TABLE1_PERCENTILES = (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999)
 TABLE1_COLUMNS = ("alpha", "b", "mean", "median", "p90", "p95", "p99",
@@ -46,57 +47,54 @@ def _fail(message: str):
     raise click.ClickException(message)
 
 
-def _in_place(path: str) -> bool:
-    """Whether ``path`` is a device or pipe, written in place, not replaced."""
-    return os.path.exists(path) and not os.path.isfile(path)
-
-
-def _distinct_outputs(out: str, other: str | None, option: str):
-    """Refuse --out and ``option`` naming one file: each would rename its
-    temporary file over it and the last would silently win. Stdout and
-    devices written in place may be named twice."""
-    if other is None or "-" in (out, other) or _in_place(out):
-        return
-    if os.path.realpath(out) == os.path.realpath(other):
-        _fail(f"--out and {option} name the same file: {out}, {other}")
-
-
 @contextmanager
-def _output(path: str, option: str = "--out"):
-    """Text stream writing to ``path``, or stdout for ``-``; a path that
-    cannot be written is a one-line error naming ``option``.
+def _outputs(*named):
+    """One text stream per ``(option, path)`` pair: None where the path is
+    None, stdout for ``-``. Two options naming one output, stdout included,
+    are refused before anything opens; a path that cannot be opened is a
+    one-line error naming its option.
 
-    A file is written beside ``path`` under a temporary name and renamed over
-    it, keeping its permission bits, only when the block completes, so a
-    failed command leaves the file as it was. A symlink's target is the file
-    written. Devices and pipes, such as /dev/null, are written in place.
+    A file is written under a hidden temporary name beside its target (a
+    symlink's target) and renamed over it, keeping its permission bits, when
+    the block completes, in the order given; a failed block leaves every file
+    as it was. Devices and pipes, such as /dev/null, are written in place.
     """
-    if path == "-":
-        yield sys.stdout
-        return
-    in_place = _in_place(path)
-    target = os.path.realpath(path)
-    head, tail = os.path.split(target)
-    tmp = path if in_place else os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    # (option, path, whether the path is a device or pipe, written in place)
+    given = [(option, path, path != "-" and os.path.exists(path) and not os.path.isfile(path))
+             for option, path in named if path is not None]
+    seen = {}
+    for option, path, in_place in given:
+        key = path if path == "-" else os.path.realpath(path)
+        if key in seen and not in_place:
+            _fail(f"{seen[key]} and {option} name the same output: {path}")
+        seen[key] = option
+    streams, files = {}, []  # files: (stream, temporary or None, target)
     try:
-        stream = open(tmp, "w" if in_place else "x", newline="")
-    except OSError as exc:
-        _fail(f"cannot write {option} {path}: {exc.strerror}")
-    try:
-        with stream:
-            yield stream
-        if not in_place:
-            with suppress(FileNotFoundError):
-                shutil.copymode(target, tmp)
-            os.replace(tmp, target)
+        for option, path, in_place in given:
+            if path == "-":
+                streams[option] = sys.stdout
+                continue
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            tmp = None if in_place else os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+            try:
+                streams[option] = open(tmp or path, "x" if tmp else "w", newline="")
+            except OSError as exc:
+                _fail(f"cannot write {option} {path}: {exc.strerror}")
+            files.append((streams[option], tmp, target))
+        yield [streams.get(option) for option, _ in named]
+        for stream, tmp, target in files:
+            stream.close()
+            if tmp:
+                with suppress(FileNotFoundError):
+                    shutil.copymode(target, tmp)
+                os.replace(tmp, target)
     finally:
-        if not in_place:
-            with suppress(FileNotFoundError):
-                os.remove(tmp)
-
-
-def _progress(message: str):
-    click.echo(message, err=True)
+        for stream, tmp, _ in files:
+            stream.close()
+            if tmp:
+                with suppress(FileNotFoundError):
+                    os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +121,15 @@ def cmd_table1(params_csv: str, out: str):
     except ValueError as exc:
         _fail(str(exc))
 
-    with _output(out) as stream:
+    with _outputs(("--out", out)) as (stream,):
+        with np.errstate(over="ignore"):  # refused below, not warned about
+            table = [[mean(p)] + [quantile(p, q) for q in TABLE1_PERCENTILES] for p in pairs]
+        if not np.all(np.isfinite(table)):
+            _fail(f"--params {params_csv!r}: a mean or percentile is not finite in float64")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(TABLE1_COLUMNS)
-        for params in pairs:
-            cells = [mean(params)] + [quantile(params, p) for p in TABLE1_PERCENTILES]
-            writer.writerow([f"{params.alpha:g}", f"{params.b:g}"]
-                            + [f"{v:.2f}" for v in cells])
+        for params, cells in zip(pairs, table):
+            writer.writerow([f"{params.alpha:g}", f"{params.b:g}"] + [f"{v:.2f}" for v in cells])
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +161,6 @@ def _load_config(config_path: str | None, preset, runs, draws, accounts, seed,
         _fail(str(exc))
 
 
-def _emit_result(result, out: str, json_out: str | None):
-    # the JSON target opens first, so a bad --json-out leaves no CSV behind,
-    # and commits last, so a bad --out leaves an existing JSON file as it was
-    json_target = nullcontext() if json_out is None else _output(json_out, "--json-out")
-    with json_target as json_stream, _output(out) as stream:
-        result.write_csv(stream)
-        if json_stream is not None:
-            json.dump(result.to_json_dict(), json_stream, indent=2)
-            json_stream.write("\n")
-
-
 _experiment_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config; flags override its fields."),
@@ -196,21 +185,28 @@ def _with_experiment_options(func):
 
 def _experiment(name: str, protocol, config, threads: int, out: str,
                 json_out: str | None):
-    """Progress line, the run and its outputs. The commands pass
-    ``experiments.run_*`` as looked up when they run, not at import, so a
-    wrapper installed on ``experiments`` in the meantime sees the call."""
-    _distinct_outputs(out, json_out, "--json-out")
-    variants = (f"{len(config.schedules)} schedules" if config.caps is None
-                else f"caps {','.join(f'{c:g}' for c in config.caps)}")
+    """Progress line, the run and its outputs, opened before the run and
+    committed after it. The commands pass ``experiments.run_*`` as looked up
+    when they run, not at import, so a wrapper installed on ``experiments``
+    in the meantime sees the call."""
     try:
         experiments.require_caps(config, name == "caps")
-        _progress(f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
-                  f"{variants}, seed {config.master_seed}")
-        result = protocol(config, workers=threads)
     except ValueError as exc:
         _fail(str(exc))
-    _emit_result(result, out, json_out)
-    _progress(f"{name}: done")
+    variants = (f"{len(config.schedules)} schedules" if config.caps is None
+                else f"caps {','.join(f'{c:g}' for c in config.caps)}")
+    with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
+        click.echo(f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
+                   f"{variants}, seed {config.master_seed}", err=True)
+        try:
+            result = protocol(config, workers=threads)
+        except ValueError as exc:
+            _fail(str(exc))
+        result.write_csv(stream)
+        if json_stream is not None:
+            json.dump(result.to_json_dict(), json_stream, indent=2)
+            json_stream.write("\n")
+    click.echo(f"{name}: done", err=True)
 
 
 @main.command("bracketing")
@@ -299,12 +295,11 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
     else:
         grid = np.linspace(x_min, x_max, points)
 
-    try:
-        report = cpt.sign_report(cpt.CptParams(), spec, grid)
-    except ValueError as exc:
-        _fail(str(exc))
-
-    with _output(out) as stream:
+    with _outputs(("--out", out)) as (stream,):
+        try:
+            report = cpt.sign_report(cpt.CptParams(), spec, grid)
+        except ValueError as exc:
+            _fail(str(exc))
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CPT_CSV_COLUMNS)
         for pt in report:
@@ -336,20 +331,21 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
 @click.option("--out", default="-", show_default=True)
 def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, out):
     """Run a single drawing against a fresh population (debug tool)."""
-    _distinct_outputs(out, dump_path, "--dump-balances")
     try:
         params = ParetoParams(alpha, b)
         sched = PrizeSchedule(prizes, multiple)
-        rng = np.random.default_rng(seed)
-        pop = generate(params, accounts, rng)
-        outcome = draw(pop, sched, mechanism, rng)
+        require_float64_range(params, accounts, multiple)
     except ValueError as exc:
         _fail(str(exc))
 
-    expected = expected_payout(pop, sched)
-    dump_target = (nullcontext() if dump_path is None
-                   else _output(dump_path, "--dump-balances"))
-    with dump_target as dump, _output(out) as stream:
+    with _outputs(("--out", out), ("--dump-balances", dump_path)) as (stream, dump):
+        try:
+            rng = np.random.default_rng(seed)
+            pop = generate(params, accounts, rng)
+            outcome = draw(pop, sched, mechanism, rng)
+        except ValueError as exc:
+            _fail(str(exc))
+        expected = expected_payout(pop, sched)
         if dump is not None:
             np.savetxt(dump, pop.balances, fmt="%.6f")
         writer = csv.writer(stream, lineterminator="\n")

@@ -31,7 +31,7 @@ import numpy as np
 
 from .drawing import MECHANISMS, PrizeSchedule, expected_payout, payouts, worst_payout
 from .pareto import ParetoParams
-from .population import AccountPopulation, generate
+from .population import AccountPopulation, generate, require_float64_range
 from .risk import compare_percentage_higher, relative_difference, std_dev, var_rank
 
 DEFAULT_SEED = 42
@@ -77,6 +77,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_accounts < max(s.count for s in self.schedules):
             raise ValueError("n_accounts must cover the largest prize count")
+        require_float64_range(self.pareto, self.n_accounts,
+                              max(s.multiple for s in self.schedules))
         for lvl in self.var_levels:
             if not 0.0 < lvl < 1.0:
                 raise ValueError(f"VaR level {lvl} outside (0, 1)")

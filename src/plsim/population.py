@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,12 @@ class AccountPopulation:
             raise ValueError("population requires a non-empty 1-D balance array")
         if not np.all(arr > 0.0):
             raise ValueError("all balances must be positive")
+        with np.errstate(over="ignore"):  # refused below, not warned about
+            mean = float(arr.mean())
+        if not mean < math.inf:
+            raise ValueError("balances must be finite and sum within float64")
         arr.setflags(write=False)
-        return cls(balances=arr, mean=float(arr.mean()), count=int(arr.size))
+        return cls(balances=arr, mean=mean, count=int(arr.size))
 
     def sorted_balances(self) -> np.ndarray:
         cached = getattr(self, "_sorted", None)
@@ -65,6 +70,22 @@ def generate(params: ParetoParams, n: int, seed) -> AccountPopulation:
         raise ValueError("population must contain at least one account")
     rng = np.random.default_rng(seed)
     return AccountPopulation.from_balances(sample(params, rng, n))
+
+
+def require_float64_range(params: ParetoParams, n: int, multiple: float) -> None:
+    """Refuse ``n`` balances of ``params``, paid out at ``multiple`` times a
+    sum of them, where float64 can overflow. No balance exceeds b * 2**(53 /
+    alpha), the quantile at the sampler's largest uniform 1 - 2**-53, so no
+    sum or payout exceeds n times that, times the multiple when above 1.
+    """
+    if n < 1:
+        return  # generate refuses an empty population
+    # in bits, since an int n may be too large for a float
+    bits = (math.log2(n) + math.log2(params.b) + 53 / params.alpha
+            + math.log2(max(1.0, multiple)))
+    if bits >= 1024:  # float64 ends below 2**1024
+        raise ValueError(f"{n} accounts of Pareto {params.label()} at prize multiple "
+                         f"{multiple:g} can overflow float64")
 
 
 def apply_cap(pop: AccountPopulation, cap: float) -> AccountPopulation:

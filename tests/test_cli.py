@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import plsim
+from plsim import experiments
 from plsim.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,7 +65,8 @@ class TestTable1:
         assert runner.invoke(main, ["table1", "--params", "0.9,150"]).exit_code != 0
         assert runner.invoke(main, ["table1", "--params", "abc,150"]).exit_code != 0
 
-    @pytest.mark.parametrize("params", ["1.04,inf", "inf,150", "1.04,nan"])
+    # 1e307 is finite, but its mean and upper percentiles overflow float64
+    @pytest.mark.parametrize("params", ["1.04,inf", "inf,150", "1.04,nan", "2,1,1.04,1e307"])
     def test_non_finite_params_fail_with_one_line(self, runner, params):
         result = runner.invoke(main, ["table1", "--params", params])
         assert result.exit_code == 1
@@ -110,6 +112,18 @@ class TestBracketingCommand:
         assert result.exit_code == 1
         assert len(result.stderr.splitlines()) == 1
         assert "scale b must be finite" in result.stderr
+        assert result.stdout == ""
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+    def test_overflowing_scale_in_config_fails_with_one_line(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        # finite, but its balances can sum past float64
+        bad.write_text((GOLDEN / "golden_bracketing.json").read_text().replace(
+            '"b": 150.0', '"b": 1e307'))
+        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
+        assert result.exit_code == 1
+        assert len(result.stderr.splitlines()) == 1
+        assert "can overflow float64" in result.stderr
         assert result.stdout == ""
 
     def test_threads_do_not_change_output(self, runner, tmp_path):
@@ -367,6 +381,39 @@ class TestCapsCommand:
         assert result.exit_code != 0
 
 
+class TestOutputs:
+    @pytest.mark.parametrize("args, option", [
+        (["caps", "--config", str(GOLDEN / "golden_caps.json")], "--json-out"),
+        (["draw", "--alpha", "1.04", "--b", "150", "--accounts", "50", "--prizes", "2",
+          "--multiple", "1"], "--dump-balances"),
+    ])
+    def test_stdout_named_twice_fails_with_one_line(self, runner, args, option):
+        # --out is stdout by default
+        result = runner.invoke(main, args + [option, "-"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert "--out" in line and option in line
+
+    @pytest.mark.parametrize("command", ["bracketing", "caps"])
+    @pytest.mark.parametrize("option", ["--out", "--json-out"])
+    def test_unwritable_output_fails_before_the_run(self, runner, tmp_path, monkeypatch,
+                                                    command, option):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(experiments, f"run_{command}", never)
+        paths = {"--out": str(tmp_path / "o.csv"), "--json-out": str(tmp_path / "o.json")}
+        paths[option] = str(tmp_path / "missing" / "x")
+        result = runner.invoke(main, [
+            command, "--config", str(GOLDEN / f"golden_{command}.json"),
+            "--out", paths["--out"], "--json-out", paths["--json-out"]])
+        assert result.exit_code == 1
+        [line] = result.stderr.splitlines()
+        assert line.startswith(f"Error: cannot write {option} ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCptCommand:
     def test_golden(self, runner, tmp_path):
         out = tmp_path / "cpt.csv"
@@ -539,6 +586,17 @@ class TestDrawCommand:
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
             "Error: prize multiple must be finite and positive, got inf"]
+
+    @pytest.mark.parametrize("b, multiple", [("1e307", "1"), ("150", "1e306")])
+    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
+    def test_float64_overflow_fails_with_one_line(self, runner, b, multiple):
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", b, "--accounts", "100", "--prizes", "3",
+            "--multiple", multiple])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        [line] = result.stderr.splitlines()
+        assert "can overflow float64" in line
 
     def test_invalid_inputs_fail(self, runner):
         assert runner.invoke(main, [
