@@ -6,6 +6,10 @@ Every subcommand is deterministic given its inputs and the seed (default
 verbatim). Each validates its input, opens all its outputs (``_outputs``),
 computes, writes, and commits the outputs together. Data goes to --out
 (stdout by default); progress goes to stderr so piped CSV stays clean.
+
+A command fails in one place, ``_Main.invoke``: a refusal of bad input
+(ValueError), an allocation numpy cannot make (MemoryError) or a failed read
+or write (OSError) ends it with exit status 1 and one ``Error:`` line.
 """
 
 from __future__ import annotations
@@ -38,7 +42,17 @@ _CPT_CSV_COLUMNS = (
 )
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # click exits quietly when stdout's reader has gone
+        except (ValueError, MemoryError, OSError) as exc:
+            raise click.ClickException(str(exc) or type(exc).__name__) from exc
+
+
+@click.group(cls=_Main)
 def main():
     """Monte Carlo toolkit for dynamic prize-linked savings programs."""
 
@@ -55,9 +69,11 @@ def _outputs(*named):
     one-line error naming its option.
 
     A file is written under a hidden temporary name beside its target (a
-    symlink's target) and renamed over it, keeping its permission bits, when
-    the block completes, in the order given; a failed block leaves every file
-    as it was. Devices and pipes, such as /dev/null, are written in place.
+    symlink's target). When the block completes, stdout is flushed and every
+    stream closed, and only then is each file renamed over its target,
+    keeping its permission bits, so a failed block or a failed write leaves
+    every file as it was. Devices and pipes, such as /dev/null, are written
+    in place.
     """
     # (option, path, whether the path is a device or pipe, written in place)
     given = [(option, path, path != "-" and os.path.exists(path) and not os.path.isfile(path))
@@ -83,15 +99,18 @@ def _outputs(*named):
                 _fail(f"cannot write {option} {path}: {exc.strerror}")
             files.append((streams[option], tmp, target))
         yield [streams.get(option) for option, _ in named]
-        for stream, tmp, target in files:
+        sys.stdout.flush()
+        for stream, _, _ in files:
             stream.close()
+        for _, tmp, target in files:
             if tmp:
                 with suppress(FileNotFoundError):
                     shutil.copymode(target, tmp)
                 os.replace(tmp, target)
     finally:
         for stream, tmp, _ in files:
-            stream.close()
+            with suppress(OSError):  # the error that ended the block is the one reported
+                stream.close()
             if tmp:
                 with suppress(FileNotFoundError):
                     os.remove(tmp)
@@ -116,10 +135,7 @@ def cmd_table1(params_csv: str, out: str):
         _fail(f"could not parse --params {params_csv!r} as numbers")
     if not raw or len(raw) % 2 != 0:
         _fail("--params needs an even number of values: alpha,b[,alpha,b...]")
-    try:
-        pairs = [ParetoParams(raw[i], raw[i + 1]) for i in range(0, len(raw), 2)]
-    except ValueError as exc:
-        _fail(str(exc))
+    pairs = [ParetoParams(raw[i], raw[i + 1]) for i in range(0, len(raw), 2)]
 
     with _outputs(("--out", out)) as (stream,):
         with np.errstate(over="ignore"):  # refused below, not warned about
@@ -155,10 +171,7 @@ def _load_config(config_path: str | None, preset, runs, draws, accounts, seed,
             overrides["caps"] = tuple(float(c) for c in caps_csv.split(","))
         except ValueError:
             _fail(f"could not parse --caps {caps_csv!r}")
-    try:
-        return replace(config, **overrides) if overrides else config
-    except ValueError as exc:
-        _fail(str(exc))
+    return replace(config, **overrides) if overrides else config
 
 
 _experiment_options = [
@@ -189,19 +202,13 @@ def _experiment(name: str, protocol, config, threads: int, out: str,
     committed after it. The commands pass ``experiments.run_*`` as looked up
     when they run, not at import, so a wrapper installed on ``experiments``
     in the meantime sees the call."""
-    try:
-        experiments.require_caps(config, name == "caps")
-    except ValueError as exc:
-        _fail(str(exc))
+    experiments.require_caps(config, name == "caps")
     variants = (f"{len(config.schedules)} schedules" if config.caps is None
                 else f"caps {','.join(f'{c:g}' for c in config.caps)}")
     with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
         click.echo(f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
                    f"{variants}, seed {config.master_seed}", err=True)
-        try:
-            result = protocol(config, workers=threads)
-        except ValueError as exc:
-            _fail(str(exc))
+        result = protocol(config, workers=threads)
         result.write_csv(stream)
         if json_stream is not None:
             json.dump(result.to_json_dict(), json_stream, indent=2)
@@ -275,16 +282,13 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
             _fail(f"{option} must be finite, got {x}")
     if x_max < x_min:
         _fail("--x-max must be >= --x-min")
-    try:
-        if model == "dynamic":
-            spec = cpt.DynamicPrizeSpec(multiple=multiple, win_prob=win_prob,
-                                        growth_rate=growth_rate)
-        else:
-            rate = growth_rate if model == "fixed-growth" else 0.0
-            spec = cpt.FixedPrizeSpec(prize=prize, prob_per_unit=prob_per_unit,
-                                      growth_rate=rate)
-    except ValueError as exc:
-        _fail(str(exc))
+    if model == "dynamic":
+        spec = cpt.DynamicPrizeSpec(multiple=multiple, win_prob=win_prob,
+                                    growth_rate=growth_rate)
+    else:
+        rate = growth_rate if model == "fixed-growth" else 0.0
+        spec = cpt.FixedPrizeSpec(prize=prize, prob_per_unit=prob_per_unit,
+                                  growth_rate=rate)
 
     if points == 1:
         grid = np.array([x_min])
@@ -296,10 +300,7 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
         grid = np.linspace(x_min, x_max, points)
 
     with _outputs(("--out", out)) as (stream,):
-        try:
-            report = cpt.sign_report(cpt.CptParams(), spec, grid)
-        except ValueError as exc:
-            _fail(str(exc))
+        report = cpt.sign_report(cpt.CptParams(), spec, grid)
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CPT_CSV_COLUMNS)
         for pt in report:
@@ -331,20 +332,14 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
 @click.option("--out", default="-", show_default=True)
 def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, out):
     """Run a single drawing against a fresh population (debug tool)."""
-    try:
-        params = ParetoParams(alpha, b)
-        sched = PrizeSchedule(prizes, multiple)
-        require_float64_range(params, accounts, multiple)
-    except ValueError as exc:
-        _fail(str(exc))
+    params = ParetoParams(alpha, b)
+    sched = PrizeSchedule(prizes, multiple)
+    require_float64_range(params, accounts, multiple)
 
     with _outputs(("--out", out), ("--dump-balances", dump_path)) as (stream, dump):
-        try:
-            rng = np.random.default_rng(seed)
-            pop = generate(params, accounts, rng)
-            outcome = draw(pop, sched, mechanism, rng)
-        except ValueError as exc:
-            _fail(str(exc))
+        rng = np.random.default_rng(seed)
+        pop = generate(params, accounts, rng)
+        outcome = draw(pop, sched, mechanism, rng)
         expected = expected_payout(pop, sched)
         if dump is not None:
             np.savetxt(dump, pop.balances, fmt="%.6f")

@@ -1,18 +1,22 @@
 import csv
 import json
+import math
 import os
 import stat
 import subprocess
 import sys
-
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plsim
-from plsim import experiments
+from plsim import cli, experiments
 from plsim.cli import main
+from plsim.drawing import MECHANISMS
 
 GOLDEN = Path(__file__).parent / "golden"
 JSON_GOLDEN = GOLDEN / "json_out"  # --json-out of the two golden configs
@@ -605,3 +609,191 @@ class TestDrawCommand:
         assert runner.invoke(main, [
             "draw", "--alpha", "1.04", "--b", "150", "--accounts", "10",
             "--prizes", "20", "--multiple", "1"]).exit_code != 0
+
+
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+class TestFailurePath:
+    """Refusals, impossible allocations and failed writes end a command with
+    exit status 1 and one ``Error:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(result):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        lines = result.stderr.splitlines()
+        assert lines[-1].startswith("Error: ")
+        assert sum(line.startswith("Error:") for line in lines) == 1
+
+    def test_absurd_cpt_grid(self, runner):
+        result = runner.invoke(main, [
+            "cpt", "--model", "dynamic", "--x-min", "1", "--x-max", "2",
+            "--points", str(10**21)])
+        self.assert_one_error_line(result)
+        assert result.stderr.splitlines() == ["Error: Maximum allowed size exceeded"]
+
+    @DEV_FULL
+    def test_table1_to_a_full_device(self, runner):
+        result = runner.invoke(main, ["table1", "--out", "/dev/full"])
+        self.assert_one_error_line(result)
+        assert result.stderr.splitlines() == ["Error: [Errno 28] No space left on device"]
+
+    @DEV_FULL
+    def test_full_json_out_leaves_out_as_it_was(self, runner, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"old\n")
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--out", str(out), "--json-out", "/dev/full"])
+        self.assert_one_error_line(result)
+        assert "No space left on device" in result.stderr
+        assert out.read_bytes() == b"old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+    # the allocation is faked: where the kernel overcommits memory, a real
+    # request of this size can succeed and exhaust the host when touched
+    @staticmethod
+    def unable_to_allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    def test_impossible_population_in_a_run(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "generate", self.unable_to_allocate)
+        out = tmp_path / "b.csv"
+        result = runner.invoke(main, [
+            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
+            "--threads", "1", "--out", str(out)])
+        self.assert_one_error_line(result)
+        assert result.stderr.splitlines()[-1] == (
+            "Error: Unable to allocate 72.8 TiB for an array")
+        assert not out.exists()
+
+    def test_impossible_population_in_a_drawing(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "generate", self.unable_to_allocate)
+        out = tmp_path / "d.csv"
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
+            "--prizes", "2", "--multiple", "1", "--out", str(out)])
+        self.assert_one_error_line(result)
+        assert not out.exists()
+
+    def test_bare_memory_error_still_names_itself(self, runner, monkeypatch):
+        def bare(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "generate", bare)
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
+            "--prizes", "2", "--multiple", "1"])
+        self.assert_one_error_line(result)
+        assert result.stderr.splitlines() == ["Error: MemoryError"]
+
+    def test_closed_stdout_is_left_to_click(self, runner, monkeypatch):
+        # click's standalone main exits quietly on EPIPE; the boundary must
+        # not turn it into an Error: line
+        def closed(*args, **kwargs):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "generate", closed)
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
+            "--prizes", "2", "--multiple", "1"])
+        assert result.exit_code == 1
+        assert result.stderr == ""
+
+
+def _mostly(common, *rare):
+    """``common`` three times in four, so that later checks and the work are
+    reached too; one of ``rare`` otherwise."""
+    return st.sampled_from([common] * 3 + [st.one_of(*rare)]).flatmap(lambda s: s)
+
+
+def _sizes(small: int):
+    # mid-size values are left out: they would allocate for real
+    return _mostly(st.integers(1, small), st.integers(-3, 0),
+                   st.integers(10**19, 10**22)).map(str)
+
+
+_WILD_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
+                         st.floats())
+
+
+def _floats(lo: float, hi: float):
+    return _mostly(st.floats(lo, hi), _WILD_FLOATS).map(repr)
+
+
+def _options(draw_from, required: dict, optional: dict) -> list[str]:
+    args = []
+    for option, values in required.items():
+        args += [option, draw_from(values)]
+    for option, values in optional.items():
+        if draw_from(st.booleans()):
+            args += [option, draw_from(values)]
+    return args
+
+
+@st.composite
+def _table1_args(draw_from):
+    pairs = draw_from(st.lists(_floats(1.01, 1e3), max_size=6))
+    return ["table1", "--params", ",".join(pairs)]
+
+
+@st.composite
+def _experiment_args(draw_from):
+    name, other = draw_from(st.permutations(["bracketing", "caps"]))
+    config = draw_from(st.sampled_from([None, f"golden_{name}.json", f"golden_{name}.json",
+                                        f"golden_{other}.json"]))
+    # an absurd run count is a valid, endless job: each run is small, and
+    # nothing is sized by the run count before the runs end
+    sizes = {"--runs": st.one_of(st.integers(1, 3), st.integers(-3, 0)).map(str),
+             "--draws": _sizes(50), "--accounts": _sizes(2_000)}
+    optional = {"--seed": _sizes(10**6),
+                "--threads": _mostly(st.just("1"), st.sampled_from(["0", "-2", "two"]))}
+    if name == "caps":
+        optional["--caps"] = st.lists(_floats(1.0, 1e5), max_size=4).map(",".join)
+    if config is None:  # the full-scale preset: its sizes must be overridden
+        return [name] + _options(draw_from, sizes, optional)
+    return [name, "--config", str(GOLDEN / config)] + _options(
+        draw_from, {}, {**sizes, **optional})
+
+
+@st.composite
+def _cpt_args(draw_from):
+    return ["cpt"] + _options(draw_from, {
+        "--model": st.sampled_from(cli.CPT_MODELS),
+        "--x-min": _floats(0.0, 1e3), "--x-max": _floats(1e3, 1e5), "--points": _sizes(50),
+    }, {
+        "--spacing": st.sampled_from(["log", "linear"]), "--y": _floats(1.0, 1e5),
+        "--c": _floats(1e-9, 1e-5), "--r": _floats(0.0, 0.2), "--w": _floats(1.0, 5.0),
+        "--p": _floats(0.0, 1.0),
+    })
+
+
+@st.composite
+def _draw_args(draw_from):
+    return ["draw"] + _options(draw_from, {
+        "--alpha": _floats(1.01, 3.0), "--b": _floats(1.0, 1e3),
+        "--accounts": _sizes(2_000), "--prizes": _sizes(50), "--multiple": _floats(0.1, 100.0),
+    }, {
+        "--mechanism": st.sampled_from(MECHANISMS), "--seed": _sizes(10**6),
+    })
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_table1_args(), _experiment_args(), _cpt_args(), _draw_args()))
+def test_no_input_makes_a_traceback(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        out.write_bytes(b"old\n")
+        result = CliRunner().invoke(main, args + ["--out", str(out)])
+        assert result.exception is None or isinstance(result.exception, SystemExit), args
+        lines = result.stderr.splitlines()
+        assert result.exit_code in (0, 1, 2), args
+        if result.exit_code == 1:
+            assert lines[-1].startswith("Error: "), args
+            assert sum(line.startswith("Error:") for line in lines) == 1, args
+        elif result.exit_code == 2:
+            assert any(line.startswith("Error:") for line in lines), args
+        if result.exit_code != 0:
+            assert out.read_bytes() == b"old\n", args
+        assert os.listdir(tmp) == ["out.csv"], args

@@ -157,6 +157,17 @@ class TestConfig:
         assert cp.runs == 2000 and cp.draws_per_run == 1_000
         assert cp.caps == (250_000.0, 50_000.0, 10_000.0)
 
+    @pytest.mark.parametrize("path, preset, pareto", [
+        ("bracketing_full_a104_b150.json", bracketing_config, ParetoParams(1.04, 150.0)),
+        ("bracketing_full_a112_b250.json", bracketing_config, ParetoParams(1.12, 250.0)),
+        ("caps_full_a104_b150.json", caps_config, ParetoParams(1.04, 150.0)),
+        ("caps_full_a112_b250.json", caps_config, ParetoParams(1.12, 250.0)),
+    ])
+    def test_shipped_configs_are_the_presets(self, path, preset, pareto):
+        # so a run without --config and one with the shipped file are one experiment
+        doc = json.loads((ROOT / "configs" / path).read_text())
+        assert config_from_dict(doc) == preset(pareto)
+
     def test_level_label(self):
         assert level_label(0.05) == "5%"
         assert level_label(0.001) == "0.1%"

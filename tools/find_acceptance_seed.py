@@ -20,9 +20,8 @@ import time
 import numpy as np
 
 from plsim.drawing import PrizeSchedule, expected_payout, worst_payout
-from plsim.experiments import ExperimentConfig, run_bracketing
+from plsim.experiments import ExperimentConfig, _population, run_bracketing
 from plsim.pareto import ParetoParams
-from plsim.population import generate
 
 RUNS = 20
 N_ACCOUNTS = 100_000
@@ -36,13 +35,21 @@ B5_BAND = (1.62, 2.11)
 BWORST_BAND = (14.43 * 0.95, 14.43 * 1.05)
 
 
+def acceptance_config(seed: int) -> ExperimentConfig:
+    return ExperimentConfig(
+        pareto=PARETO, n_accounts=N_ACCOUNTS, schedules=SCHEDULES,
+        draws_per_run=DRAWS, runs=RUNS,
+        var_levels=(0.05, 0.01, 0.001, 0.0001), master_seed=seed)
+
+
 def prescreen(seed: int) -> tuple[bool, float, float]:
+    config = acceptance_config(seed)
     sched = SCHEDULES[0]
     bworst = np.empty(RUNS)
     rworst = np.empty(RUNS)
     for r in range(RUNS):
-        pop = generate(PARETO, N_ACCOUNTS,
-                       np.random.SeedSequence(seed, spawn_key=(r, 0)))
+        # the engine's own population of run r, the stream full_check's runs use
+        pop = _population(config, r)
         expected = expected_payout(pop, sched)
         bworst[r] = worst_payout(pop, sched, "bracketed") / expected
         rworst[r] = worst_payout(pop, sched, "random") / expected
@@ -52,11 +59,7 @@ def prescreen(seed: int) -> tuple[bool, float, float]:
 
 
 def full_check(seed: int) -> dict:
-    config = ExperimentConfig(
-        pareto=PARETO, n_accounts=N_ACCOUNTS, schedules=SCHEDULES,
-        draws_per_run=DRAWS, runs=RUNS,
-        var_levels=(0.05, 0.01, 0.001, 0.0001), master_seed=seed)
-    result = run_bracketing(config)
+    result = run_bracketing(acceptance_config(seed))
     r5 = result.cell(0, 0.05).averages[0]
     b5 = result.cell(0, 0.05).averages[1]
     bworst = result.cell(0, None).averages[1]
