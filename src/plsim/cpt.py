@@ -341,7 +341,9 @@ def sign_report(params: CptParams, spec, x_grid) -> list[CurvePoint]:
     bad = grid[~np.isfinite(grid) | (grid < lo) | (grid > hi)
                | (hi_exclusive & (grid >= hi))]
     if bad.size:
-        raise ValueError(f"grid points outside the model domain: {bad.tolist()}")
+        # the count and the ends, not every point: the message is one line
+        raise ValueError(f"grid points outside the model domain: {bad.size} of "
+                         f"{grid.size}, first {bad[0]}, last {bad[-1]}")
     utility = utility_dynamic if isinstance(spec, DynamicPrizeSpec) else utility_fixed_growth
     out = []
     for x in grid.tolist():

@@ -25,12 +25,16 @@ shuffle=False)``, which numpy runs as Floyd's algorithm (Bentley & Floyd, "A
 sample of brilliance", CACM 1987) for ``n <= 10_000`` or ``k <= n // 20``: slot
 i draws from [0, n-k+i] by Lemire's multiply-and-reject on one value of the
 bit generator's 32-bit stream, and takes n-k+i instead when an earlier slot
-already holds its draw. The replay reads that stream in bulk with
-``rng.integers(0, 2**32, dtype=np.uint32)`` and resolves the collisions
-vectorised by sorting uint32 keys (draw << bits) | slot, bits the bit length
-of k; it calls ``choice`` per drawing where ``n << bits > 2**32``. It relies
-on numpy internals that NEP 19 does not promise to keep, so the golden
-outputs are tied to the numpy version they were cut with.
+already holds its draw. The replay reads that stream in bulk. From PCG64 it
+takes the halves of ``bit_generator.random_raw``, low half first, and keeps
+the half numpy buffers between 32-bit requests (``has_uint32``,
+``uinteger``) in the generator state by hand, so the state ends as the calls
+leave it; other bit generators are read through ``rng.integers(0, 2**32,
+dtype=np.uint32)``. It resolves the collisions vectorised by sorting uint32
+keys (draw << bits) | slot, bits the bit length of k, and calls ``choice``
+per drawing where ``n << bits > 2**32``. It relies on numpy internals that
+NEP 19 does not promise to keep, so the golden outputs are tied to the numpy
+version they were cut with.
 """
 
 from __future__ import annotations
@@ -194,41 +198,54 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
     size = top.astype(np.uint64) + 1
     # range sizes and Lemire thresholds 2**32 % size are computed per slot,
-    # then tiled to one entry per slot of a full block
+    # then tiled to one entry per slot of a full block; the test runs on
+    # uint32, where raw * size wraps to the low word of the 64-bit product
     sizes = np.tile(size, _BATCH_ROWS)
-    reject_below = np.tile(np.uint64(2**32) % size, _BATCH_ROWS)
+    sizes32 = sizes.astype(np.uint32)
+    reject_below = np.tile((np.uint64(2**32) % size).astype(np.uint32), _BATCH_ROWS)
+    slots = np.arange(k, dtype=np.uint32)
     # about one rejection per window, so a rejection recomputes little
     window = 2**32 // n
+    # the rejection test's scratch, reused by every window of every block
+    low = np.empty(min(window, _BATCH_ROWS * k), dtype=np.uint32)
+    rejected = np.empty(low.size, dtype=bool)
     # a generator: each block's temporaries live until the next block's replace
     # them; freed per block, they made later kernels fault in fresh pages
     for m in heights:
         need = m * k
         block = np.empty((m, k), dtype=np.int64)
         flat = block.ravel()
-        raw = rng.integers(0, 2**32, size=need, dtype=np.uint32)
+        product = flat.view(np.uint64)
+        raw = _raw32(rng, need)
         pos = cur = 0
         while pos < need:
             if cur == raw.size:
-                raw, cur = rng.integers(0, 2**32, size=need - pos, dtype=np.uint32), 0
+                raw, cur = _raw32(rng, need - pos), 0
             span = min(raw.size - cur, window)
-            prod = raw[cur:cur + span] * sizes[pos:pos + span]
-            rejected = np.flatnonzero((prod & 0xFFFFFFFF) < reject_below[pos:pos + span])
-            taken = int(rejected[0]) if rejected.size else span
-            flat[pos:pos + taken] = prod[:taken] >> 32
+            np.multiply(raw[cur:cur + span], sizes32[pos:pos + span], out=low[:span])
+            np.less(low[:span], reject_below[pos:pos + span], out=rejected[:span])
+            first = int(rejected[:span].argmax())
+            taken = first if rejected[first] else span
+            np.multiply(raw[cur:cur + taken], sizes[pos:pos + taken],
+                        out=product[pos:pos + taken])
             pos += taken
             # numpy draws a rejecting slot again from the next raw value
-            cur += taken + (rejected.size > 0)
+            cur += taken + (taken < span)
+        product >>= 32  # each accepted draw is the high word of its product
 
         # Floyd: slot i takes top[i] when its draw is already held, that is
         # when it repeats an earlier draw of the row, or equals top[p] for an
         # earlier slot p that took top[p]
-        held = np.zeros(m * k, dtype=bool)
-        keyed = (block.astype(np.uint32) << shift) | np.arange(k, dtype=np.uint32)
+        held = np.zeros(need, dtype=bool)
+        keyed = block.astype(np.uint32)
+        keyed <<= shift
+        keyed |= slots
+        at = np.flatnonzero(keyed >= (n - k) << shift)  # draws >= n - k, unsorted
         keyed.sort(axis=1)
-        repeat = np.flatnonzero((keyed[:, 1:] ^ keyed[:, :-1]) < 1 << shift)
-        r, c = np.divmod(repeat, k - 1)
-        held[r * k + (keyed[r, c + 1] & (1 << shift) - 1)] = True
-        at = np.flatnonzero(flat >= n - k)
+        keys = keyed.ravel()
+        repeat = np.flatnonzero((keys[1:] ^ keys[:-1]) < 1 << shift)
+        repeat = repeat[repeat % k != k - 1]  # the last and first key of two rows
+        held[repeat - repeat % k + (keys[repeat + 1] & (1 << shift) - 1)] = True
         src = at - at % k + flat[at] - (n - k)  # where top[flat[at]] would sit
         at, src = at[src < at], src[src < at]
         while True:
@@ -236,8 +253,40 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
             if not more.any():
                 break
             held[at[more]] = True
-        np.copyto(block, top, where=held.reshape(m, k))
+        took_top = np.flatnonzero(held)
+        flat[took_top] = top[took_top % k]
         yield block
+
+
+def _raw32(rng: np.random.Generator, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng``'s 32-bit stream: the values of
+    ``rng.integers(0, 2**32, size=count, dtype=np.uint32)``, leaving ``rng``
+    in the state that call leaves it in.
+
+    PCG64 makes two 32-bit values of each 64-bit output, low half first, and
+    buffers the high half in its state (``has_uint32``, ``uinteger``) until
+    the next 32-bit request. Reading the outputs with ``random_raw`` and
+    keeping that buffer by hand is faster than ``integers``. Other bit
+    generators order or buffer their halves differently and are read through
+    ``integers``.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        return rng.integers(0, 2**32, size=count, dtype=np.uint32)
+    carry = bitgen.state["has_uint32"]
+    if carry:
+        # the buffered half is the high half of the last output: step back
+        # one output (a full period less one) and read it again, which is
+        # cheaper than prepending the half to a copy of the rest
+        bitgen.advance(2**128 - 1)
+    words = bitgen.random_raw((count + carry + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")
+    state = bitgen.state
+    # a half left over stays buffered; a used one stays behind as uinteger
+    state["has_uint32"] = halves.size - carry - count
+    state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    return halves[carry:carry + count]
 
 
 def _bracketed_rows(rng: np.random.Generator, n: int, k: int, heights):

@@ -309,6 +309,13 @@ def _population(config: ExperimentConfig, run_index: int) -> AccountPopulation:
                     _stream(config.master_seed, run_index, _POPULATION_STREAM))
 
 
+def _variants(config: ExperimentConfig) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """A run's mechanisms and price levels: both mechanisms uncapped without
+    caps, the random one uncapped and then at each cap with them."""
+    caps = config.caps or ()
+    return ("random",) if caps else MECHANISMS, (math.inf, *caps)
+
+
 def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     """One run of either experiment: fresh population, every schedule.
 
@@ -317,8 +324,8 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     times price levels, see the module docstring.
     """
     pop = _population(config, run_index)
-    caps = config.caps or ()
-    prices = (math.inf, *caps)
+    mechanisms, prices = _variants(config)
+    caps = prices[1:]
     ranks = [var_rank(config.draws_per_run, level) for level in config.var_levels]
     # each level's (capped) mean balance, once per run: a schedule's expected
     # payout is count * multiple times it, the float expected_payout gives
@@ -326,7 +333,7 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     out = []
     for i, sched in enumerate(config.schedules):
         variants = []
-        for mechanism in ("random",) if caps else MECHANISMS:
+        for mechanism in mechanisms:
             rng = _stream(config.master_seed, run_index, _DRAW_STREAMS[mechanism], i)
             raw = payouts(pop, sched, mechanism, rng, config.draws_per_run, caps)
             if np.any(raw[1:] > raw[:-1]):
@@ -363,15 +370,22 @@ def run_caps(config: ExperimentConfig, workers: int = 1) -> Result:
 
 
 def _run(config: ExperimentConfig, workers: int) -> Result:
+    levels = list(config.var_levels) + [None]
+    mechanisms, prices = _variants(config)
+    # sized before the first run, so a run count no array can hold is
+    # refused before any run starts
+    data = np.empty((config.runs, len(config.schedules), len(levels),
+                     len(mechanisms) * len(prices)))
     workers = min(workers, config.runs)
     if workers <= 1:
-        per_run = [_one_run(config, r) for r in range(config.runs)]
+        for r in range(config.runs):
+            data[r] = _one_run(config, r)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             # map preserves submission order, so aggregation stays deterministic
-            per_run = list(pool.map(partial(_one_run, config), range(config.runs)))
-    data = np.stack(per_run)  # (runs, n_sched, n_levels + 1, n_variants)
-    levels = list(config.var_levels) + [None]
+            for r, values in enumerate(pool.map(partial(_one_run, config),
+                                                range(config.runs))):
+                data[r] = values
     cells = tuple(
         Cell(schedule=sched, level=level, values=data[:, i, j, :].T.copy())
         for i, sched in enumerate(config.schedules)

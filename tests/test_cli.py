@@ -688,6 +688,27 @@ class TestFailurePath:
         self.assert_one_error_line(result)
         assert result.stderr.splitlines() == ["Error: MemoryError"]
 
+    def test_run_count_no_array_can_hold(self, runner, monkeypatch):
+        # the result is sized before the first run, so no run may start
+        def no_run(*args, **kwargs):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(experiments, "_one_run", no_run)
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--runs", str(10**19), "--out", "/dev/null"])
+        self.assert_one_error_line(result)
+
+    def test_grid_outside_the_domain_makes_a_short_line(self, runner):
+        result = runner.invoke(main, [
+            "cpt", "--model", "fixed", "--x-min", "0", "--x-max", "1e9",
+            "--points", "100000", "--spacing", "linear"])
+        self.assert_one_error_line(result)
+        assert len(result.stderr.encode()) < 200
+        assert result.stderr.splitlines() == [
+            "Error: grid points outside the model domain: 99900 of 100000, "
+            "first 1000010.000100001, last 1000000000.0"]
+
     def test_closed_stdout_is_left_to_click(self, runner, monkeypatch):
         # click's standalone main exits quietly on EPIPE; the boundary must
         # not turn it into an Error: line

@@ -264,10 +264,15 @@ def choice_loop(rng, n, k, rows):
 
 
 class CountingGenerator:
-    """A Generator's ``integers`` and ``choice``, counting ``choice`` calls."""
+    """A Generator's ``bit_generator``, ``integers`` and ``choice``, counting
+    ``choice`` calls."""
 
     def __init__(self, rng):
         self.rng, self.choice_calls = rng, 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
 
     def integers(self, *args, **kwargs):
         return self.rng.integers(*args, **kwargs)
@@ -340,3 +345,80 @@ class TestBatchedKernelsExact:
         ref = pop.sorted_balances()[bounds[:-1] + offsets].sum(axis=1) * sched.multiple
         got = payouts(pop, sched, "bracketed", np.random.default_rng(71), self.ROWS)[0]
         assert np.array_equal(got, ref)
+
+
+def generator(bit_generator, seed, buffered):
+    """A Generator on ``bit_generator(seed)`` after ``buffered`` uint32 draws;
+    after one, PCG64 holds the high half of its first output."""
+    rng = np.random.Generator(bit_generator(seed))
+    rng.integers(0, 2**32, size=buffered, dtype=np.uint32)
+    return rng
+
+
+def state(rng):
+    """The whole ``bit_generator.state``, arrays as lists so that it compares."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+class TestRawStreamExact:
+    """The replay reads PCG64's 32-bit stream as the halves of ``random_raw``
+    and keeps the buffered half (``has_uint32``, ``uinteger``) by hand; other
+    bit generators are read through ``integers``. Blocks and the whole
+    generator state must equal successive ``choice`` calls."""
+
+    ROWS = 2 * drawing._BATCH_ROWS + 3
+    BIT_GENERATORS = [np.random.PCG64, np.random.MT19937]
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("count", [1, 2, 3, 1000, 1001])
+    def test_raw32_equals_integers(self, bit_generator, buffered, count):
+        rng, ref = (generator(bit_generator, 5, buffered) for _ in range(2))
+        got = drawing._raw32(rng, count)
+        assert got.dtype == np.uint32
+        assert np.array_equal(got, ref.integers(0, 2**32, size=count, dtype=np.uint32))
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("buffered", [0, 1])
+    # k = 7 makes the last block's m * k odd, so a half is left over; with
+    # k = 1 every pair of sorted keys spans two rows
+    @pytest.mark.parametrize("n, k", [(100_000, 100), (100_000, 7), (10_000, 500), (100, 1)])
+    def test_blocks_and_state_equal_choice_calls(self, bit_generator, buffered, n, k):
+        rng, ref = (generator(bit_generator, 7, buffered) for _ in range(2))
+        assert np.array_equal(batched_rows(rng, n, k, self.ROWS),
+                              choice_loop(ref, n, k, self.ROWS))
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_rejections_read_the_stream_again(self, monkeypatch, buffered):
+        # at n = 2**22 about one raw value in a thousand is rejected, so each
+        # block redraws its rejected slots from a second read
+        reads = []
+
+        def counted(rng, count):
+            reads.append(count)
+            return raw32(rng, count)
+
+        raw32 = drawing._raw32
+        monkeypatch.setattr(drawing, "_raw32", counted)
+        rng, ref = (generator(np.random.PCG64, 11, buffered) for _ in range(2))
+        n, k = 2**22, 1000
+        assert np.array_equal(batched_rows(rng, n, k, self.ROWS),
+                              choice_loop(ref, n, k, self.ROWS))
+        assert state(rng) == state(ref)
+        assert len(reads) > len(range(0, self.ROWS, drawing._BATCH_ROWS))
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_single_draw_equals_one_choice_call(self, bit_generator, buffered):
+        pop = generate(ParetoParams(1.04, 150.0), 20_000, 73)
+        rng, ref = (generator(bit_generator, 13, buffered) for _ in range(2))
+        outcome = draw(pop, PrizeSchedule(7, 1.0), "random", rng)
+        assert np.array_equal(outcome.winners,
+                              ref.choice(pop.count, 7, replace=False, shuffle=False))
+        assert state(rng) == state(ref)

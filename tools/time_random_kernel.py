@@ -1,0 +1,47 @@
+"""Time the random-winner kernel alone, once per prize count.
+
+    PYTHONPATH=src python3 tools/time_random_kernel.py
+
+Each timing consumes ``drawing.winner_blocks`` for ``DRAWS`` random-mechanism
+drawings of ``k`` winners from ``ACCOUNTS`` accounts, from a fresh generator,
+and gathers nothing. The script prints one JSON line: the numpy version, the
+settings and, per prize count in ``PRIZE_COUNTS``, the median of ``REPEAT``
+timings in seconds (``k1000_s``, ...). To compare two checkouts, run it
+alternately with each one's ``src`` on ``PYTHONPATH``.
+"""
+
+import json
+import statistics
+import time
+
+import numpy as np
+
+from plsim.drawing import PrizeSchedule, winner_blocks
+from plsim.pareto import ParetoParams
+from plsim.population import generate
+
+ACCOUNTS = 100_000
+DRAWS = 10_000
+REPEAT = 5
+PRIZE_COUNTS = (1000, 500, 100, 10)
+
+
+def main():
+    pop = generate(ParetoParams(1.04, 150.0), ACCOUNTS, 0)
+    record = {"numpy": np.__version__, "accounts": ACCOUNTS,
+              "draws": DRAWS, "repeat": REPEAT}
+    for k in PRIZE_COUNTS:
+        sched = PrizeSchedule(k, 1.0)
+        times = []
+        for _ in range(REPEAT):
+            rng = np.random.default_rng(1)
+            start = time.perf_counter()
+            for _ in winner_blocks(pop, sched, "random", rng, DRAWS):
+                pass
+            times.append(time.perf_counter() - start)
+        record[f"k{k}_s"] = statistics.median(times)
+    print(json.dumps(record))
+
+
+if __name__ == "__main__":
+    main()
