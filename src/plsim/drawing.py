@@ -155,7 +155,7 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
     out = np.empty((1 + len(caps), draws))
     for lo, block in blocks:
-        won = won_from[block]
+        won = np.take(won_from, block)  # the same gather as won_from[block], faster
         out[0, lo:lo + len(block)] = won.sum(axis=1)
         # min(min(x, c1), c2) == min(x, c2) for c1 >= c2, so each cap can
         # truncate the previous level's buffer in place
@@ -209,8 +209,6 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
     # the rejection test's scratch, reused by every window of every block
     low = np.empty(min(window, _BATCH_ROWS * k), dtype=np.uint32)
     rejected = np.empty(low.size, dtype=bool)
-    # a generator: each block's temporaries live until the next block's replace
-    # them; freed per block, they made later kernels fault in fresh pages
     for m in heights:
         need = m * k
         block = np.empty((m, k), dtype=np.int64)

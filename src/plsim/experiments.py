@@ -16,6 +16,12 @@ never increase a drawing's raw payout, and the engine checks every drawing.
 Runs are independent: every run derives its generator substreams from the
 master seed and its own index, so results are bit-identical regardless of
 how many worker processes execute them.
+
+Every process that executes runs, the calling one and each pool worker, first
+calls ``keep_freed_memory``: under glibc it keeps the arrays a run frees for
+the next block and the next run to reuse, where the default thresholds hand
+them back to the OS and fault them in again page by page. It changes no
+output.
 """
 
 from __future__ import annotations
@@ -45,6 +51,10 @@ DEFAULT_SCHEDULES = (
 DEFAULT_CAPS = (250_000.0, 50_000.0, 10_000.0)
 BRACKETING_VAR_LEVELS = (0.05, 0.01, 0.001, 0.0001)
 CAPS_VAR_LEVELS = (0.05, 0.01, 0.001)
+
+# glibc's mallopt parameters, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 # substream roles: (master_seed, run, role, schedule) -> independent stream
 _POPULATION_STREAM = 0
@@ -347,6 +357,38 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     return np.array(out)
 
 
+def _mallopt():
+    """glibc's ``mallopt``, or None where the C library has none (macOS,
+    Windows)."""
+    import ctypes  # here, so that importing plsim does not load it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return None
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt
+
+
+def keep_freed_memory() -> None:
+    """Make this process keep the memory it frees, for its next arrays.
+
+    By default glibc unmaps a freed array above 128 KiB and returns a free
+    heap top above 128 KiB to the OS, so the next array faults its pages in
+    again, 4 KB at a time; a run frees and reallocates such arrays for every
+    block of drawings. Here arrays up to 32 MiB come from the heap, which is
+    trimmed only above 64 MiB free. Both are needed: setting the trim
+    threshold alone pins the mmap threshold at 128 KiB. Without ``mallopt``
+    this does nothing, and a refused setting is let be: it changes no output,
+    only how long a run takes.
+    """
+    mallopt = _mallopt()
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def require_caps(config: ExperimentConfig, wanted: bool) -> None:
     """Refuse a config of the other experiment: the cap experiment needs
     caps, the bracketing experiment takes none."""
@@ -378,10 +420,14 @@ def _run(config: ExperimentConfig, workers: int) -> Result:
                      len(mechanisms) * len(prices)))
     workers = min(workers, config.runs)
     if workers <= 1:
+        keep_freed_memory()
         for r in range(config.runs):
             data[r] = _one_run(config, r)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # as initializer, so that workers started by spawn or forkserver,
+        # which inherit no allocator settings, keep their memory too
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=keep_freed_memory) as pool:
             # map preserves submission order, so aggregation stays deterministic
             for r, values in enumerate(pool.map(partial(_one_run, config),
                                                 range(config.runs))):

@@ -193,8 +193,8 @@ class TestBracketing:
         seen = []
 
         class SerialPool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+            def __init__(self, max_workers, initializer):
+                seen.append((max_workers, initializer))
 
             def __enter__(self):
                 return self
@@ -209,7 +209,8 @@ class TestBracketing:
         cfg = small_config(runs=2)
         pooled = run_bracketing(cfg, workers=3).to_csv_string()
         assert pooled == run_bracketing(cfg, workers=1).to_csv_string()
-        assert seen == [2]
+        # every worker sets the memory policy itself, however it was started
+        assert seen == [(2, experiments.keep_freed_memory)]
 
     def test_schedule_cells_invariant_to_later_schedules(self):
         # drawing streams are keyed by schedule index, so results for a
@@ -365,3 +366,26 @@ class TestCaps:
         cell = doc["cells"][0]
         assert set(cell["scaled"].keys()) == {"uncapped", "5000"}
         assert len(cell["scaled"]["uncapped"]) == cfg.runs
+
+
+# full-size runs reuse the memory that the runs before them freed
+@pytest.mark.skipif(experiments._mallopt() is None, reason="no glibc mallopt")
+@pytest.mark.parametrize("config", [
+    caps_config(runs=1),
+    bracketing_config(runs=1, draws_per_run=1000),
+], ids=["caps", "bracketing"])
+def test_runs_after_the_first_fault_in_almost_no_memory(config):
+    import resource  # POSIX only, like mallopt
+
+    def minor_faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    experiments.keep_freed_memory()
+    experiments._one_run(config, 0)
+    before = minor_faults()
+    for r in range(1, 5):
+        experiments._one_run(config, r)
+    # on average, where a run makes about 1,300-3,300 under glibc's default
+    # thresholds; the heap still grows by up to 130 pages once in a while,
+    # when the free chunks of the runs before do not fit
+    assert minor_faults() - before < 4 * 100

@@ -6,11 +6,16 @@ Each timing consumes ``drawing.winner_blocks`` for ``DRAWS`` random-mechanism
 drawings of ``k`` winners from ``ACCOUNTS`` accounts, from a fresh generator,
 and gathers nothing. The script prints one JSON line: the numpy version, the
 settings and, per prize count in ``PRIZE_COUNTS``, the median of ``REPEAT``
-timings in seconds (``k1000_s``, ...). To compare two checkouts, run it
-alternately with each one's ``src`` on ``PYTHONPATH``.
+timings in seconds (``k1000_s``, ...) and the median of the minor page faults
+the process made during each timing (``k1000_minflt``, ...), which tell a
+timing that paid for fresh memory from one that did not. The script keeps the
+C library's default allocator settings, which a plsim run changes (see
+``experiments.keep_freed_memory``), so its timings compare across checkouts:
+run it alternately with each one's ``src`` on ``PYTHONPATH``.
 """
 
 import json
+import resource
 import statistics
 import time
 
@@ -26,20 +31,27 @@ REPEAT = 5
 PRIZE_COUNTS = (1000, 500, 100, 10)
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main():
     pop = generate(ParetoParams(1.04, 150.0), ACCOUNTS, 0)
     record = {"numpy": np.__version__, "accounts": ACCOUNTS,
               "draws": DRAWS, "repeat": REPEAT}
     for k in PRIZE_COUNTS:
         sched = PrizeSchedule(k, 1.0)
-        times = []
+        times, faults = [], []
         for _ in range(REPEAT):
             rng = np.random.default_rng(1)
+            before = minor_faults()
             start = time.perf_counter()
             for _ in winner_blocks(pop, sched, "random", rng, DRAWS):
                 pass
             times.append(time.perf_counter() - start)
+            faults.append(minor_faults() - before)
         record[f"k{k}_s"] = statistics.median(times)
+        record[f"k{k}_minflt"] = statistics.median(faults)
     print(json.dumps(record))
 
 
