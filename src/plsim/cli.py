@@ -21,6 +21,7 @@ import shutil
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import replace
+from functools import partial
 
 import click
 import numpy as np
@@ -198,17 +199,19 @@ def _with_experiment_options(func):
 
 def _experiment(name: str, protocol, config, threads: int, out: str,
                 json_out: str | None):
-    """Progress line, the run and its outputs, opened before the run and
-    committed after it. The commands pass ``experiments.run_*`` as looked up
-    when they run, not at import, so a wrapper installed on ``experiments``
-    in the meantime sees the call."""
+    """The run and its outputs, opened before the run and committed after
+    it; the progress line is printed once the protocol has sized its
+    result. The commands pass ``experiments.run_*`` as looked up when they
+    run, not at import, so a wrapper installed on ``experiments`` in the
+    meantime sees the call."""
     experiments.require_caps(config, name == "caps")
     variants = (f"{len(config.schedules)} schedules" if config.caps is None
                 else f"caps {','.join(f'{c:g}' for c in config.caps)}")
+    progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
+                f"{variants}, seed {config.master_seed}")
     with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
-        click.echo(f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
-                   f"{variants}, seed {config.master_seed}", err=True)
-        result = protocol(config, workers=threads)
+        result = protocol(config, workers=threads,
+                          on_start=partial(click.echo, progress, err=True))
         result.write_csv(stream)
         if json_stream is not None:
             json.dump(result.to_json_dict(), json_stream, indent=2)

@@ -15,9 +15,14 @@ Two ways to pick winners for a drawing of ``count`` prizes worth
 The total payout of a drawing is ``multiple`` times the sum of the winners'
 balances.
 
-Each mechanism draws its winners in one kernel, which ``winner_blocks``
-exposes in blocks of drawings. ``payouts`` prices those blocks, uncapped and
-at each balance cap, and ``draw`` is a single drawing of the same kernel.
+Each mechanism draws its winners in one kernel, a function of the block
+height that returns a fresh block of winners; ``winner_blocks`` exposes it in
+blocks of drawings. ``payouts`` prices those blocks, uncapped and at each
+balance cap, and ``draw`` is a single drawing of the same kernel. One
+block's arrays are alive at a time: ``payouts`` draws, gathers and prices a
+block in calls whose temporaries are freed when they return, before the next
+block is drawn, so at k = 1000 a call holds 1 MiB of winner indices, 1 MiB of
+gathered balances and, while a block is drawn, the kernel's scratch.
 
 Batched drawings return the same integers as drawing one at a time. The
 random kernel replays ``Generator.choice(n, k, replace=False,
@@ -48,7 +53,8 @@ from .population import AccountPopulation
 
 MECHANISMS = ("random", "bracketed")
 
-# rows per slice when batching drawings, keeps gather buffers in cache
+# drawings per block; a block costs rows x k x 8 B of int64 winner indices
+# and as much again gathered as float64, 1 MiB each at k = 1000
 _BATCH_ROWS = 128
 
 # the largest prize count on the replay, chosen to cover the paper's k = 1000:
@@ -129,19 +135,33 @@ def _check(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str):
         )
 
 
+def _kernel(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
+            rng: np.random.Generator):
+    """The mechanism's winner kernel on ``pop``: a function of ``m`` that
+    returns the winners of the next ``m`` drawings as a fresh (m, count)
+    array."""
+    _check(pop, sched, mechanism)
+    kernel = _random_rows if mechanism == "random" else _bracketed_rows
+    return kernel(rng, pop.count, sched.count)
+
+
+def _spans(draws: int):
+    """``(first row, rows)`` of each block of at most ``_BATCH_ROWS``
+    drawings."""
+    return ((lo, min(_BATCH_ROWS, draws - lo)) for lo in range(0, draws, _BATCH_ROWS))
+
+
 def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                   rng: np.random.Generator, draws: int):
     """Winners of ``draws`` drawings, yielded as ``(first row, block)`` with
     at most ``_BATCH_ROWS`` drawings a block and one row per drawing.
 
     Entries index ``pop.balances`` for the random mechanism and
-    ``pop.sorted_balances()`` for the bracketed one.
+    ``pop.sorted_balances()`` for the bracketed one. Each block is a fresh
+    array, which the caller may keep.
     """
-    _check(pop, sched, mechanism)
-    kernel = _random_rows if mechanism == "random" else _bracketed_rows
-    starts = range(0, draws, _BATCH_ROWS)
-    heights = (min(_BATCH_ROWS, draws - lo) for lo in starts)
-    return zip(starts, kernel(rng, pop.count, sched.count, heights))
+    rows = _kernel(pop, sched, mechanism, rng)
+    return ((lo, rows(m)) for lo, m in _spans(draws))
 
 
 def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -151,18 +171,25 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     Row 0 is uncapped; row i prices the same winners with every balance
     truncated at ``caps[i - 1]``. ``caps`` must be descending.
     """
-    blocks = winner_blocks(pop, sched, mechanism, rng, draws)
+    rows = _kernel(pop, sched, mechanism, rng)
     won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
     out = np.empty((1 + len(caps), draws))
-    for lo, block in blocks:
-        won = np.take(won_from, block)  # the same gather as won_from[block], faster
-        out[0, lo:lo + len(block)] = won.sum(axis=1)
-        # min(min(x, c1), c2) == min(x, c2) for c1 >= c2, so each cap can
-        # truncate the previous level's buffer in place
-        for row, cap in enumerate(caps, 1):
-            np.minimum(won, cap, out=won)
-            out[row, lo:lo + len(block)] = won.sum(axis=1)
+    for lo, m in _spans(draws):
+        # the block and its gather are arguments, not names of this loop, so
+        # both are freed before the next block is drawn
+        _price(np.take(won_from, rows(m)), caps, out[:, lo:lo + m])
     return out * sched.multiple
+
+
+def _price(won: np.ndarray, caps, out: np.ndarray) -> None:
+    """Row sums of the gathered balances ``won`` into ``out[0]``, and at
+    each cap into the following rows of ``out``."""
+    out[0] = won.sum(axis=1)
+    # min(min(x, c1), c2) == min(x, c2) for c1 >= c2, so each cap can
+    # truncate the previous level's buffer in place
+    for row, cap in enumerate(caps, 1):
+        np.minimum(won, cap, out=won)
+        out[row] = won.sum(axis=1)
 
 
 def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -174,14 +201,15 @@ def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                        payout=float(pop.balances[winners].sum() * sched.multiple))
 
 
-def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
-    """The random kernel: for each ``m <= _BATCH_ROWS`` in ``heights``, yields
-    the winner sets, ``k`` of ``n`` accounts, of the next ``m`` drawings.
+def _random_rows(rng: np.random.Generator, n: int, k: int):
+    """The random kernel: returns ``rows``, where ``rows(m)`` gives the
+    winner sets, ``k`` of ``n`` accounts, of the next ``m <= _BATCH_ROWS``
+    drawings.
 
-    Row d of the blocks equals the d-th of successive calls of
-    ``rng.choice(n, k, replace=False, shuffle=False)``, and ``rng`` ends in
-    the state those calls leave it in. Where numpy does not use Floyd's
-    algorithm, or the replay is slower, the kernel makes those calls itself.
+    Row d of successive ``rows`` results equals the d-th of successive calls
+    of ``rng.choice(n, k, replace=False, shuffle=False)``, and ``rng`` ends
+    in the state those calls leave it in. Where numpy does not use Floyd's
+    algorithm, or the replay is slower, ``rows`` makes those calls itself.
     """
     floyd = n <= 10_000 or k <= n // 20
     # the replay sorts its collision keys (draw << shift) | slot as uint32;
@@ -190,70 +218,91 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, heights):
     # the calls also win on dense drawings (n < 4k), whose slots often collide
     if (not floyd or k > _REPLAY_MAX_K or n > _REPLAY_MAX_N or n < 4 * k
             or n << shift > 2**32):
-        for m in heights:
-            yield np.array([rng.choice(n, size=k, replace=False, shuffle=False)
-                            for _ in range(m)])
-        return
+        return lambda m: np.array([rng.choice(n, size=k, replace=False, shuffle=False)
+                                   for _ in range(m)])
 
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
-    size = top.astype(np.uint64) + 1
-    # range sizes and Lemire thresholds 2**32 % size are computed per slot,
-    # then tiled to one entry per slot of a full block; the test runs on
-    # uint32, where raw * size wraps to the low word of the 64-bit product
-    sizes = np.tile(size, _BATCH_ROWS)
-    sizes32 = sizes.astype(np.uint32)
-    reject_below = np.tile((np.uint64(2**32) % size).astype(np.uint32), _BATCH_ROWS)
-    slots = np.arange(k, dtype=np.uint32)
     # about one rejection per window, so a rejection recomputes little
     window = 2**32 // n
+    draw_slots = _lemire(rng, top.astype(np.uint64) + 1, window)
+
+    def rows(m: int) -> np.ndarray:
+        block = np.empty((m, k), dtype=np.int64)
+        draw_slots(block.ravel())
+        _floyd(block, n, top, shift)
+        return block
+
+    return rows
+
+
+def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
+    """Lemire's multiply-and-reject, as numpy bounds a uint32 draw: returns
+    ``draw_slots``, which fills a flat run of whole rows, slot i of each row
+    drawn from ``[0, size[i])``, with the next draws of ``rng``'s 32-bit
+    stream, reading it at most ``window`` values at a time."""
+    k = size.size
+    # range sizes and Lemire thresholds 2**32 % size, tiled over the rows one
+    # window can reach; the test runs on uint32, where raw * size wraps to
+    # the low word of the 64-bit product
+    tiled = min(_BATCH_ROWS, window // k + 2)
+    sizes = np.tile(size, tiled)
+    sizes32 = sizes.astype(np.uint32)
+    reject_below = np.tile((np.uint64(2**32) % size).astype(np.uint32), tiled)
     # the rejection test's scratch, reused by every window of every block
     low = np.empty(min(window, _BATCH_ROWS * k), dtype=np.uint32)
     rejected = np.empty(low.size, dtype=bool)
-    for m in heights:
-        need = m * k
-        block = np.empty((m, k), dtype=np.int64)
-        flat = block.ravel()
+
+    def draw_slots(flat: np.ndarray) -> None:
+        need = flat.size
         product = flat.view(np.uint64)
         raw = _raw32(rng, need)
         pos = cur = 0
         while pos < need:
             if cur == raw.size:
                 raw, cur = _raw32(rng, need - pos), 0
-            span = min(raw.size - cur, window)
-            np.multiply(raw[cur:cur + span], sizes32[pos:pos + span], out=low[:span])
-            np.less(low[:span], reject_below[pos:pos + span], out=rejected[:span])
+            # a window starts at slot pos % k and covers at most window + k
+            # table entries, which the tiled rows hold
+            span, at = min(raw.size - cur, window), pos % k
+            np.multiply(raw[cur:cur + span], sizes32[at:at + span], out=low[:span])
+            np.less(low[:span], reject_below[at:at + span], out=rejected[:span])
             first = int(rejected[:span].argmax())
             taken = first if rejected[first] else span
-            np.multiply(raw[cur:cur + taken], sizes[pos:pos + taken],
+            np.multiply(raw[cur:cur + taken], sizes[at:at + taken],
                         out=product[pos:pos + taken])
             pos += taken
             # numpy draws a rejecting slot again from the next raw value
             cur += taken + (taken < span)
         product >>= 32  # each accepted draw is the high word of its product
 
-        # Floyd: slot i takes top[i] when its draw is already held, that is
-        # when it repeats an earlier draw of the row, or equals top[p] for an
-        # earlier slot p that took top[p]
-        held = np.zeros(need, dtype=bool)
-        keyed = block.astype(np.uint32)
-        keyed <<= shift
-        keyed |= slots
-        at = np.flatnonzero(keyed >= (n - k) << shift)  # draws >= n - k, unsorted
-        keyed.sort(axis=1)
-        keys = keyed.ravel()
-        repeat = np.flatnonzero((keys[1:] ^ keys[:-1]) < 1 << shift)
-        repeat = repeat[repeat % k != k - 1]  # the last and first key of two rows
-        held[repeat - repeat % k + (keys[repeat + 1] & (1 << shift) - 1)] = True
-        src = at - at % k + flat[at] - (n - k)  # where top[flat[at]] would sit
-        at, src = at[src < at], src[src < at]
-        while True:
-            more = held[src] & ~held[at]
-            if not more.any():
-                break
-            held[at[more]] = True
-        took_top = np.flatnonzero(held)
-        flat[took_top] = top[took_top % k]
-        yield block
+    return draw_slots
+
+
+def _floyd(block: np.ndarray, n: int, top: np.ndarray, shift: int) -> None:
+    """Floyd's collision rule on a block of row-wise draws, in place: slot i
+    takes ``top[i]`` when its draw is already held, that is when it repeats
+    an earlier draw of the row, or equals ``top[p]`` for an earlier slot p
+    that took ``top[p]``."""
+    k = top.size
+    flat = block.ravel()
+    held = np.zeros(flat.size, dtype=bool)
+    keyed = block.astype(np.uint32)
+    keyed <<= shift
+    keyed |= np.arange(k, dtype=np.uint32)
+    at = np.flatnonzero(keyed >= (n - k) << shift)  # draws >= n - k, unsorted
+    keyed.sort(axis=1)
+    keys = keyed.ravel()
+    repeat = np.flatnonzero((keys[1:] ^ keys[:-1]) < 1 << shift)
+    repeat = repeat[repeat % k != k - 1]  # the last and first key of two rows
+    held[repeat - repeat % k + (keys[repeat + 1] & (1 << shift) - 1)] = True
+    src = at - at % k + flat[at] - (n - k)  # where top[flat[at]] would sit
+    at, src = at[src < at], src[src < at]
+    while True:
+        more = held[src] & ~held[at]
+        if not more.any():
+            break
+        held[at[more]] = True
+    took_top = np.flatnonzero(held)
+    flat[took_top] = top[took_top % k]
 
 
 def _raw32(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -287,15 +336,22 @@ def _raw32(rng: np.random.Generator, count: int) -> np.ndarray:
     return halves[carry:carry + count]
 
 
-def _bracketed_rows(rng: np.random.Generator, n: int, k: int, heights):
-    """The bracketed kernel: yields the sorted-order positions of one winner
-    per bracket for the next ``m`` drawings, for each ``m`` in ``heights``."""
+def _bracketed_rows(rng: np.random.Generator, n: int, k: int):
+    """The bracketed kernel: returns ``rows``, where ``rows(m)`` gives the
+    sorted-order positions of one winner per bracket for the next ``m``
+    drawings."""
     bounds = bracket_bounds(n, k)
+    first = bounds[:-1]
     # equal brackets: a scalar bound draws the same integers as the array of
     # sizes, and numpy draws it faster
     sizes = n // k if n % k == 0 else np.diff(bounds)
-    for m in heights:
-        yield bounds[:-1] + rng.integers(0, sizes, size=(m, k))
+
+    def rows(m: int) -> np.ndarray:
+        block = rng.integers(0, sizes, size=(m, k))
+        block += first
+        return block
+
+    return rows
 
 
 def _extremes(pop: AccountPopulation, sched: PrizeSchedule,

@@ -95,8 +95,11 @@ class ExperimentConfig:
         if self.caps is not None:
             if not self.caps:
                 raise ValueError("caps, when given, must be non-empty")
-            if any(not c > 0.0 for c in self.caps):
-                raise ValueError("caps must be positive")
+            for cap in self.caps:
+                # an infinite cap would price nothing and dump as Infinity,
+                # which is not JSON
+                if not 0.0 < cap < math.inf:
+                    raise ValueError(f"caps must be finite and positive, got {cap}")
             if any(hi <= lo for hi, lo in zip(self.caps, self.caps[1:])):
                 raise ValueError("caps must be strictly descending")
 
@@ -397,27 +400,31 @@ def require_caps(config: ExperimentConfig, wanted: bool) -> None:
                          else "bracketing experiment takes a config without caps")
 
 
-def run_bracketing(config: ExperimentConfig, workers: int = 1) -> Result:
+def run_bracketing(config: ExperimentConfig, workers: int = 1,
+                   on_start=None) -> Result:
     """Execute the bracketing protocol; deterministic for a fixed master seed
-    regardless of ``workers``."""
+    regardless of ``workers``. ``on_start``, if given, is called with no
+    arguments once the result is sized, before the first run."""
     require_caps(config, False)
-    return _run(config, workers)
+    return _run(config, workers, on_start)
 
 
-def run_caps(config: ExperimentConfig, workers: int = 1) -> Result:
+def run_caps(config: ExperimentConfig, workers: int = 1, on_start=None) -> Result:
     """Execute the cap protocol; deterministic for a fixed master seed
-    regardless of ``workers``."""
+    regardless of ``workers``. ``on_start`` as for ``run_bracketing``."""
     require_caps(config, True)
-    return _run(config, workers)
+    return _run(config, workers, on_start)
 
 
-def _run(config: ExperimentConfig, workers: int) -> Result:
+def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
     levels = list(config.var_levels) + [None]
     mechanisms, prices = _variants(config)
     # sized before the first run, so a run count no array can hold is
-    # refused before any run starts
+    # refused before any run starts or is announced
     data = np.empty((config.runs, len(config.schedules), len(levels),
                      len(mechanisms) * len(prices)))
+    if on_start is not None:
+        on_start()
     workers = min(workers, config.runs)
     if workers <= 1:
         keep_freed_memory()

@@ -689,7 +689,8 @@ class TestFailurePath:
         assert result.stderr.splitlines() == ["Error: MemoryError"]
 
     def test_run_count_no_array_can_hold(self, runner, monkeypatch):
-        # the result is sized before the first run, so no run may start
+        # the result is sized before the first run, so no run may start and
+        # no progress line is printed
         def no_run(*args, **kwargs):
             raise AssertionError("a run started")
 
@@ -698,6 +699,27 @@ class TestFailurePath:
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
             "--runs", str(10**19), "--out", "/dev/null"])
         self.assert_one_error_line(result)
+        assert result.stderr.splitlines() == ["Error: Maximum allowed dimension exceeded"]
+
+    @pytest.mark.parametrize("caps", ["inf", "1e400", "5000,nan"])
+    def test_non_finite_cap_flag(self, runner, tmp_path, caps):
+        json_out = tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"), "--caps", caps,
+            "--out", "/dev/null", "--json-out", str(json_out)])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith("Error: caps must be finite and positive, got ")
+        assert not json_out.exists()
+
+    def test_non_finite_cap_in_config(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        # JSON reads 1e400 as infinity
+        bad.write_text((GOLDEN / "golden_caps.json").read_text().replace(
+            "5000.0", "1e400"))
+        result = runner.invoke(main, ["caps", "--config", str(bad)])
+        self.assert_one_error_line(result)
+        assert "caps must be finite and positive, got inf" in result.stderr
+        assert result.stdout == ""
 
     def test_grid_outside_the_domain_makes_a_short_line(self, runner):
         result = runner.invoke(main, [

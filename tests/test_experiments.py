@@ -127,6 +127,18 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             config_from_dict({**data, "schedules": schedules})
 
+    @pytest.mark.parametrize("caps", [[math.inf], [1e400, 100.0], [5000.0, math.nan]])
+    def test_non_finite_caps_rejected(self, caps):
+        # JSON reads 1e400 as infinity, and an infinite cap would be dumped
+        # as Infinity, which is not JSON
+        data = config_to_dict(small_config(caps=(1000.0,)))
+        with pytest.raises(ValueError, match="caps must be finite and positive"):
+            config_from_dict({**data, "caps": caps})
+        doc = json.loads(json.dumps(data).replace("[1000.0]", "[1e400]"))
+        assert doc["caps"] == [math.inf]
+        with pytest.raises(ValueError, match="caps must be finite and positive, got inf"):
+            config_from_dict(doc)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed"):
             small_config(master_seed=-1)
@@ -303,8 +315,8 @@ class TestCaps:
         parallel = run_caps(cfg, workers=3)
         assert serial.to_csv_string() == parallel.to_csv_string()
 
-    def test_infinite_first_cap_equals_uncapped(self):
-        cfg = small_config(caps=(math.inf, 5000.0))
+    def test_first_cap_above_every_balance_equals_uncapped(self):
+        cfg = small_config(caps=(np.finfo(float).max, 5000.0))
         result = run_caps(cfg)
         for cell in result.cells:
             np.testing.assert_array_equal(cell.values[0], cell.values[1])

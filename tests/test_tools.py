@@ -30,3 +30,4 @@ def test_kernel_timing_reports_its_faults(monkeypatch, capsys):
     for k in tool.PRIZE_COUNTS:
         assert record[f"k{k}_s"] > 0.0
         assert record[f"k{k}_minflt"] >= 0
+        assert record[f"k{k}_peak_mib"] > 0.0

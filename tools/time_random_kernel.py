@@ -8,20 +8,24 @@ and gathers nothing. The script prints one JSON line: the numpy version, the
 settings and, per prize count in ``PRIZE_COUNTS``, the median of ``REPEAT``
 timings in seconds (``k1000_s``, ...) and the median of the minor page faults
 the process made during each timing (``k1000_minflt``, ...), which tell a
-timing that paid for fresh memory from one that did not. The script keeps the
-C library's default allocator settings, which a plsim run changes (see
-``experiments.keep_freed_memory``), so its timings compare across checkouts:
-run it alternately with each one's ``src`` on ``PYTHONPATH``.
+timing that paid for fresh memory from one that did not. Per prize count it
+also reports the traced peak, in MiB, of one untimed ``drawing.payouts`` pass
+over the same drawings (``k1000_peak_mib``, ...), taken under
+``tracemalloc`` after the timings so that they stay as they were. The script
+keeps the C library's default allocator settings, which a plsim run changes
+(see ``experiments.keep_freed_memory``), so its timings compare across
+checkouts: run it alternately with each one's ``src`` on ``PYTHONPATH``.
 """
 
 import json
 import resource
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
-from plsim.drawing import PrizeSchedule, winner_blocks
+from plsim.drawing import PrizeSchedule, payouts, winner_blocks
 from plsim.pareto import ParetoParams
 from plsim.population import generate
 
@@ -33,6 +37,17 @@ PRIZE_COUNTS = (1000, 500, 100, 10)
 
 def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def peak_mib(pop, sched) -> float:
+    """Traced peak of one ``payouts`` pass over ``DRAWS`` drawings."""
+    tracemalloc.start()
+    try:
+        payouts(pop, sched, "random", np.random.default_rng(1), DRAWS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
 
 
 def main():
@@ -52,6 +67,7 @@ def main():
             faults.append(minor_faults() - before)
         record[f"k{k}_s"] = statistics.median(times)
         record[f"k{k}_minflt"] = statistics.median(faults)
+        record[f"k{k}_peak_mib"] = round(peak_mib(pop, sched), 3)
     print(json.dumps(record))
 
 
