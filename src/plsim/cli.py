@@ -200,11 +200,10 @@ def _with_experiment_options(func):
 def _experiment(name: str, protocol, config, threads: int, out: str,
                 json_out: str | None):
     """The run and its outputs, opened before the run and committed after
-    it; the progress line is printed once the protocol has sized its
-    result. The commands pass ``experiments.run_*`` as looked up when they
-    run, not at import, so a wrapper installed on ``experiments`` in the
-    meantime sees the call."""
-    experiments.require_caps(config, name == "caps")
+    it; the progress line is printed once the protocol has checked the
+    config's caps and sized its result. The commands pass
+    ``experiments.run_*`` as looked up when they run, not at import, so a
+    wrapper installed on ``experiments`` in the meantime sees the call."""
     variants = (f"{len(config.schedules)} schedules" if config.caps is None
                 else f"caps {','.join(f'{c:g}' for c in config.caps)}")
     progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "

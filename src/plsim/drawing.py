@@ -96,8 +96,7 @@ def expected_payout(pop: AccountPopulation, sched: PrizeSchedule,
                     cap: float = math.inf) -> float:
     """count * multiple * mean balance, with every balance truncated at
     ``cap``; exact for both mechanisms because every account is equally
-    likely to win each prize. The capped mean is the one ``apply_cap``
-    gives, without building the capped population.
+    likely to win each prize.
     """
     mean = pop.mean if cap == math.inf else float(np.minimum(pop.balances, cap).mean())
     return sched.count * sched.multiple * mean

@@ -392,7 +392,7 @@ def keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def require_caps(config: ExperimentConfig, wanted: bool) -> None:
+def _require_caps(config: ExperimentConfig, wanted: bool) -> None:
     """Refuse a config of the other experiment: the cap experiment needs
     caps, the bracketing experiment takes none."""
     if wanted != (config.caps is not None):
@@ -405,14 +405,14 @@ def run_bracketing(config: ExperimentConfig, workers: int = 1,
     """Execute the bracketing protocol; deterministic for a fixed master seed
     regardless of ``workers``. ``on_start``, if given, is called with no
     arguments once the result is sized, before the first run."""
-    require_caps(config, False)
+    _require_caps(config, False)
     return _run(config, workers, on_start)
 
 
 def run_caps(config: ExperimentConfig, workers: int = 1, on_start=None) -> Result:
     """Execute the cap protocol; deterministic for a fixed master seed
     regardless of ``workers``. ``on_start`` as for ``run_bracketing``."""
-    require_caps(config, True)
+    _require_caps(config, True)
     return _run(config, workers, on_start)
 
 

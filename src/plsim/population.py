@@ -1,4 +1,4 @@
-"""Account populations: Pareto generation, balance caps, summary statistics."""
+"""Account populations: Pareto generation, summary statistics, the float64 range."""
 
 from __future__ import annotations
 
@@ -87,13 +87,3 @@ def require_float64_range(params: ParetoParams, n: int, multiple: float) -> None
         raise ValueError(f"{n} accounts of Pareto {params.label()} at prize multiple "
                          f"{multiple:g} can overflow float64")
 
-
-def apply_cap(pop: AccountPopulation, cap: float) -> AccountPopulation:
-    """Truncate every balance at ``cap`` and recompute the mean.
-
-    Returns a new population; the input is never modified, so one sample can
-    be evaluated at several cap levels.
-    """
-    if not cap > 0.0:
-        raise ValueError("cap must be positive")
-    return AccountPopulation.from_balances(np.minimum(pop.balances, cap))

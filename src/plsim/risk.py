@@ -1,8 +1,8 @@
-"""Scaled payout distributions, empirical VaR approximations, comparisons.
+"""VaR order statistics and the comparisons of per-run values.
 
-Payouts are scaled by the expected payout (count * multiple * mean balance),
-so 1.0 means a drawing cost exactly its expectation. VaR at level q is read
-off the ascending order statistics: the k-th smallest with
+A run scales its payouts by the expected payout (count * multiple * mean
+balance), so 1.0 means a drawing cost exactly its expectation. VaR at level
+q is read off the ascending order statistics: the k-th smallest with
 k = round((1 - q) * draws). The single exception is the level whose
 resolution equals the whole distribution (q * draws == 1, e.g. 0.01% of
 10,000 draws or 0.1% of 1,000 draws): there the maximum is reported.
@@ -12,42 +12,10 @@ sorting raw payouts and scaling the k-th smallest gives the same float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # float-roundoff guard when testing q * draws against the resolution limit
 _LEVEL_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class PayoutDistribution:
-    """Ascending payout/expected ratios from repeated drawings."""
-
-    scaled_payouts: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.scaled_payouts, dtype=float)
-        if arr.ndim != 1:
-            raise ValueError("scaled payouts must be 1-D")
-        if np.any(arr <= 0.0):
-            raise ValueError("scaled payouts must be positive")
-        if np.any(np.diff(arr) < 0.0):
-            raise ValueError("scaled payouts must be sorted ascending")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "scaled_payouts", arr)
-
-    @property
-    def draws(self) -> int:
-        return int(self.scaled_payouts.size)
-
-
-def scale(payouts, expected: float) -> PayoutDistribution:
-    """Divide payouts by the expected payout and sort ascending."""
-    if not expected > 0.0:
-        raise ValueError("expected payout must be positive")
-    return PayoutDistribution(np.sort(np.asarray(payouts, dtype=float) / expected))
 
 
 def var_rank(draws: int, level: float) -> int:
@@ -66,12 +34,6 @@ def var_rank(draws: int, level: float) -> int:
         return draws - 1
     k = int(round((1.0 - level) * draws))
     return min(max(k, 1), draws) - 1
-
-
-def var_approx(dist: PayoutDistribution, level: float) -> float:
-    """Empirical VaR approximation at the given tail probability: the
-    payout at ``var_rank``."""
-    return float(dist.scaled_payouts[var_rank(dist.draws, level)])
 
 
 def compare_percentage_higher(a, b) -> float:

@@ -786,10 +786,7 @@ def _experiment_args(draw_from):
     name, other = draw_from(st.permutations(["bracketing", "caps"]))
     config = draw_from(st.sampled_from([None, f"golden_{name}.json", f"golden_{name}.json",
                                         f"golden_{other}.json"]))
-    # an absurd run count is a valid, endless job: each run is small, and
-    # nothing is sized by the run count before the runs end
-    sizes = {"--runs": st.one_of(st.integers(1, 3), st.integers(-3, 0)).map(str),
-             "--draws": _sizes(50), "--accounts": _sizes(2_000)}
+    sizes = {"--runs": _sizes(3), "--draws": _sizes(50), "--accounts": _sizes(2_000)}
     optional = {"--seed": _sizes(10**6),
                 "--threads": _mostly(st.just("1"), st.sampled_from(["0", "-2", "two"]))}
     if name == "caps":

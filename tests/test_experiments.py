@@ -24,8 +24,8 @@ from plsim.experiments import (
     run_caps,
 )
 from plsim.pareto import ParetoParams
-from plsim.population import apply_cap, generate
-from plsim.risk import scale, var_approx
+from plsim.population import generate
+from plsim.risk import var_rank
 
 P104 = ParetoParams(1.04, 150.0)
 ROOT = Path(__file__).parent.parent
@@ -355,11 +355,12 @@ class TestCaps:
             np.random.SeedSequence(cfg.master_seed, spawn_key=(0, 1, 0)))
         blocks = winner_blocks(pop, cfg.schedules[0], "random", rng, 30)
         winners = np.concatenate([block for _, block in blocks])
-        capped_pop = apply_cap(pop, 2_000.0)
-        raw = capped_pop.balances[winners].sum(axis=1) * cfg.schedules[0].multiple
-        dist = scale(raw, expected_payout(capped_pop, cfg.schedules[0]))
+        sched = cfg.schedules[0]
+        capped = np.minimum(pop.balances, 2_000.0)
+        raw = np.sort(capped[winners].sum(axis=1) * sched.multiple)
+        expected = sched.count * sched.multiple * capped.mean()
         assert result.cell(0, 0.05).values[1][0] == pytest.approx(
-            var_approx(dist, 0.05), rel=1e-12)
+            raw[var_rank(30, 0.05)] / expected, rel=1e-12)
 
     def test_csv_shape(self):
         cfg = small_config(caps=(5000.0, 800.0))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plsim.pareto import ParetoParams, tail_fraction
-from plsim.population import AccountPopulation, apply_cap, generate, require_float64_range
+from plsim.population import AccountPopulation, generate, require_float64_range
 
 P104 = ParetoParams(1.04, 150.0)
 
@@ -68,56 +68,12 @@ def test_float64_range_bounds_accounts_times_largest_sample_times_multiple():
     assert pop.balances.max() <= 2.0**1000 * 2.0**(53 / 4)
 
 
-class TestApplyCap:
-    def test_direct_arithmetic(self):
-        pop = AccountPopulation.from_balances([100.0, 300.0, 900.0])
-        capped = apply_cap(pop, 500.0)
-        np.testing.assert_array_equal(capped.balances, [100.0, 300.0, 500.0])
-        assert capped.mean == pytest.approx(300.0)
-        assert capped.count == 3
-
-    def test_original_untouched(self):
-        pop = AccountPopulation.from_balances([100.0, 300.0, 900.0])
-        apply_cap(pop, 500.0)
-        np.testing.assert_array_equal(pop.balances, [100.0, 300.0, 900.0])
-        assert pop.mean == pytest.approx(1300.0 / 3.0)
-
-    def test_cap_above_max_is_identity(self):
-        pop = generate(P104, 1000, 11)
-        capped = apply_cap(pop, pop.balances.max())
-        np.testing.assert_array_equal(capped.balances, pop.balances)
-        assert capped.mean == pop.mean
-
-    def test_cap_below_scale_flattens(self):
-        pop = generate(P104, 100, 11)
-        capped = apply_cap(pop, 10.0)
-        assert np.all(capped.balances == 10.0)
-
-    def test_rejects_nonpositive_cap(self):
-        pop = generate(P104, 10, 1)
-        with pytest.raises(ValueError):
-            apply_cap(pop, 0.0)
-
-    def test_never_increases_and_idempotent(self):
-        pop = generate(P104, 5000, 13)
-        capped = apply_cap(pop, 5000.0)
-        assert np.all(capped.balances <= pop.balances)
-        assert capped.mean <= pop.mean
-        twice = apply_cap(capped, 5000.0)
-        np.testing.assert_array_equal(twice.balances, capped.balances)
-
-    def test_composition_equals_tighter_cap(self):
-        pop = generate(P104, 5000, 17)
-        via_two = apply_cap(apply_cap(pop, 10_000.0), 2_000.0)
-        direct = apply_cap(pop, 2_000.0)
-        np.testing.assert_array_equal(via_two.balances, direct.balances)
-
-    def test_capped_fraction_matches_survival(self):
-        # binomial sd of the capped fraction at n=1e5 is ~3.5e-4; the band
-        # below is ~5 sigma around the analytic survival probability
-        pop = generate(P104, 100_000, 2024)
-        frac = (pop.balances > 10_000.0).mean()
-        assert frac == pytest.approx(tail_fraction(P104, 10_000.0), abs=0.002)
+def test_capped_fraction_matches_survival():
+    # binomial sd of the capped fraction at n=1e5 is ~3.5e-4; the band
+    # below is ~5 sigma around the analytic survival probability
+    pop = generate(P104, 100_000, 2024)
+    frac = (pop.balances > 10_000.0).mean()
+    assert frac == pytest.approx(tail_fraction(P104, 10_000.0), abs=0.002)
 
 
 def test_sample_mean_spread_is_heavy_tailed():

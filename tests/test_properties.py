@@ -1,13 +1,19 @@
 """Invariants of the drawing kernels, the VaR reading, the config format and
-the CPT prize specs, checked over generated inputs."""
+the CPT prize specs, and every cell of a run against the exact payout law of
+a small population, checked over generated inputs."""
 
+import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
+from plsim import experiments
 from plsim.cpt import CptParams, FixedPrizeSpec, utility_fixed_growth
 from plsim.drawing import (
     MECHANISMS,
@@ -15,7 +21,6 @@ from plsim.drawing import (
     best_payout,
     bracket_bounds,
     draw,
-    expected_payout,
     payouts,
     worst_payout,
 )
@@ -27,8 +32,8 @@ from plsim.experiments import (
     run_caps,
 )
 from plsim.pareto import ParetoParams
-from plsim.population import AccountPopulation, apply_cap, generate
-from plsim.risk import scale, var_approx, var_rank
+from plsim.population import AccountPopulation, generate
+from plsim.risk import var_rank
 
 # small populations keep each example to milliseconds; up to 300 drawings
 # cross the 128-row block boundary of the batched kernels
@@ -81,6 +86,8 @@ def test_capped_rows_never_increase(case, caps):
     got = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws, caps)
     assert got.shape == (1 + len(caps), draws)
     assert np.all(got[1:] <= got[:-1])
+    for row, cap in zip(got[1:], caps):
+        assert np.all(row <= worst_payout(pop, sched, mechanism, cap) * (1 + 1e-12))
     uncapped = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws)
     assert np.array_equal(got[:1], uncapped)
 
@@ -96,41 +103,92 @@ def test_batched_payouts_equal_single_draws(case):
 
 
 @properties
-@given(drawings(), descending_caps)
-def test_capped_worst_payout_equals_worst_of_capped_population(case, caps):
-    pop, sched, mechanism, seed, draws = case
-    got = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws, caps)
-    assert np.all(got[0] <= worst_payout(pop, sched, mechanism) * (1 + 1e-12))
-    for row, cap in zip(got[1:], caps):
-        worst = worst_payout(pop, sched, mechanism, cap)
-        assert worst == worst_payout(apply_cap(pop, cap), sched, mechanism)
-        assert np.all(row <= worst * (1 + 1e-12))
-
-
-@properties
-@given(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=300),
+@given(st.integers(1, 10**6),
        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
                 min_size=2, max_size=6))
-def test_var_non_decreasing_as_level_falls(raw, levels):
-    dist = scale(raw, float(np.mean(raw)))
-    values = [var_approx(dist, level) for level in sorted(levels, reverse=True)]
-    assert all(lo <= hi for lo, hi in zip(values, values[1:]))
+def test_var_non_decreasing_as_level_falls(draws, levels):
+    ranks = [var_rank(draws, level) for level in sorted(levels, reverse=True)]
+    assert 0 <= ranks[0] and ranks[-1] < draws
+    assert all(lo <= hi for lo, hi in zip(ranks, ranks[1:]))
 
 
-@properties
-@given(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=300),
-       st.floats(1e-3, 1e6), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_var_of_sorted_raw_payouts_equals_var_of_scaled(raw, expected, level):
-    # the run sorts raw payouts and scales the order statistic it reads
-    got = np.sort(raw)[var_rank(len(raw), level)] / expected
-    assert got == var_approx(scale(raw, expected), level)
+@st.composite
+def exact_cases(draw_from, capped: bool):
+    """A config whose winner sets can all be enumerated, and a run index.
+    Capped configs have one to three caps, each placed between two of the
+    run's sorted balances, so that every cap binds."""
+    schedules = draw_from(st.lists(
+        st.builds(PrizeSchedule, st.integers(2, 4), st.floats(0.1, 100.0)),
+        min_size=1, max_size=2))
+    # n >= 4k keeps the random kernel on its batched replay
+    n = draw_from(st.integers(max(12, 4 * max(s.count for s in schedules)), 20))
+    run = draw_from(st.integers(0, 3))
+    config = ExperimentConfig(
+        pareto=ParetoParams(1.04, 150.0), n_accounts=n, schedules=tuple(schedules),
+        draws_per_run=draw_from(st.integers(200, 2_000)), runs=run + 1,
+        var_levels=tuple(draw_from(st.lists(st.sampled_from((0.05, 0.01, 0.001)),
+                                            min_size=1, unique=True))),
+        master_seed=draw_from(st.integers(0, 2**32)))
+    if capped:
+        # the run's population does not depend on the caps
+        balances = np.sort(experiments._population(config, run).balances)
+        at = draw_from(st.lists(st.integers(1, n - 1), min_size=1, max_size=3,
+                                unique=True))
+        caps = {float(balances[i - 1] + balances[i]) / 2 for i in at}
+        config = replace(config, caps=tuple(sorted(caps, reverse=True)))
+    return config, run
 
 
-@properties
-@given(drawings(), st.floats(100.0, 1e6) | st.just(math.inf))
-def test_expected_payout_at_cap_equals_that_of_capped_population(case, cap):
-    pop, sched, *_ = case
-    assert expected_payout(pop, sched, cap) == expected_payout(apply_cap(pop, cap), sched)
+def exact_scaled_payouts(balances, sched: PrizeSchedule, mechanism: str,
+                         cap: float) -> np.ndarray:
+    """Ascending payouts over the expected payout of every winner set, each
+    as likely as any other: every ``count`` of the sorted ``balances``
+    (random), or one from each bracket (bracketed), each balance truncated
+    at ``cap``."""
+    capped = [min(float(b), cap) for b in balances]
+    n, k = len(capped), sched.count
+    if mechanism == "random":
+        sets = itertools.combinations(capped, k)
+    else:
+        # the first n % k brackets take one extra account
+        size, extra = divmod(n, k)
+        bounds = list(itertools.accumulate(
+            [size + (i < extra) for i in range(k)], initial=0))
+        sets = itertools.product(*(capped[lo:hi] for lo, hi in zip(bounds, bounds[1:])))
+    expected = sched.count * sched.multiple * math.fsum(capped) / n
+    return np.sort([sched.multiple * math.fsum(won) / expected for won in sets])
+
+
+def exact_band(scaled: np.ndarray, draws: int, level: float, alpha: float = 1e-9):
+    """The values a run's VaR reading at ``level`` lies between, but for a
+    chance of at most ``alpha``, when its ``draws`` drawings follow the law
+    of ``scaled``: the j-th smallest of them is at most x with chance
+    P(Bin(draws, F(x)) >= j), j being ``var_rank`` + 1."""
+    support, counts = np.unique(scaled, return_counts=True)
+    at_most = binom.sf(var_rank(draws, level), draws, np.cumsum(counts) / scaled.size)
+    return (support[np.argmax(at_most > alpha / 2)],
+            support[np.argmax(at_most >= 1 - alpha / 2)])
+
+
+# each example enumerates up to C(20, 4) = 4,845 winner sets per variant
+@pytest.mark.parametrize("capped", [False, True], ids=["uncapped", "capped"])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_run_cells_match_the_exact_payout_law(capped, data):
+    config, run = data.draw(exact_cases(capped))
+    got = experiments._one_run(config, run)
+    balances = np.sort(experiments._population(config, run).balances)
+    variants = ([(mechanism, math.inf) for mechanism in MECHANISMS] if config.caps is None
+                else [("random", cap) for cap in (math.inf, *config.caps)])
+    for i, sched in enumerate(config.schedules):
+        for v, (mechanism, cap) in enumerate(variants):
+            scaled = exact_scaled_payouts(balances, sched, mechanism, cap)
+            where = (sched, mechanism, cap)
+            # 1e-12 allows for the order in which the engine sums
+            for j, level in enumerate(config.var_levels):
+                lo, hi = exact_band(scaled, config.draws_per_run, level)
+                assert lo * (1 - 1e-12) <= got[i, j, v] <= hi * (1 + 1e-12), (where, level)
+            assert math.isclose(got[i, -1, v], scaled[-1], rel_tol=1e-12), where
 
 
 @st.composite

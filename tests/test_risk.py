@@ -1,84 +1,30 @@
 import numpy as np
 import pytest
 
-from plsim.risk import (
-    PayoutDistribution,
-    compare_percentage_higher,
-    relative_difference,
-    scale,
-    std_dev,
-    var_approx,
-)
+from plsim.risk import compare_percentage_higher, relative_difference, std_dev, var_rank
 
 
-class TestScale:
-    def test_divides_by_expected(self):
-        dist = scale([7800.0], 3900.0)
-        np.testing.assert_array_equal(dist.scaled_payouts, [2.0])
-
-    def test_sorts_ascending(self):
-        dist = scale([3.0, 1.0, 2.0], 1.0)
-        np.testing.assert_array_equal(dist.scaled_payouts, [1.0, 2.0, 3.0])
-
-    def test_rejects_nonpositive_expected(self):
-        with pytest.raises(ValueError):
-            scale([1.0], 0.0)
-        with pytest.raises(ValueError):
-            scale([1.0], -5.0)
-
-    def test_distribution_validates_order(self):
-        with pytest.raises(ValueError):
-            PayoutDistribution(np.array([2.0, 1.0]))
-        with pytest.raises(ValueError):
-            PayoutDistribution(np.array([-1.0, 1.0]))
-
-
-class TestVarApprox:
+class TestVarRank:
     def test_order_statistic_convention(self):
-        dist = PayoutDistribution(np.arange(1.0, 10_001.0))
-        assert var_approx(dist, 0.05) == 9500.0
-        assert var_approx(dist, 0.01) == 9900.0
-        assert var_approx(dist, 0.001) == 9990.0
+        ranks = [var_rank(10_000, level) for level in (0.05, 0.01, 0.001)]
+        assert ranks == [9499, 9899, 9989]
         # topmost resolvable level reports the largest payout
-        assert var_approx(dist, 0.0001) == 10_000.0
+        assert var_rank(10_000, 0.0001) == 9999
 
     def test_thousand_draw_convention(self):
-        dist = PayoutDistribution(np.arange(1.0, 1_001.0))
-        assert var_approx(dist, 0.05) == 950.0
-        assert var_approx(dist, 0.01) == 990.0
-        assert var_approx(dist, 0.001) == 1000.0
+        assert [var_rank(1_000, level) for level in (0.05, 0.01, 0.001)] == [949, 989, 999]
 
     def test_below_resolution_reports_maximum(self):
-        dist = PayoutDistribution(np.arange(1.0, 11.0))
-        assert var_approx(dist, 0.001) == 10.0
+        assert var_rank(10, 0.001) == 9
 
     def test_empty_distribution_rejected(self):
         with pytest.raises(ValueError):
-            var_approx(PayoutDistribution(np.array([])), 0.05)
+            var_rank(0, 0.05)
 
     def test_level_domain(self):
-        dist = PayoutDistribution(np.arange(1.0, 101.0))
         for bad in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                var_approx(dist, bad)
-
-    def test_monotone_in_level(self):
-        rng = np.random.default_rng(3)
-        dist = scale(rng.pareto(1.5, 5000) + 1.0, 1.0)
-        levels = [0.2, 0.1, 0.05, 0.01, 0.001]
-        values = [var_approx(dist, lvl) for lvl in levels]
-        assert all(a <= b for a, b in zip(values, values[1:]))
-        assert dist.scaled_payouts[0] <= values[0]
-        assert values[-1] <= dist.scaled_payouts[-1]
-
-    def test_scaling_commutes_with_var(self):
-        rng = np.random.default_rng(4)
-        payouts = rng.uniform(10.0, 500.0, 777)
-        expected = 123.4
-        for lvl in (0.05, 0.01):
-            direct = var_approx(scale(payouts, expected), lvl)
-            raw = var_approx(scale(payouts, 1.0), lvl)
-            assert direct == pytest.approx(raw / expected, rel=1e-12)
+                var_rank(100, bad)
 
 
 class TestComparisons:

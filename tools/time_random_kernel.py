@@ -11,10 +11,12 @@ the process made during each timing (``k1000_minflt``, ...), which tell a
 timing that paid for fresh memory from one that did not. Per prize count it
 also reports the traced peak, in MiB, of one untimed ``drawing.payouts`` pass
 over the same drawings (``k1000_peak_mib``, ...), taken under
-``tracemalloc`` after the timings so that they stay as they were. The script
-keeps the C library's default allocator settings, which a plsim run changes
-(see ``experiments.keep_freed_memory``), so its timings compare across
-checkouts: run it alternately with each one's ``src`` on ``PYTHONPATH``.
+``tracemalloc`` after the timings so that they stay as they were. Before
+timing, the script sets the allocator as a plsim run does
+(``experiments.keep_freed_memory``), so a timing measures the kernel, not
+whether the C library's default thresholds happened to hand its arrays back
+to the OS; its timings then compare across checkouts: run it alternately
+with each one's ``src`` on ``PYTHONPATH``.
 """
 
 import json
@@ -26,6 +28,7 @@ import tracemalloc
 import numpy as np
 
 from plsim.drawing import PrizeSchedule, payouts, winner_blocks
+from plsim.experiments import keep_freed_memory
 from plsim.pareto import ParetoParams
 from plsim.population import generate
 
@@ -51,6 +54,7 @@ def peak_mib(pop, sched) -> float:
 
 
 def main():
+    keep_freed_memory()
     pop = generate(ParetoParams(1.04, 150.0), ACCOUNTS, 0)
     record = {"numpy": np.__version__, "accounts": ACCOUNTS,
               "draws": DRAWS, "repeat": REPEAT}
