@@ -25,21 +25,23 @@ block is drawn, so at k = 1000 a call holds 1 MiB of winner indices, 1 MiB of
 gathered balances and, while a block is drawn, the kernel's scratch.
 
 Batched drawings return the same integers as drawing one at a time. The
-random kernel replays ``Generator.choice(n, k, replace=False,
-shuffle=False)``, which numpy runs as Floyd's algorithm (Bentley & Floyd, "A
-sample of brilliance", CACM 1987) for ``n <= 10_000`` or ``k <= n // 20``: slot
-i draws from [0, n-k+i] by Lemire's multiply-and-reject on one value of the
-bit generator's 32-bit stream, and takes n-k+i instead when an earlier slot
-already holds its draw. The replay reads that stream in bulk. From PCG64 it
-takes the halves of ``bit_generator.random_raw``, low half first, and keeps
-the half numpy buffers between 32-bit requests (``has_uint32``,
-``uinteger``) in the generator state by hand, so the state ends as the calls
-leave it; other bit generators are read through ``rng.integers(0, 2**32,
-dtype=np.uint32)``. It resolves the collisions vectorised by sorting uint32
-keys (draw << bits) | slot, bits the bit length of k, and calls ``choice``
-per drawing where ``n << bits > 2**32``. It relies on numpy internals that
-NEP 19 does not promise to keep, so the golden outputs are tied to the numpy
-version they were cut with.
+random kernel is Floyd's algorithm (Bentley & Floyd, "A sample of
+brilliance", CACM 1987) for every n and k: slot i draws from [0, n-k+i] by
+Lemire's multiply-and-reject on one value of the bit generator's 32-bit
+stream, and takes n-k+i instead when an earlier slot already holds its draw.
+Wherever numpy itself runs Floyd in ``Generator.choice(n, k, replace=False,
+shuffle=False)``, that is for ``n <= 10_000`` or ``k <= n // 20``, the
+kernel's winners equal that call's. It reads the stream in bulk. From PCG64
+it takes the halves of ``bit_generator.random_raw``, low half first, and
+keeps the half numpy buffers between 32-bit requests (``has_uint32``,
+``uinteger``) in the generator state by hand; other bit generators are read
+through ``rng.integers(0, 2**32, dtype=np.uint32)``. It resolves the
+collisions vectorised by sorting keys (draw << bits) | slot, bits the bit
+length of k, as uint32 where they fit and as uint64 otherwise. The
+population's uniforms and the bracketed kernel's offsets come from numpy's
+``Generator.random`` and ``Generator.integers``, whose streams NEP 19 does
+not promise to keep, so the golden outputs are tied to the numpy version
+they were cut with.
 """
 
 from __future__ import annotations
@@ -56,15 +58,6 @@ MECHANISMS = ("random", "bracketed")
 # drawings per block; a block costs rows x k x 8 B of int64 winner indices
 # and as much again gathered as float64, 1 MiB each at k = 1000
 _BATCH_ROWS = 128
-
-# the largest prize count on the replay, chosen to cover the paper's k = 1000:
-# there it beats one Generator.choice call per drawing 1.5x at n = 100,000 and
-# is about even (1.0-1.2x) at n = 4,000 to 10,000 and 2**22; at k = 2048 the
-# calls win at n = 8,192 (0.6-0.8x). Above this population Lemire rejections
-# (up to n / 2**32 of the raw values) get frequent enough for the calls to win
-_REPLAY_MAX_K = 1024
-_REPLAY_MAX_N = 2**24
-
 
 @dataclass(frozen=True)
 class PrizeSchedule:
@@ -205,21 +198,17 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
     winner sets, ``k`` of ``n`` accounts, of the next ``m <= _BATCH_ROWS``
     drawings.
 
-    Row d of successive ``rows`` results equals the d-th of successive calls
-    of ``rng.choice(n, k, replace=False, shuffle=False)``, and ``rng`` ends
-    in the state those calls leave it in. Where numpy does not use Floyd's
-    algorithm, or the replay is slower, ``rows`` makes those calls itself.
+    Successive ``rows`` results hold successive drawings of Floyd's
+    algorithm. Where numpy runs Floyd in ``rng.choice(n, k, replace=False,
+    shuffle=False)`` (``n <= 10_000`` or ``k <= n // 20``), row d equals the
+    d-th of successive such calls, and ``rng`` ends in the state they leave
+    it in, except at n == k: numpy reads no value for slot 0's one-value
+    range, and Lemire reads one. ``n`` may not exceed 2**32, the size of the
+    32-bit stream's range.
     """
-    floyd = n <= 10_000 or k <= n // 20
-    # the replay sorts its collision keys (draw << shift) | slot as uint32;
-    # where they do not fit, int64 keys made it slower than the calls
-    shift = k.bit_length()
-    # the calls also win on dense drawings (n < 4k), whose slots often collide
-    if (not floyd or k > _REPLAY_MAX_K or n > _REPLAY_MAX_N or n < 4 * k
-            or n << shift > 2**32):
-        return lambda m: np.array([rng.choice(n, size=k, replace=False, shuffle=False)
-                                   for _ in range(m)])
-
+    if n > 2**32:
+        raise ValueError(f"cannot draw from {n} accounts: the 32-bit stream "
+                         "draws from at most 2**32")
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
     # about one rejection per window, so a rejection recomputes little
     window = 2**32 // n
@@ -228,7 +217,7 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
     def rows(m: int) -> np.ndarray:
         block = np.empty((m, k), dtype=np.int64)
         draw_slots(block.ravel())
-        _floyd(block, n, top, shift)
+        _floyd(block, n, top)
         return block
 
     return rows
@@ -276,23 +265,29 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     return draw_slots
 
 
-def _floyd(block: np.ndarray, n: int, top: np.ndarray, shift: int) -> None:
+def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
     """Floyd's collision rule on a block of row-wise draws, in place: slot i
     takes ``top[i]`` when its draw is already held, that is when it repeats
     an earlier draw of the row, or equals ``top[p]`` for an earlier slot p
-    that took ``top[p]``."""
+    that took ``top[p]``.
+
+    Repeats are found by sorting each row's keys (draw << shift) | slot;
+    uint32 keys sort faster, and uint64 holds those that do not fit."""
     k = top.size
+    shift = k.bit_length()
     flat = block.ravel()
     held = np.zeros(flat.size, dtype=bool)
-    keyed = block.astype(np.uint32)
+    key = np.uint32 if n << shift <= 2**32 else np.uint64
+    keyed = block.astype(key)
     keyed <<= shift
-    keyed |= np.arange(k, dtype=np.uint32)
+    keyed |= np.arange(k, dtype=key)
     at = np.flatnonzero(keyed >= (n - k) << shift)  # draws >= n - k, unsorted
     keyed.sort(axis=1)
     keys = keyed.ravel()
     repeat = np.flatnonzero((keys[1:] ^ keys[:-1]) < 1 << shift)
     repeat = repeat[repeat % k != k - 1]  # the last and first key of two rows
-    held[repeat - repeat % k + (keys[repeat + 1] & (1 << shift) - 1)] = True
+    slot = (keys[repeat + 1] & (1 << shift) - 1).astype(np.intp)
+    held[repeat - repeat % k + slot] = True
     src = at - at % k + flat[at] - (n - k)  # where top[flat[at]] would sit
     at, src = at[src < at], src[src < at]
     while True:

@@ -259,85 +259,103 @@ def batched_rows(rng, n, k, rows):
 
 
 def choice_loop(rng, n, k, rows):
-    """The per-drawing reference the batched random kernel must reproduce."""
+    """The per-drawing numpy call the batched random kernel reproduces where
+    numpy runs Floyd's algorithm."""
     out = np.empty((rows, k), dtype=np.int64)
     for row in out:
         row[:] = rng.choice(n, size=k, replace=False, shuffle=False)
     return out
 
 
-class CountingGenerator:
-    """A Generator's ``bit_generator``, ``integers`` and ``choice``, counting
-    ``choice`` calls."""
+def numpy_runs_floyd(n, k):
+    """Where ``Generator.choice(n, k, replace=False)`` uses Floyd's algorithm
+    and not a partial shuffle."""
+    return n <= 10_000 or k <= n // 20
 
-    def __init__(self, rng):
-        self.rng, self.choice_calls = rng, 0
 
-    @property
-    def bit_generator(self):
-        return self.rng.bit_generator
-
-    def integers(self, *args, **kwargs):
-        return self.rng.integers(*args, **kwargs)
-
-    def choice(self, *args, **kwargs):
-        self.choice_calls += 1
-        return self.rng.choice(*args, **kwargs)
+def floyd_loop(rng, n, k, rows):
+    """Floyd's algorithm one drawing and one slot at a time: slot i draws
+    from [0, n - k + i] by Lemire's multiply-and-reject on the next value of
+    the 32-bit stream, and takes n - k + i when an earlier slot holds its
+    draw."""
+    # a value is rejected with probability below n / 2**32, so twice the
+    # slots' count of values is ample
+    raw = iter(drawing._raw32(rng, 2 * rows * k).tolist())
+    out = np.empty((rows, k), dtype=np.int64)
+    for row in out:
+        held = set()
+        for i in range(k):
+            size = n - k + i + 1
+            product = next(raw) * size
+            while product % 2**32 < 2**32 % size:
+                product = next(raw) * size
+            j = product >> 32
+            if j in held:
+                j = n - k + i
+            held.add(j)
+            row[i] = j
+    return out
 
 
 class TestBatchedKernelsExact:
     ROWS = 2 * drawing._BATCH_ROWS + 3
-    CROSSOVER = drawing._REPLAY_MAX_K
 
     @pytest.mark.parametrize("n, k", [
-        (20, 19), (20, 20), (1, 1), (40, 10), (50, 7), (2_000, 500), (10_000, 500),
-        (10_001, 500),
-        (100_000, CROSSOVER - 1), (100_000, CROSSOVER), (100_000, CROSSOVER + 1),
+        (20, 19), (20, 20), (1, 1), (100, 99), (1000, 1000), (5_000, 2_000),
+        (10_000, 9_999),  # dense drawings, n < 4k
+        (40, 10), (50, 7), (2_000, 500), (10_000, 500),
+        (10_001, 500),  # numpy's last Floyd prize count at this population
+        (100_000, 1023), (100_000, 1024), (100_000, 1025), (100_000, 2048),
         (2**24, 10),  # large range: Lemire rejections in most batches
         (100_000, 511), (100_000, 512), (100_000, 513),  # the key shift widens
         (100_000, 1000),  # the paper's largest schedule
-        (2**22, 1000), (2**22 + 1, 1000),  # the last uint32 key; the calls
+        (2**22, 1000), (2**22 + 1, 1000),  # the last population with uint32 keys
         (2**23, 1000),  # half of its keys would overflow uint32
-        (2**24, 255), (2**24, 256),  # the same at the largest replayed population
+        (2**24, 255), (2**24, 256), (2**25, 100), (2**26, 1000),
+        (2**32, 2),  # the largest population: slot 1 takes the raw value as is
     ])
     def test_random_rows_equal_choice_loop(self, n, k):
+        assert numpy_runs_floyd(n, k)
         for seed in (0, 1):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
             rows = batched_rows(rng, n, k, self.ROWS)
             assert np.array_equal(rows, choice_loop(ref, n, k, self.ROWS))
-            # both leave the generator in the same state
-            assert rng.integers(2**63) == ref.integers(2**63)
+            # both leave the generator in the same state, except where n == k:
+            # numpy reads no value for slot 0's one-value range, Lemire one
+            if n > k:
+                assert rng.integers(2**63) == ref.integers(2**63)
 
-    def test_outside_floyd_regime_falls_back(self):
-        # numpy tail-shuffles when n > 10_000 and k > n // 20
-        n, k = 10_001, 501
-        assert k <= drawing._REPLAY_MAX_K
-        rows = batched_rows(np.random.default_rng(3), n, k, 5)
-        assert np.array_equal(rows, choice_loop(np.random.default_rng(3), n, k, 5))
+    @pytest.mark.parametrize("n, k", [(20, 19), (50, 7), (10_000, 500), (100_000, 100)])
+    def test_floyd_loop_equals_choice_loop(self, n, k):
+        # the reference agrees with numpy wherever numpy runs Floyd
+        assert numpy_runs_floyd(n, k)
+        assert np.array_equal(floyd_loop(np.random.default_rng(2), n, k, self.ROWS),
+                              choice_loop(np.random.default_rng(2), n, k, self.ROWS))
 
-    @pytest.mark.parametrize("n, k, replayed", [
-        (100_000, 10, True), (100_000, 100, True), (100_000, 500, True),
-        (100_000, 1000, True), (100_000, CROSSOVER + 1, False),
-        (2**22, 1000, True), (2**22 + 1, 1000, False),
-        (2**24, 255, True), (2**24, 256, False),  # keys that do not fit uint32
-    ])
-    def test_replay_serves_prize_counts_up_to_its_crossover(self, n, k, replayed):
-        rng = CountingGenerator(np.random.default_rng(0))
-        batched_rows(rng, n, k, 3)
-        assert (rng.choice_calls == 0) == replayed
+    @pytest.mark.parametrize("n, k", [(10_001, 501), (20_000, 1500)])
+    def test_random_rows_equal_floyd_loop_where_numpy_shuffles(self, n, k):
+        assert not numpy_runs_floyd(n, k)
+        rows = batched_rows(np.random.default_rng(3), n, k, self.ROWS)
+        assert np.array_equal(rows, floyd_loop(np.random.default_rng(3), n, k, self.ROWS))
 
-    @pytest.mark.parametrize("k", [10, 513, CROSSOVER + 1])
+    def test_refuses_populations_beyond_the_32_bit_stream(self):
+        # Lemire's window 2**32 // n would be 0; nothing is allocated
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            drawing._random_rows(np.random.default_rng(0), 2**32 + 1, 1)
+
+    @pytest.mark.parametrize("k", [10, 513, 1025])
     def test_random_payouts_equal_per_drawing_sums(self, k):
         pop = generate(ParetoParams(1.04, 150.0), 20_000, 59)
         sched = PrizeSchedule(k, 3.0)
-        rng = np.random.default_rng(61)
+        # numpy shuffles at k = 1025 > 20_000 // 20, so the reference is Floyd's
+        loop = choice_loop if numpy_runs_floyd(pop.count, k) else floyd_loop
         ref = np.array([pop.balances[row].sum()
-                        for row in choice_loop(rng, pop.count, k, self.ROWS)])
+                        for row in loop(np.random.default_rng(61), pop.count, k, self.ROWS)])
         got = payouts(pop, sched, "random", np.random.default_rng(61), self.ROWS)[0]
         assert np.array_equal(got, ref * sched.multiple)
         matrix = winner_matrix(pop, sched, np.random.default_rng(61), self.ROWS)
-        assert np.array_equal(matrix, choice_loop(np.random.default_rng(61), pop.count,
-                                                  k, self.ROWS))
+        assert np.array_equal(matrix, loop(np.random.default_rng(61), pop.count,
+                                           k, self.ROWS))
 
     @pytest.mark.parametrize("n, k", [(300, 6), (301, 6), (1000, 1000)])
     def test_bracketed_scalar_bound_equals_array_bound(self, n, k):
@@ -368,10 +386,11 @@ def state(rng):
 
 
 class TestRawStreamExact:
-    """The replay reads PCG64's 32-bit stream as the halves of ``random_raw``
-    and keeps the buffered half (``has_uint32``, ``uinteger``) by hand; other
-    bit generators are read through ``integers``. Blocks and the whole
-    generator state must equal successive ``choice`` calls."""
+    """The random kernel reads PCG64's 32-bit stream as the halves of
+    ``random_raw`` and keeps the buffered half (``has_uint32``,
+    ``uinteger``) by hand; other bit generators are read through
+    ``integers``. Blocks and the whole generator state must equal successive
+    ``choice`` calls."""
 
     ROWS = 2 * drawing._BATCH_ROWS + 3
     BIT_GENERATORS = [np.random.PCG64, np.random.MT19937]

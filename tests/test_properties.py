@@ -120,8 +120,9 @@ def exact_cases(draw_from, capped: bool):
     schedules = draw_from(st.lists(
         st.builds(PrizeSchedule, st.integers(2, 4), st.floats(0.1, 100.0)),
         min_size=1, max_size=2))
-    # n >= 4k keeps the random kernel on its batched replay
-    n = draw_from(st.integers(max(12, 4 * max(s.count for s in schedules)), 20))
+    # dense drawings (n < 4k) and n == k included: the random kernel has one
+    # path for every population and prize count
+    n = draw_from(st.integers(max(s.count for s in schedules), 20))
     run = draw_from(st.integers(0, 3))
     config = ExperimentConfig(
         pareto=ParetoParams(1.04, 150.0), n_accounts=n, schedules=tuple(schedules),
