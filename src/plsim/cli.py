@@ -29,7 +29,7 @@ import numpy as np
 from . import cpt, drawing, experiments
 from .drawing import PrizeSchedule, best_payout, draw, expected_payout, worst_payout
 from .pareto import ParetoParams, mean, quantile
-from .population import generate, require_float64_range
+from .population import generate, require_drawable
 
 TABLE1_PERCENTILES = (0.5, 0.9, 0.95, 0.99, 0.999, 0.9999)
 TABLE1_COLUMNS = ("alpha", "b", "mean", "median", "p90", "p95", "p99",
@@ -336,7 +336,7 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
     """Run a single drawing against a fresh population (debug tool)."""
     params = ParetoParams(alpha, b)
     sched = PrizeSchedule(prizes, multiple)
-    require_float64_range(params, accounts, multiple)
+    require_drawable(params, accounts, multiple)
 
     with _outputs(("--out", out), ("--dump-balances", dump_path)) as (stream, dump):
         rng = np.random.default_rng(seed)

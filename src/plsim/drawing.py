@@ -24,24 +24,14 @@ block in calls whose temporaries are freed when they return, before the next
 block is drawn, so at k = 1000 a call holds 1 MiB of winner indices, 1 MiB of
 gathered balances and, while a block is drawn, the kernel's scratch.
 
-Batched drawings return the same integers as drawing one at a time. The
-random kernel is Floyd's algorithm (Bentley & Floyd, "A sample of
-brilliance", CACM 1987) for every n and k: slot i draws from [0, n-k+i] by
-Lemire's multiply-and-reject on one value of the bit generator's 32-bit
-stream, and takes n-k+i instead when an earlier slot already holds its draw.
-Wherever numpy itself runs Floyd in ``Generator.choice(n, k, replace=False,
-shuffle=False)``, that is for ``n <= 10_000`` or ``k <= n // 20``, the
-kernel's winners equal that call's. It reads the stream in bulk. From PCG64
-it takes the halves of ``bit_generator.random_raw``, low half first, and
-keeps the half numpy buffers between 32-bit requests (``has_uint32``,
-``uinteger``) in the generator state by hand; other bit generators are read
-through ``rng.integers(0, 2**32, dtype=np.uint32)``. It resolves the
-collisions vectorised by sorting keys (draw << bits) | slot, bits the bit
-length of k, as uint32 where they fit and as uint64 otherwise. The
-population's uniforms and the bracketed kernel's offsets come from numpy's
-``Generator.random`` and ``Generator.integers``, whose streams NEP 19 does
-not promise to keep, so the golden outputs are tied to the numpy version
-they were cut with.
+Both kernels draw their integers in one routine, ``_lemire``: Lemire's
+multiply-and-reject on the 32-bit stream of a PCG64 generator, read in bulk
+from ``bit_generator.random_raw``. The random kernel is Floyd's algorithm
+(Bentley & Floyd, "A sample of brilliance", CACM 1987) for every n and k,
+batched: its winners equal drawing one at a time, and equal numpy's
+``Generator.choice(n, k, replace=False, shuffle=False)`` wherever that call
+runs Floyd. No ``Generator`` method draws for the engine, so its outputs rest
+on PCG64, ``SeedSequence`` and numpy's float operations alone.
 """
 
 from __future__ import annotations
@@ -51,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import AccountPopulation
+from .pareto import require_pcg64
+from .population import AccountPopulation, require_stream_range
 
 MECHANISMS = ("random", "bracketed")
 
@@ -121,6 +112,7 @@ def bracket_bounds(n: int, k: int) -> np.ndarray:
 def _check(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str):
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}, expected one of {MECHANISMS}")
+    require_stream_range(pop.count)
     if sched.count > pop.count:
         raise ValueError(
             f"cannot draw {sched.count} distinct winners from {pop.count} accounts"
@@ -133,6 +125,7 @@ def _kernel(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     returns the winners of the next ``m`` drawings as a fresh (m, count)
     array."""
     _check(pop, sched, mechanism)
+    require_pcg64(rng)
     kernel = _random_rows if mechanism == "random" else _bracketed_rows
     return kernel(rng, pop.count, sched.count)
 
@@ -203,20 +196,12 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
     shuffle=False)`` (``n <= 10_000`` or ``k <= n // 20``), row d equals the
     d-th of successive such calls, and ``rng`` ends in the state they leave
     it in, except at n == k: numpy reads no value for slot 0's one-value
-    range, and Lemire reads one. ``n`` may not exceed 2**32, the size of the
-    32-bit stream's range.
-    """
-    if n > 2**32:
-        raise ValueError(f"cannot draw from {n} accounts: the 32-bit stream "
-                         "draws from at most 2**32")
+    range, and Lemire reads one."""
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
-    # about one rejection per window, so a rejection recomputes little
-    window = 2**32 // n
-    draw_slots = _lemire(rng, top.astype(np.uint64) + 1, window)
+    draw = _lemire(rng, top + 1, 2**32 // n)
 
     def rows(m: int) -> np.ndarray:
-        block = np.empty((m, k), dtype=np.int64)
-        draw_slots(block.ravel())
+        block = draw(m)
         _floyd(block, n, top)
         return block
 
@@ -225,32 +210,36 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
 
 def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     """Lemire's multiply-and-reject, as numpy bounds a uint32 draw: returns
-    ``draw_slots``, which fills a flat run of whole rows, slot i of each row
-    drawn from ``[0, size[i])``, with the next draws of ``rng``'s 32-bit
-    stream, reading it at most ``window`` values at a time."""
+    ``draw``, where ``draw(m)`` gives a fresh (m, k) block, slot i of each
+    row drawn from ``[0, size[i])``, from the next values of ``rng``'s 32-bit
+    stream, read at most ``window`` values at a time. A one-value range
+    reads a value too. At ``window`` 2**32 // n, for ranges of at most n, a
+    window holds about one rejection, so a rejection recomputes little."""
+    size = np.asarray(size, dtype=np.uint64)
     k = size.size
     # range sizes and Lemire thresholds 2**32 % size, tiled over the rows one
-    # window can reach; the test runs on uint32, where raw * size wraps to
-    # the low word of the 64-bit product
-    tiled = min(_BATCH_ROWS, window // k + 2)
-    sizes = np.tile(size, tiled)
+    # window can reach, or one entry the ufuncs broadcast where all sizes are
+    # equal; the test runs on uint32, where raw * size wraps to the low word
+    equal = size.min() == size.max()
+    period, rows = (1, 1) if equal else (k, min(_BATCH_ROWS, window // k + 2))
+    sizes = np.tile(size[:period], rows)
     sizes32 = sizes.astype(np.uint32)
-    reject_below = np.tile((np.uint64(2**32) % size).astype(np.uint32), tiled)
+    reject_below = np.tile((2**32 % size[:period]).astype(np.uint32), rows)
     # the rejection test's scratch, reused by every window of every block
     low = np.empty(min(window, _BATCH_ROWS * k), dtype=np.uint32)
     rejected = np.empty(low.size, dtype=bool)
 
-    def draw_slots(flat: np.ndarray) -> None:
-        need = flat.size
-        product = flat.view(np.uint64)
+    def draw(m: int) -> np.ndarray:
+        block = np.empty((m, k), dtype=np.int64)
+        need, product = block.size, block.ravel().view(np.uint64)
         raw = _raw32(rng, need)
         pos = cur = 0
         while pos < need:
             if cur == raw.size:
                 raw, cur = _raw32(rng, need - pos), 0
-            # a window starts at slot pos % k and covers at most window + k
-            # table entries, which the tiled rows hold
-            span, at = min(raw.size - cur, window), pos % k
+            # a window starts at entry pos % period and covers at most
+            # window + period entries: the tiled rows, or the one entry
+            span, at = min(raw.size - cur, window), pos % period
             np.multiply(raw[cur:cur + span], sizes32[at:at + span], out=low[:span])
             np.less(low[:span], reject_below[at:at + span], out=rejected[:span])
             first = int(rejected[:span].argmax())
@@ -261,8 +250,9 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
             # numpy draws a rejecting slot again from the next raw value
             cur += taken + (taken < span)
         product >>= 32  # each accepted draw is the high word of its product
+        return block
 
-    return draw_slots
+    return draw
 
 
 def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
@@ -300,20 +290,13 @@ def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
 
 
 def _raw32(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` values of ``rng``'s 32-bit stream: the values of
+    """The next ``count`` values of PCG64's 32-bit stream, those of
     ``rng.integers(0, 2**32, size=count, dtype=np.uint32)``, leaving ``rng``
-    in the state that call leaves it in.
-
-    PCG64 makes two 32-bit values of each 64-bit output, low half first, and
-    buffers the high half in its state (``has_uint32``, ``uinteger``) until
-    the next 32-bit request. Reading the outputs with ``random_raw`` and
-    keeping that buffer by hand is faster than ``integers``. Other bit
-    generators order or buffer their halves differently and are read through
-    ``integers``.
-    """
+    in that call's state. PCG64 makes two of each 64-bit output, low half
+    first, and buffers the high half (``has_uint32``, ``uinteger``) until the
+    next 32-bit request; this reads the outputs with ``random_raw`` and keeps
+    that buffer by hand."""
     bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        return rng.integers(0, 2**32, size=count, dtype=np.uint32)
     carry = bitgen.state["has_uint32"]
     if carry:
         # the buffered half is the high half of the last output: step back
@@ -333,16 +316,16 @@ def _raw32(rng: np.random.Generator, count: int) -> np.ndarray:
 def _bracketed_rows(rng: np.random.Generator, n: int, k: int):
     """The bracketed kernel: returns ``rows``, where ``rows(m)`` gives the
     sorted-order positions of one winner per bracket for the next ``m``
-    drawings."""
+    drawings. Successive blocks of offsets into the brackets equal successive
+    ``rng.integers(0, sizes, size=(m, k))`` calls and leave ``rng`` in their
+    state, except that Lemire reads a value for a one-account bracket, where
+    numpy reads none."""
     bounds = bracket_bounds(n, k)
-    first = bounds[:-1]
-    # equal brackets: a scalar bound draws the same integers as the array of
-    # sizes, and numpy draws it faster
-    sizes = n // k if n % k == 0 else np.diff(bounds)
+    draw = _lemire(rng, np.diff(bounds), 2**32 // n)
 
     def rows(m: int) -> np.ndarray:
-        block = rng.integers(0, sizes, size=(m, k))
-        block += first
+        block = draw(m)
+        block += bounds[:-1]
         return block
 
     return rows

@@ -9,8 +9,8 @@ tail heaviness, scale ``b`` is the smallest possible value:
     survival       P(X > x) = (b / x)**alpha
     Gini           G = 1 / (2 * alpha - 1)
 
-All functions accept scalars or numpy arrays and are pure; the sampler's only
-state is the caller-owned generator.
+The distribution functions accept scalars or numpy arrays and are pure; the
+sampler draws arrays, and its only state is the caller-owned generator.
 """
 
 from __future__ import annotations
@@ -104,11 +104,23 @@ def tail_fraction(params: ParetoParams, x) -> float | np.ndarray:
     return _maybe_scalar((params.b / x_arr) ** params.alpha, x)
 
 
-def sample(params: ParetoParams, rng: np.random.Generator, size=None):
-    """Inverse-transform draw(s) through the quantile function.
+def require_pcg64(rng: np.random.Generator) -> np.random.PCG64:
+    """``rng``'s bit generator, refused unless PCG64: plsim reads its raw
+    outputs as numpy's methods do, and other bit generators' differ."""
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise ValueError(f"plsim draws from a PCG64 generator only, got {type(bitgen).__name__}")
+    return bitgen
 
-    Uniform draws come from ``rng.random`` on [0, 1), so u = 1 (an infinite
-    quantile) is unreachable and every sample is >= b.
-    """
-    u = rng.random() if size is None else rng.random(size)
+
+def sample(params: ParetoParams, rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` inverse-transform draws through the quantile function, from
+    the uniforms of ``rng.random(size)``: the top 53 bits of each PCG64
+    output times 2**-53, on [0, 1), so u = 1 (an infinite quantile) is
+    unreachable and every sample is >= b."""
+    raw = require_pcg64(rng).random_raw(size)
+    raw >>= 11
+    u = raw.view(np.float64)
+    np.copyto(u, raw)  # in place, element by element, where a ufunc would copy raw
+    u *= 2.0**-53
     return quantile(params, u)

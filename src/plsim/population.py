@@ -1,4 +1,4 @@
-"""Account populations: Pareto generation, summary statistics, the float64 range."""
+"""Account populations: Pareto generation, summary statistics, the drawable range."""
 
 from __future__ import annotations
 
@@ -61,26 +61,31 @@ class AccountPopulation:
 
 
 def generate(params: ParetoParams, n: int, seed) -> AccountPopulation:
-    """Draw ``n`` independent Pareto balances; deterministic for a fixed seed.
-
-    ``seed`` is anything ``numpy.random.default_rng`` accepts (int,
-    SeedSequence, or an existing Generator).
-    """
+    """Draw ``n`` independent Pareto balances; deterministic for a fixed
+    ``seed``: an int or SeedSequence, or an existing Generator on PCG64."""
     if n < 1:
         raise ValueError("population must contain at least one account")
     rng = np.random.default_rng(seed)
     return AccountPopulation.from_balances(sample(params, rng, n))
 
 
-def require_float64_range(params: ParetoParams, n: int, multiple: float) -> None:
+def require_stream_range(n: int) -> None:
+    """Refuse more accounts than the winner kernels' 32-bit stream can pick among."""
+    if n > 2**32:
+        raise ValueError(f"cannot draw from {n} accounts: the 32-bit stream "
+                         "draws from at most 2**32")
+
+
+def require_drawable(params: ParetoParams, n: int, multiple: float) -> None:
     """Refuse ``n`` balances of ``params``, paid out at ``multiple`` times a
-    sum of them, where float64 can overflow. No balance exceeds b * 2**(53 /
-    alpha), the quantile at the sampler's largest uniform 1 - 2**-53, so no
-    sum or payout exceeds n times that, times the multiple when above 1.
-    """
+    sum of them, before any is drawn: beyond the 32-bit stream's range, or
+    where float64 can overflow. No balance exceeds b * 2**(53 / alpha), the
+    quantile at the sampler's largest uniform 1 - 2**-53, so no sum or payout
+    exceeds n times that, times the multiple when above 1."""
     if n < 1:
         return  # generate refuses an empty population
-    # in bits, since an int n may be too large for a float
+    require_stream_range(n)
+    # in bits, so that the bound itself cannot overflow
     bits = (math.log2(n) + math.log2(params.b) + 53 / params.alpha
             + math.log2(max(1.0, multiple)))
     if bits >= 1024:  # float64 ends below 2**1024

@@ -602,6 +602,22 @@ class TestDrawCommand:
         [line] = result.stderr.splitlines()
         assert "can overflow float64" in line
 
+    def test_population_beyond_the_32_bit_stream_fails_with_one_line(
+            self, runner, monkeypatch):
+        # refused before the population, 32 GiB of balances, is drawn
+        def no_population(*args, **kwargs):
+            raise AssertionError("a population was drawn")
+
+        monkeypatch.setattr(cli, "generate", no_population)
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", str(2**32 + 1),
+            "--prizes", "3", "--multiple", "1"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"Error: cannot draw from {2**32 + 1} accounts: the 32-bit stream "
+            "draws from at most 2**32"]
+
     def test_invalid_inputs_fail(self, runner):
         assert runner.invoke(main, [
             "draw", "--alpha", "0.9", "--b", "150", "--accounts", "10",

@@ -7,6 +7,7 @@ from scipy import stats
 
 from plsim import drawing
 from plsim.drawing import (
+    MECHANISMS,
     PrizeSchedule,
     best_payout,
     bracket_bounds,
@@ -18,7 +19,7 @@ from plsim.drawing import (
     worst_payout,
 )
 from plsim.experiments import DEFAULT_CAPS
-from plsim.pareto import ParetoParams
+from plsim.pareto import ParetoParams, quantile
 from plsim.population import AccountPopulation, generate
 
 POP4 = AccountPopulation.from_balances([100.0, 200.0, 300.0, 400.0])
@@ -339,9 +340,12 @@ class TestBatchedKernelsExact:
         assert np.array_equal(rows, floyd_loop(np.random.default_rng(3), n, k, self.ROWS))
 
     def test_refuses_populations_beyond_the_32_bit_stream(self):
-        # Lemire's window 2**32 // n would be 0; nothing is allocated
-        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
-            drawing._random_rows(np.random.default_rng(0), 2**32 + 1, 1)
+        # Lemire's window 2**32 // n would be 0; a population of that count,
+        # built here without its balances, is refused before any draw
+        huge = AccountPopulation(balances=np.empty(0), mean=1.0, count=2**32 + 1)
+        for mechanism in MECHANISMS:
+            with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+                payouts(huge, PrizeSchedule(1, 1.0), mechanism, np.random.default_rng(0), 1)
 
     @pytest.mark.parametrize("k", [10, 513, 1025])
     def test_random_payouts_equal_per_drawing_sums(self, k):
@@ -386,14 +390,15 @@ def state(rng):
 
 
 class TestRawStreamExact:
-    """The random kernel reads PCG64's 32-bit stream as the halves of
-    ``random_raw`` and keeps the buffered half (``has_uint32``,
-    ``uinteger``) by hand; other bit generators are read through
-    ``integers``. Blocks and the whole generator state must equal successive
-    ``choice`` calls."""
+    """The engine reads every random number from PCG64's ``random_raw``: the
+    population's uniforms from whole outputs, and both kernels' bounded
+    integers from their halves, keeping the buffered half (``has_uint32``,
+    ``uinteger``) by hand. Values and the whole generator state must equal
+    the numpy calls they stand for: ``random``, successive ``choice`` calls
+    and successive ``integers`` calls."""
 
     ROWS = 2 * drawing._BATCH_ROWS + 3
-    BIT_GENERATORS = [np.random.PCG64, np.random.MT19937]
+    BIT_GENERATORS = [np.random.PCG64]
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", [0, 1])
@@ -445,6 +450,52 @@ class TestRawStreamExact:
                               ref.choice(pop.count, 7, replace=False, shuffle=False))
         assert state(rng) == state(ref)
 
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("n", [1, 1001, 100_000])
+    def test_population_equals_quantiles_of_random(self, buffered, n):
+        params = ParetoParams(1.04, 150.0)
+        rng, ref = (generator(np.random.PCG64, 17, buffered) for _ in range(2))
+        pop = generate(params, n, rng)
+        assert pop.balances.tobytes() == quantile(params, ref.random(n)).tobytes()
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("buffered", [0, 1])
+    @pytest.mark.parametrize("n, k", [
+        (300, 6), (2_000, 500), (100, 1), (2, 1),  # equal brackets
+        (301, 6), (10, 3), (100_001, 1000), (100_001, 7),  # unequal brackets
+        (100_000, 1000), (100_000, 500), (100_000, 100), (100_000, 10),  # the paper's
+        (2**31 + 1, 1),  # about half of the values are rejected
+        (2**32, 1),  # the largest bracket: each offset is a raw value as is
+    ])
+    def test_bracketed_blocks_and_state_equal_integers_calls(self, buffered, n, k):
+        rng, ref = (generator(np.random.PCG64, 19, buffered) for _ in range(2))
+        bounds = bracket_bounds(n, k)
+        rows = drawing._bracketed_rows(rng, n, k)
+        for _, m in drawing._spans(self.ROWS):
+            expected = ref.integers(0, np.diff(bounds), size=(m, k))
+            assert np.array_equal(rows(m), bounds[:-1] + expected)
+        assert state(rng) == state(ref)
+
+    def test_one_account_brackets_read_one_value_each(self):
+        # where numpy reads none: the one declared departure from integers
+        rng, ref = (generator(np.random.PCG64, 23, 0) for _ in range(2))
+        rows = drawing._bracketed_rows(rng, 5, 5)
+        assert np.array_equal(rows(3), np.tile(np.arange(5), (3, 1)))
+        ref.integers(0, 2**32, size=15, dtype=np.uint32)
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: generate(ParetoParams(1.04, 150.0), 10, rng),
+        lambda rng: draw(POP4, TWO_AT_100, "random", rng),
+        lambda rng: draw(POP4, TWO_AT_100, "bracketed", rng),
+        lambda rng: payouts(POP4, TWO_AT_100, "random", rng, 5),
+        lambda rng: payouts(POP4, TWO_AT_100, "bracketed", rng, 5),
+    ], ids=["generate", "draw-random", "draw-bracketed", "payouts-random",
+            "payouts-bracketed"])
+    def test_other_bit_generators_are_refused(self, call):
+        with pytest.raises(ValueError, match="PCG64 generator only, got MT19937"):
+            call(np.random.Generator(np.random.MT19937(0)))
+
 
 class TestPeakMemory:
     """A ``payouts`` call holds the arrays of one block of drawings at a time.
@@ -459,7 +510,12 @@ class TestPeakMemory:
     16 B per slot, 0.67 MiB) and their scratch (0.2 MiB) last the whole call.
     Its peak is block, keys and tables, 0.98 + 1.22 + 0.87 = 3.07 MiB, or
     block, gather and tables, 2.82 MiB, under the 4 MiB bound. The bracketed
-    kernel draws its block in place: block and gather, 1.95 MiB, under
+    kernel draws its block through the same Lemire routine, with the same
+    window. Its 1000 brackets of 100 accounts have one size, so its tables
+    hold one entry each, and only the window's scratch (0.2 MiB) lasts the
+    whole call. While a block is drawn it holds the block, the 64,000
+    raw outputs the block reads (0.49 MiB) and that scratch, 1.67 MiB; its
+    peak is block, gather and scratch, 0.98 + 0.98 + 0.2 = 2.15 MiB, under
     2.5 MiB. Keeping the previous block and its gather alive while the next
     block is drawn adds 1.95 MiB and breaks either bound.
     """

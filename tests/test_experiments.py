@@ -144,6 +144,12 @@ class TestConfig:
             small_config(master_seed=-1)
         assert small_config(master_seed=0).master_seed == 0
 
+    def test_populations_beyond_the_32_bit_stream_rejected(self):
+        # refused while the config is built, before any population is drawn
+        assert small_config(n_accounts=2**32).n_accounts == 2**32
+        with pytest.raises(ValueError, match="at most 2\\*\\*32"):
+            small_config(n_accounts=2**32 + 1)
+
     def test_unknown_fields_rejected(self):
         data = config_to_dict(small_config(caps=(1000.0,)))
         with pytest.raises(ValueError, match="'capz' in config"):

@@ -17,16 +17,6 @@ P104 = ParetoParams(1.04, 150.0)
 P112 = ParetoParams(1.12, 250.0)
 
 
-class FixedUniform:
-    """Stand-in generator returning a preset uniform value."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self, size=None):
-        return self.u if size is None else np.full(size, self.u)
-
-
 class TestParams:
     def test_rejects_infinite_mean_shape(self):
         with pytest.raises(ValueError):
@@ -143,12 +133,6 @@ class TestTailFraction:
 
 
 class TestSample:
-    def test_u_zero_gives_scale(self):
-        assert sample(P104, FixedUniform(0.0)) == 150.0
-
-    def test_u_half_gives_median(self):
-        assert sample(P104, FixedUniform(0.5)) == pytest.approx(292.11, abs=0.005)
-
     def test_all_samples_at_least_scale(self):
         rng = np.random.default_rng(5)
         xs = sample(P112, rng, size=100_000)

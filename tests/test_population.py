@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plsim.pareto import ParetoParams, tail_fraction
-from plsim.population import AccountPopulation, generate, require_float64_range
+from plsim.population import AccountPopulation, generate, require_drawable
 
 P104 = ParetoParams(1.04, 150.0)
 
@@ -59,11 +59,11 @@ def test_rejects_balances_summing_past_float64(balances):
 def test_float64_range_bounds_accounts_times_largest_sample_times_multiple():
     # no balance exceeds b * 2**(53 / alpha), here 2**1000 * 2**13.25
     params = ParetoParams(4.0, 2.0**1000)
-    require_float64_range(params, 2**10, 1.0)
-    require_float64_range(params, 2**9, 2.0)
+    require_drawable(params, 2**10, 1.0)
+    require_drawable(params, 2**9, 2.0)
     for n, multiple in ((2**11, 1.0), (2**9, 4.0)):
         with pytest.raises(ValueError, match="can overflow float64"):
-            require_float64_range(params, n, multiple)
+            require_drawable(params, n, multiple)
     pop = generate(params, 2**10, 5)
     assert pop.balances.max() <= 2.0**1000 * 2.0**(53 / 4)
 
