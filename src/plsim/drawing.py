@@ -26,12 +26,13 @@ gathered balances and, while a block is drawn, the kernel's scratch.
 
 Both kernels draw their integers in one routine, ``_lemire``: Lemire's
 multiply-and-reject on the 32-bit stream of a PCG64 generator, read in bulk
-from ``bit_generator.random_raw``. The random kernel is Floyd's algorithm
-(Bentley & Floyd, "A sample of brilliance", CACM 1987) for every n and k,
-batched: its winners equal drawing one at a time, and equal numpy's
+from ``bit_generator.random_raw`` after the half numpy buffers, with the
+generator state settled once per block. The random kernel is Floyd's
+algorithm (Bentley & Floyd, "A sample of brilliance", CACM 1987) for every n
+and k, batched: its winners equal drawing one at a time, and equal numpy's
 ``Generator.choice(n, k, replace=False, shuffle=False)`` wherever that call
 runs Floyd. No ``Generator`` method draws for the engine, so its outputs rest
-on PCG64, ``SeedSequence`` and numpy's float operations alone.
+on PCG64, ``SeedSequence`` and numpy's float operations.
 """
 
 from __future__ import annotations
@@ -214,7 +215,10 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     row drawn from ``[0, size[i])``, from the next values of ``rng``'s 32-bit
     stream, read at most ``window`` values at a time. A one-value range
     reads a value too. At ``window`` 2**32 // n, for ranges of at most n, a
-    window holds about one rejection, so a rejection recomputes little."""
+    window holds about one rejection, so a rejection recomputes little. Each
+    block reads the generator state once before it and writes it once after,
+    so values and state equal numpy's own 32-bit reads."""
+    bitgen = rng.bit_generator
     size = np.asarray(size, dtype=np.uint64)
     k = size.size
     # range sizes and Lemire thresholds 2**32 % size, tiled over the rows one
@@ -232,14 +236,17 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     def draw(m: int) -> np.ndarray:
         block = np.empty((m, k), dtype=np.int64)
         need, product = block.size, block.ravel().view(np.uint64)
-        raw = _raw32(rng, need)
+        # numpy's buffered half, if any, is the stream's next value
+        state = bitgen.state
+        raw = np.full(state["has_uint32"], state["uinteger"], dtype=np.uint32)
         pos = cur = 0
         while pos < need:
             if cur == raw.size:
-                raw, cur = _raw32(rng, need - pos), 0
+                raw, cur = _halves(bitgen, need - pos), 0
             # a window starts at entry pos % period and covers at most
-            # window + period entries: the tiled rows, or the one entry
-            span, at = min(raw.size - cur, window), pos % period
+            # window + period entries: the tiled rows, or the one entry; a
+            # read may hold one half more than the block needs
+            span, at = min(raw.size - cur, window, need - pos), pos % period
             np.multiply(raw[cur:cur + span], sizes32[at:at + span], out=low[:span])
             np.less(low[:span], reject_below[at:at + span], out=rejected[:span])
             first = int(rejected[:span].argmax())
@@ -250,6 +257,10 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
             # numpy draws a rejecting slot again from the next raw value
             cur += taken + (taken < span)
         product >>= 32  # each accepted draw is the high word of its product
+        # a half left over stays buffered; a used one stays behind as uinteger
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = raw.size - cur, int(raw[-1])
+        bitgen.state = state
         return block
 
     return draw
@@ -289,28 +300,11 @@ def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
     flat[took_top] = top[took_top % k]
 
 
-def _raw32(rng: np.random.Generator, count: int) -> np.ndarray:
-    """The next ``count`` values of PCG64's 32-bit stream, those of
-    ``rng.integers(0, 2**32, size=count, dtype=np.uint32)``, leaving ``rng``
-    in that call's state. PCG64 makes two of each 64-bit output, low half
-    first, and buffers the high half (``has_uint32``, ``uinteger``) until the
-    next 32-bit request; this reads the outputs with ``random_raw`` and keeps
-    that buffer by hand."""
-    bitgen = rng.bit_generator
-    carry = bitgen.state["has_uint32"]
-    if carry:
-        # the buffered half is the high half of the last output: step back
-        # one output (a full period less one) and read it again, which is
-        # cheaper than prepending the half to a copy of the rest
-        bitgen.advance(2**128 - 1)
-    words = bitgen.random_raw((count + carry + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<u4")
-    state = bitgen.state
-    # a half left over stays buffered; a used one stays behind as uinteger
-    state["has_uint32"] = halves.size - carry - count
-    state["uinteger"] = int(halves[-1])
-    bitgen.state = state
-    return halves[carry:carry + count]
+def _halves(bitgen: np.random.PCG64, count: int) -> np.ndarray:
+    """The next ``count`` values of PCG64's 32-bit stream, and one more when
+    ``count`` is odd: each output's two halves, low half first. The caller
+    keeps numpy's buffered half (``has_uint32``, ``uinteger``)."""
+    return bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
 
 
 def _bracketed_rows(rng: np.random.Generator, n: int, k: int):

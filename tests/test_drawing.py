@@ -281,7 +281,7 @@ def floyd_loop(rng, n, k, rows):
     draw."""
     # a value is rejected with probability below n / 2**32, so twice the
     # slots' count of values is ample
-    raw = iter(drawing._raw32(rng, 2 * rows * k).tolist())
+    raw = iter(rng.integers(0, 2**32, size=2 * rows * k, dtype=np.uint32).tolist())
     out = np.empty((rows, k), dtype=np.int64)
     for row in out:
         held = set()
@@ -404,10 +404,14 @@ class TestRawStreamExact:
     @pytest.mark.parametrize("buffered", [0, 1])
     @pytest.mark.parametrize("count", [1, 2, 3, 1000, 1001])
     def test_raw32_equals_integers(self, bit_generator, buffered, count):
+        # a range of 2**32 never rejects and its draw is the raw value as is,
+        # so one block of `count` rows is the kernel's read of the 32-bit
+        # stream; a window of 64 splits the longer reads
         rng, ref = (generator(bit_generator, 5, buffered) for _ in range(2))
-        got = drawing._raw32(rng, count)
-        assert got.dtype == np.uint32
-        assert np.array_equal(got, ref.integers(0, 2**32, size=count, dtype=np.uint32))
+        got = drawing._lemire(rng, np.array([2**32], dtype=np.uint64), 64)(count)
+        assert got.shape == (count, 1)
+        assert np.array_equal(got[:, 0],
+                              ref.integers(0, 2**32, size=count, dtype=np.uint32))
         assert state(rng) == state(ref)
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
@@ -427,12 +431,12 @@ class TestRawStreamExact:
         # block redraws its rejected slots from a second read
         reads = []
 
-        def counted(rng, count):
+        def counted(bitgen, count):
             reads.append(count)
-            return raw32(rng, count)
+            return halves(bitgen, count)
 
-        raw32 = drawing._raw32
-        monkeypatch.setattr(drawing, "_raw32", counted)
+        halves = drawing._halves
+        monkeypatch.setattr(drawing, "_halves", counted)
         rng, ref = (generator(np.random.PCG64, 11, buffered) for _ in range(2))
         n, k = 2**22, 1000
         assert np.array_equal(batched_rows(rng, n, k, self.ROWS),
