@@ -10,6 +10,8 @@ computes, writes, and commits the outputs together. Data goes to --out
 A command fails in one place, ``_Main.invoke``: a refusal of bad input
 (ValueError), an allocation numpy cannot make (MemoryError) or a failed read
 or write (OSError) ends it with exit status 1 and one ``Error:`` line.
+
+``plsim.cpt`` loads only when the ``cpt`` command runs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import partial
 import click
 import numpy as np
 
-from . import cpt, drawing, experiments
+from . import drawing, experiments
 from .drawing import PrizeSchedule, best_payout, draw, expected_payout, worst_payout
 from .pareto import ParetoParams, mean, quantile
 from .population import generate, require_drawable
@@ -277,6 +279,8 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
 
     Grids with fewer than two points get values only (no differences).
     """
+    from . import cpt  # here, so that no other command loads it
+
     if points < 1:
         _fail("--points must be >= 1")
     for option, x in (("--x-min", x_min), ("--x-max", x_max)):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -431,6 +430,9 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
         for r in range(config.runs):
             data[r] = _one_run(config, r)
     else:
+        # here, so that a one-worker process never loads the pool's modules
+        from concurrent.futures import ProcessPoolExecutor
+
         # as initializer, so that workers started by spawn or forkserver,
         # which inherit no allocator settings, keep their memory too
         with ProcessPoolExecutor(max_workers=workers,

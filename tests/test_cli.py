@@ -138,6 +138,22 @@ class TestBracketingCommand:
         assert runner.invoke(main, args + ["--threads", "3", "--out", str(many)]).exit_code == 0
         assert one.read_bytes() == many.read_bytes()
 
+    def test_one_worker_loads_no_pool_and_no_cpt(self, tmp_path):
+        # a fresh interpreter, so that no other test has loaded them already
+        out = tmp_path / "b.csv"
+        script = (
+            "import sys, plsim, plsim.cli\n"
+            "plsim.cli.main(['bracketing', '--config', sys.argv[1], '--threads', '1',"
+            " '--out', sys.argv[2]], standalone_mode=False)\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing', 'plsim.cpt'}"
+            " & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(plsim.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(GOLDEN / "golden_bracketing.json"), str(out)],
+            capture_output=True, text=True, env=env, check=True)
+        assert done.stdout == "[]\n"
+        assert out.read_bytes() == (GOLDEN / "bracketing_small.csv").read_bytes()
+
     def test_smoke_run_completes(self, runner):
         result = runner.invoke(main, [
             "bracketing", "--runs", "1", "--draws", "10", "--accounts", "2000",

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 from pathlib import Path
@@ -223,7 +224,8 @@ class TestBracketing:
             def map(self, func, items):
                 return map(func, items)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        # _run imports the pool from concurrent.futures when it needs one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = small_config(runs=2)
         pooled = run_bracketing(cfg, workers=3).to_csv_string()
         assert pooled == run_bracketing(cfg, workers=1).to_csv_string()
