@@ -18,11 +18,13 @@ balances.
 Each mechanism draws its winners in one kernel, a function of the block
 height that returns a fresh block of winners; ``winner_blocks`` exposes it in
 blocks of drawings. ``payouts`` prices those blocks, uncapped and at each
-balance cap, and ``draw`` is a single drawing of the same kernel. One
-block's arrays are alive at a time: ``payouts`` draws, gathers and prices a
-block in calls whose temporaries are freed when they return, before the next
-block is drawn, so at k = 1000 a call holds 1 MiB of winner indices, 1 MiB of
-gathered balances and, while a block is drawn, the kernel's scratch.
+balance cap, and ``draw`` is a single drawing of the same kernel. A block
+holds at most ``_BLOCK_WINNERS`` winners, so its memory is bounded by that
+budget, not by the prize count. One block's arrays are alive at a time:
+``payouts`` draws, gathers and prices a block in calls whose temporaries are
+freed when they return, before the next block is drawn, so a call holds
+0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
+is drawn, the kernel's scratch: about 2 MiB at its peak at n = 100,000.
 
 Both kernels draw their integers in one routine, ``_lemire``: Lemire's
 multiply-and-reject on the 32-bit stream of a PCG64 generator, read in bulk
@@ -47,9 +49,10 @@ from .population import AccountPopulation, require_stream_range
 
 MECHANISMS = ("random", "bracketed")
 
-# drawings per block; a block costs rows x k x 8 B of int64 winner indices
-# and as much again gathered as float64, 1 MiB each at k = 1000
-_BATCH_ROWS = 128
+# winners per block of drawings: a block holds _BLOCK_WINNERS // k drawings
+# (at least one), so its int64 winner indices and their float64 gather cost
+# at most 0.49 MiB each at any prize count k up to 64,000
+_BLOCK_WINNERS = 64_000
 
 @dataclass(frozen=True)
 class PrizeSchedule:
@@ -121,33 +124,36 @@ def _check(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str):
 
 
 def _kernel(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
-            rng: np.random.Generator):
-    """The mechanism's winner kernel on ``pop``: a function of ``m`` that
+            rng: np.random.Generator, draws: int):
+    """The mechanism's winner kernel on ``pop`` for ``draws`` drawings, and
+    its block height: ``_BLOCK_WINNERS // count`` drawings, at least one and
+    at most ``draws``. The kernel is a function of ``m <= height`` that
     returns the winners of the next ``m`` drawings as a fresh (m, count)
     array."""
     _check(pop, sched, mechanism)
     require_pcg64(rng)
+    height = max(1, min(draws, _BLOCK_WINNERS // sched.count))
     kernel = _random_rows if mechanism == "random" else _bracketed_rows
-    return kernel(rng, pop.count, sched.count)
+    return kernel(rng, pop.count, sched.count, height), height
 
 
-def _spans(draws: int):
-    """``(first row, rows)`` of each block of at most ``_BATCH_ROWS``
-    drawings."""
-    return ((lo, min(_BATCH_ROWS, draws - lo)) for lo in range(0, draws, _BATCH_ROWS))
+def _spans(draws: int, height: int):
+    """``(first row, rows)`` of each block of at most ``height`` drawings."""
+    return ((lo, min(height, draws - lo)) for lo in range(0, draws, height))
 
 
 def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                   rng: np.random.Generator, draws: int):
     """Winners of ``draws`` drawings, yielded as ``(first row, block)`` with
-    at most ``_BATCH_ROWS`` drawings a block and one row per drawing.
+    one row per drawing and at most ``_BLOCK_WINNERS`` winners a block, or
+    one drawing where ``sched.count`` exceeds that.
 
     Entries index ``pop.balances`` for the random mechanism and
     ``pop.sorted_balances()`` for the bracketed one. Each block is a fresh
     array, which the caller may keep.
     """
-    rows = _kernel(pop, sched, mechanism, rng)
-    return ((lo, rows(m)) for lo, m in _spans(draws))
+    rows, height = _kernel(pop, sched, mechanism, rng, draws)
+    return ((lo, rows(m)) for lo, m in _spans(draws, height))
 
 
 def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -157,10 +163,10 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     Row 0 is uncapped; row i prices the same winners with every balance
     truncated at ``caps[i - 1]``. ``caps`` must be descending.
     """
-    rows = _kernel(pop, sched, mechanism, rng)
+    rows, height = _kernel(pop, sched, mechanism, rng, draws)
     won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
     out = np.empty((1 + len(caps), draws))
-    for lo, m in _spans(draws):
+    for lo, m in _spans(draws, height):
         # the block and its gather are arguments, not names of this loop, so
         # both are freed before the next block is drawn
         _price(np.take(won_from, rows(m)), caps, out[:, lo:lo + m])
@@ -187,9 +193,9 @@ def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                        payout=float(pop.balances[winners].sum() * sched.multiple))
 
 
-def _random_rows(rng: np.random.Generator, n: int, k: int):
+def _random_rows(rng: np.random.Generator, n: int, k: int, height: int):
     """The random kernel: returns ``rows``, where ``rows(m)`` gives the
-    winner sets, ``k`` of ``n`` accounts, of the next ``m <= _BATCH_ROWS``
+    winner sets, ``k`` of ``n`` accounts, of the next ``m <= height``
     drawings.
 
     Successive ``rows`` results hold successive drawings of Floyd's
@@ -199,7 +205,7 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
     it in, except at n == k: numpy reads no value for slot 0's one-value
     range, and Lemire reads one."""
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
-    draw = _lemire(rng, top + 1, 2**32 // n)
+    draw = _lemire(rng, top + 1, 2**32 // n, height)
 
     def rows(m: int) -> np.ndarray:
         block = draw(m)
@@ -209,28 +215,33 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
     return rows
 
 
-def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
+def _lemire(rng: np.random.Generator, size: np.ndarray, window: int,
+            height: int):
     """Lemire's multiply-and-reject, as numpy bounds a uint32 draw: returns
-    ``draw``, where ``draw(m)`` gives a fresh (m, k) block, slot i of each
-    row drawn from ``[0, size[i])``, from the next values of ``rng``'s 32-bit
-    stream, read at most ``window`` values at a time. A one-value range
-    reads a value too. At ``window`` 2**32 // n, for ranges of at most n, a
-    window holds about one rejection, so a rejection recomputes little. Each
-    block reads the generator state once before it and writes it once after,
-    so values and state equal numpy's own 32-bit reads."""
+    ``draw``, where ``draw(m)`` gives a fresh (m, k) block for ``m <=
+    height``, slot i of each row drawn from ``[0, size[i])``, from the next
+    values of ``rng``'s 32-bit stream, read at most ``window`` values at a
+    time. A one-value range reads a value too. At ``window`` 2**32 // n, for
+    ranges of at most n, a window holds about one rejection, so a rejection
+    recomputes little. The tables and scratch cover one window or one block,
+    whichever is smaller: about 43,000 entries for a block of 64,000 winners
+    at n = 100,000, and two rows for a single drawing. Each block reads the generator state once
+    before it and writes it once after, so values and state equal numpy's
+    own 32-bit reads."""
     bitgen = rng.bit_generator
     size = np.asarray(size, dtype=np.uint64)
     k = size.size
     # range sizes and Lemire thresholds 2**32 % size, tiled over the rows one
-    # window can reach, or one entry the ufuncs broadcast where all sizes are
-    # equal; the test runs on uint32, where raw * size wraps to the low word
+    # window or one block can reach, or one entry the ufuncs broadcast where
+    # all sizes are equal; the test runs on uint32, where raw * size wraps to
+    # the low word
     equal = size.min() == size.max()
-    period, rows = (1, 1) if equal else (k, min(_BATCH_ROWS, window // k + 2))
+    period, rows = (1, 1) if equal else (k, min(height + 1, window // k + 2))
     sizes = np.tile(size[:period], rows)
     sizes32 = sizes.astype(np.uint32)
     reject_below = np.tile((2**32 % size[:period]).astype(np.uint32), rows)
     # the rejection test's scratch, reused by every window of every block
-    low = np.empty(min(window, _BATCH_ROWS * k), dtype=np.uint32)
+    low = np.empty(min(window, height * k), dtype=np.uint32)
     rejected = np.empty(low.size, dtype=bool)
 
     def draw(m: int) -> np.ndarray:
@@ -307,15 +318,15 @@ def _halves(bitgen: np.random.PCG64, count: int) -> np.ndarray:
     return bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
 
 
-def _bracketed_rows(rng: np.random.Generator, n: int, k: int):
+def _bracketed_rows(rng: np.random.Generator, n: int, k: int, height: int):
     """The bracketed kernel: returns ``rows``, where ``rows(m)`` gives the
-    sorted-order positions of one winner per bracket for the next ``m``
-    drawings. Successive blocks of offsets into the brackets equal successive
-    ``rng.integers(0, sizes, size=(m, k))`` calls and leave ``rng`` in their
-    state, except that Lemire reads a value for a one-account bracket, where
-    numpy reads none."""
+    sorted-order positions of one winner per bracket for the next ``m <=
+    height`` drawings. Successive blocks of offsets into the brackets equal
+    successive ``rng.integers(0, sizes, size=(m, k))`` calls and leave
+    ``rng`` in their state, except that Lemire reads a value for a
+    one-account bracket, where numpy reads none."""
     bounds = bracket_bounds(n, k)
-    draw = _lemire(rng, np.diff(bounds), 2**32 // n)
+    draw = _lemire(rng, np.diff(bounds), 2**32 // n, height)
 
     def rows(m: int) -> np.ndarray:
         block = draw(m)

@@ -253,10 +253,15 @@ def winner_matrix(pop, sched, rng, draws):
     return np.concatenate([block for _, block in blocks])
 
 
+# the block height the Exact tests pass to the kernels in place of the
+# engine's own, so that their ROWS drawings span four full blocks and a short
+# one of 3 at every prize count
+HEIGHT = 64
+
+
 def batched_rows(rng, n, k, rows):
-    kernel = drawing._random_rows(rng, n, k)
-    return np.concatenate([kernel(min(drawing._BATCH_ROWS, rows - lo))
-                           for lo in range(0, rows, drawing._BATCH_ROWS)])
+    kernel = drawing._random_rows(rng, n, k, HEIGHT)
+    return np.concatenate([kernel(m) for _, m in drawing._spans(rows, HEIGHT)])
 
 
 def choice_loop(rng, n, k, rows):
@@ -299,7 +304,7 @@ def floyd_loop(rng, n, k, rows):
 
 
 class TestBatchedKernelsExact:
-    ROWS = 2 * drawing._BATCH_ROWS + 3
+    ROWS = 4 * HEIGHT + 3
 
     @pytest.mark.parametrize("n, k", [
         (20, 19), (20, 20), (1, 1), (100, 99), (1000, 1000), (5_000, 2_000),
@@ -361,6 +366,29 @@ class TestBatchedKernelsExact:
         assert np.array_equal(matrix, loop(np.random.default_rng(61), pop.count,
                                            k, self.ROWS))
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("k", [1000, 10])
+    def test_blocks_at_the_engine_budget_equal_numpy_calls(self, mechanism, k):
+        # the helpers above pass their own height; here the engine sizes its
+        # blocks, two full ones of _BLOCK_WINNERS // k drawings and one of 3
+        pop = generate(ParetoParams(1.04, 150.0), 20_000, 59)
+        sched = PrizeSchedule(k, 3.0)
+        height = drawing._BLOCK_WINNERS // k
+        draws = 2 * height + 3
+        rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+        blocks = list(winner_blocks(pop, sched, mechanism, rng, draws))
+        assert [len(block) for _, block in blocks] == [height, height, 3]
+        if mechanism == "random":
+            expected, won_from = choice_loop(ref, pop.count, k, draws), pop.balances
+        else:
+            bounds = bracket_bounds(pop.count, k)
+            expected = bounds[:-1] + ref.integers(0, np.diff(bounds), size=(draws, k))
+            won_from = pop.sorted_balances()
+        assert np.array_equal(np.concatenate([block for _, block in blocks]), expected)
+        assert state(rng) == state(ref)
+        got = payouts(pop, sched, mechanism, np.random.default_rng(61), draws)[0]
+        assert np.array_equal(got, won_from[expected].sum(axis=1) * sched.multiple)
+
     @pytest.mark.parametrize("n, k", [(300, 6), (301, 6), (1000, 1000)])
     def test_bracketed_scalar_bound_equals_array_bound(self, n, k):
         pop = generate(ParetoParams(1.12, 250.0), n, 67)
@@ -397,7 +425,7 @@ class TestRawStreamExact:
     the numpy calls they stand for: ``random``, successive ``choice`` calls
     and successive ``integers`` calls."""
 
-    ROWS = 2 * drawing._BATCH_ROWS + 3
+    ROWS = 4 * HEIGHT + 3
     BIT_GENERATORS = [np.random.PCG64]
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
@@ -408,7 +436,7 @@ class TestRawStreamExact:
         # so one block of `count` rows is the kernel's read of the 32-bit
         # stream; a window of 64 splits the longer reads
         rng, ref = (generator(bit_generator, 5, buffered) for _ in range(2))
-        got = drawing._lemire(rng, np.array([2**32], dtype=np.uint64), 64)(count)
+        got = drawing._lemire(rng, np.array([2**32], dtype=np.uint64), 64, count)(count)
         assert got.shape == (count, 1)
         assert np.array_equal(got[:, 0],
                               ref.integers(0, 2**32, size=count, dtype=np.uint32))
@@ -442,7 +470,7 @@ class TestRawStreamExact:
         assert np.array_equal(batched_rows(rng, n, k, self.ROWS),
                               choice_loop(ref, n, k, self.ROWS))
         assert state(rng) == state(ref)
-        assert len(reads) > len(range(0, self.ROWS, drawing._BATCH_ROWS))
+        assert len(reads) > len(range(0, self.ROWS, HEIGHT))
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", [0, 1])
@@ -474,8 +502,8 @@ class TestRawStreamExact:
     def test_bracketed_blocks_and_state_equal_integers_calls(self, buffered, n, k):
         rng, ref = (generator(np.random.PCG64, 19, buffered) for _ in range(2))
         bounds = bracket_bounds(n, k)
-        rows = drawing._bracketed_rows(rng, n, k)
-        for _, m in drawing._spans(self.ROWS):
+        rows = drawing._bracketed_rows(rng, n, k, HEIGHT)
+        for _, m in drawing._spans(self.ROWS, HEIGHT):
             expected = ref.integers(0, np.diff(bounds), size=(m, k))
             assert np.array_equal(rows(m), bounds[:-1] + expected)
         assert state(rng) == state(ref)
@@ -483,7 +511,7 @@ class TestRawStreamExact:
     def test_one_account_brackets_read_one_value_each(self):
         # where numpy reads none: the one declared departure from integers
         rng, ref = (generator(np.random.PCG64, 23, 0) for _ in range(2))
-        rows = drawing._bracketed_rows(rng, 5, 5)
+        rows = drawing._bracketed_rows(rng, 5, 5, 3)
         assert np.array_equal(rows(3), np.tile(np.arange(5), (3, 1)))
         ref.integers(0, 2**32, size=15, dtype=np.uint32)
         assert state(rng) == state(ref)
@@ -501,39 +529,58 @@ class TestRawStreamExact:
             call(np.random.Generator(np.random.MT19937(0)))
 
 
-class TestPeakMemory:
-    """A ``payouts`` call holds the arrays of one block of drawings at a time.
+def traced_peak(pop, k, mechanism, draws, caps=()):
+    """Traced peak of one ``payouts`` call, in MiB, less the payouts it
+    returns, which grow with ``draws`` and not with k."""
+    pop.sorted_balances()  # cached by the population, not part of a call
+    tracemalloc.start()
+    try:
+        got = payouts(pop, PrizeSchedule(k, 1.0), mechanism, np.random.default_rng(1),
+                      draws, caps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - got.nbytes) / 2**20
 
-    At k = 1000 a block of ``_BATCH_ROWS`` = 128 drawings is 128 x 1000 int64
-    winner indices, 1,024,000 B (0.98 MiB), and pricing it gathers as many
-    float64 balances, another 0.98 MiB. The kernel's scratch is alive only
-    while a block is drawn, before its gather. For the random kernel at
-    n = 100,000 that is at most the uint32 collision keys and their
-    neighbour XOR (0.49 MiB each) and two bool flags per slot (0.24 MiB),
-    1.22 MiB, while the Lemire tables of one 42,949-value window (44 rows of
-    16 B per slot, 0.67 MiB) and their scratch (0.2 MiB) last the whole call.
-    Its peak is block, keys and tables, 0.98 + 1.22 + 0.87 = 3.07 MiB, or
-    block, gather and tables, 2.82 MiB, under the 4 MiB bound. The bracketed
-    kernel draws its block through the same Lemire routine, with the same
-    window. Its 1000 brackets of 100 accounts have one size, so its tables
-    hold one entry each, and only the window's scratch (0.2 MiB) lasts the
-    whole call. While a block is drawn it holds the block, the 64,000
-    raw outputs the block reads (0.49 MiB) and that scratch, 1.67 MiB; its
-    peak is block, gather and scratch, 0.98 + 0.98 + 0.2 = 2.15 MiB, under
-    2.5 MiB. Keeping the previous block and its gather alive while the next
-    block is drawn adds 1.95 MiB and breaks either bound.
+
+class TestPeakMemory:
+    """A ``payouts`` call holds the arrays of one block of drawings at a time,
+    and a block holds at most ``_BLOCK_WINNERS`` = 64,000 winners at any
+    prize count k: ``_BLOCK_WINNERS // k`` drawings, 64 at k = 1000 and
+    6,400 at k = 10. Each case draws two full blocks and a third of one
+    drawing, at n = 100,000, and the bound leaves out the payouts the call
+    returns, 8 B per drawing and level.
+
+    A block's 64,000 int64 winner indices take 512,000 B (0.49 MiB), and
+    pricing it gathers as many float64 balances, another 0.49 MiB. The
+    kernel's scratch is alive only while a block is drawn, before its
+    gather. For the random kernel that is the uint32 collision keys and their
+    neighbour XOR (0.24 MiB each) and two bool flags per winner (0.12 MiB),
+    0.61 MiB. The Lemire tables last the whole call: one 42,949-value window
+    of 16 B per entry, 0.66-0.67 MiB at every k (44 rows at k = 1000, 4,296
+    at k = 10), and the window's scratch, 0.2 MiB. The peak is block, keys
+    and tables, 0.49 + 0.61 + 0.88 = 1.98 MiB, under 2.25 MiB. The bracketed
+    kernel draws through the same Lemire routine. Where the brackets have
+    one size its tables hold one entry each, and its peak is block, gather
+    and the window's scratch, 0.49 + 0.49 + 0.2 = 1.18 MiB, under 1.4 MiB.
+    At k = 999 the brackets differ, so the tables are tiled too: 1.85 MiB,
+    under 2.0 MiB. Keeping the previous block alive while the next block is
+    drawn adds 0.49 MiB and breaks every bound.
     """
 
-    @pytest.mark.parametrize("mechanism, caps, bound_mib", [
-        ("random", DEFAULT_CAPS, 4.0), ("bracketed", (), 2.5)])
-    def test_payouts_hold_one_block_at_a_time(self, mechanism, caps, bound_mib):
+    @pytest.mark.parametrize("mechanism, caps, k, bound_mib", [
+        *(("random", DEFAULT_CAPS, k, 2.25) for k in (1000, 999, 500, 100, 10)),
+        *(("bracketed", (), k, 1.4) for k in (1000, 500, 100, 10)),
+        ("bracketed", (), 999, 2.0),
+    ])
+    def test_payouts_hold_one_block_at_a_time(self, mechanism, caps, k, bound_mib):
         pop = generate(ParetoParams(1.04, 150.0), 100_000, 0)
-        pop.sorted_balances()  # cached by the population, not part of a call
-        sched = PrizeSchedule(1000, 1.0)
-        tracemalloc.start()
-        try:
-            payouts(pop, sched, mechanism, np.random.default_rng(1), 1000, caps)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound_mib * 2**20
+        draws = 2 * (drawing._BLOCK_WINNERS // k) + 1
+        assert traced_peak(pop, k, mechanism, draws, caps) <= bound_mib
+
+    def test_dense_payouts_hold_one_block_at_a_time(self):
+        # 259 drawings of 9,999 winners from 10,000 accounts, in blocks of 6;
+        # nearly every draw is at or above n - k, so the collision stage
+        # holds int64 positions for nearly every winner: 4.98 MiB
+        pop = generate(ParetoParams(1.04, 150.0), 10_000, 0)
+        assert traced_peak(pop, 9_999, "random", 259) <= 5.5

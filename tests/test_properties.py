@@ -36,7 +36,7 @@ from plsim.population import AccountPopulation, generate
 from plsim.risk import var_rank
 
 # small populations keep each example to milliseconds; up to 300 drawings
-# cross the 128-row block boundary of the batched kernels
+# of more than 213 prizes cross a block boundary of the batched kernels
 properties = settings(max_examples=40, deadline=None, derandomize=True)
 
 
