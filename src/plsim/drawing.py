@@ -15,7 +15,7 @@ Two ways to pick winners for a drawing of ``count`` prizes worth
 The total payout of a drawing is ``multiple`` times the sum of the winners'
 balances.
 
-Each mechanism draws its winners in one kernel, a function of the block
+Each mechanism draws its winners in one kernel, a function of a block's
 height that returns a fresh block of winners; ``winner_blocks`` exposes it in
 blocks of drawings. ``payouts`` prices those blocks, uncapped and at each
 balance cap, and ``draw`` is a single drawing of the same kernel. A block
@@ -24,7 +24,8 @@ budget, not by the prize count. One block's arrays are alive at a time:
 ``payouts`` draws, gathers and prices a block in calls whose temporaries are
 freed when they return, before the next block is drawn, so a call holds
 0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
-is drawn, the kernel's scratch: about 2 MiB at its peak at n = 100,000.
+is drawn, the kernel's scratch: 1.0-1.13 MiB in all at its peak at
+n = 100,000.
 
 Both kernels draw their integers in one routine, ``_lemire``: Lemire's
 multiply-and-reject on the 32-bit stream of a PCG64 generator, read in bulk
@@ -80,12 +81,32 @@ class DrawOutcome:
     payout: float
 
 
+def require_caps(caps) -> None:
+    """Refuse balance caps that are not finite, positive and strictly
+    descending: ``payouts`` truncates each cap's balances from the previous
+    cap's, in place."""
+    for cap in caps:
+        # an infinite cap would price nothing and dump as Infinity,
+        # which is not JSON
+        if not 0.0 < cap < math.inf:
+            raise ValueError(f"caps must be finite and positive, got {cap}")
+    if any(hi <= lo for hi, lo in zip(caps, caps[1:])):
+        raise ValueError("caps must be strictly descending")
+
+
+def _require_cap(cap: float) -> None:
+    """Refuse a single cap that is NaN or not positive; ``inf`` is none."""
+    if not cap > 0.0:
+        raise ValueError(f"a cap must be positive, or inf for none, got {cap}")
+
+
 def expected_payout(pop: AccountPopulation, sched: PrizeSchedule,
                     cap: float = math.inf) -> float:
     """count * multiple * mean balance, with every balance truncated at
     ``cap``; exact for both mechanisms because every account is equally
     likely to win each prize.
     """
+    _require_cap(cap)
     mean = pop.mean if cap == math.inf else float(np.minimum(pop.balances, cap).mean())
     return sched.count * sched.multiple * mean
 
@@ -125,16 +146,15 @@ def _check(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str):
 
 def _kernel(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
             rng: np.random.Generator, draws: int):
-    """The mechanism's winner kernel on ``pop`` for ``draws`` drawings, and
-    its block height: ``_BLOCK_WINNERS // count`` drawings, at least one and
-    at most ``draws``. The kernel is a function of ``m <= height`` that
-    returns the winners of the next ``m`` drawings as a fresh (m, count)
-    array."""
+    """The mechanism's winner kernel on ``pop``, and the block height for
+    ``draws`` drawings: ``_BLOCK_WINNERS // count`` drawings, at least one
+    and at most ``draws``. The kernel is a function of ``m`` that returns the
+    winners of the next ``m`` drawings as a fresh (m, count) array."""
     _check(pop, sched, mechanism)
     require_pcg64(rng)
     height = max(1, min(draws, _BLOCK_WINNERS // sched.count))
     kernel = _random_rows if mechanism == "random" else _bracketed_rows
-    return kernel(rng, pop.count, sched.count, height), height
+    return kernel(rng, pop.count, sched.count), height
 
 
 def _spans(draws: int, height: int):
@@ -161,8 +181,10 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     """Payouts of ``draws`` drawings, shape (1 + len(caps), draws).
 
     Row 0 is uncapped; row i prices the same winners with every balance
-    truncated at ``caps[i - 1]``. ``caps`` must be descending.
+    truncated at ``caps[i - 1]``. ``caps`` must be finite, positive and
+    strictly descending.
     """
+    require_caps(caps)
     rows, height = _kernel(pop, sched, mechanism, rng, draws)
     won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
     out = np.empty((1 + len(caps), draws))
@@ -170,7 +192,8 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
         # the block and its gather are arguments, not names of this loop, so
         # both are freed before the next block is drawn
         _price(np.take(won_from, rows(m)), caps, out[:, lo:lo + m])
-    return out * sched.multiple
+    out *= sched.multiple
+    return out
 
 
 def _price(won: np.ndarray, caps, out: np.ndarray) -> None:
@@ -193,10 +216,9 @@ def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                        payout=float(pop.balances[winners].sum() * sched.multiple))
 
 
-def _random_rows(rng: np.random.Generator, n: int, k: int, height: int):
+def _random_rows(rng: np.random.Generator, n: int, k: int):
     """The random kernel: returns ``rows``, where ``rows(m)`` gives the
-    winner sets, ``k`` of ``n`` accounts, of the next ``m <= height``
-    drawings.
+    winner sets, ``k`` of ``n`` accounts, of the next ``m`` drawings.
 
     Successive ``rows`` results hold successive drawings of Floyd's
     algorithm. Where numpy runs Floyd in ``rng.choice(n, k, replace=False,
@@ -205,7 +227,7 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, height: int):
     it in, except at n == k: numpy reads no value for slot 0's one-value
     range, and Lemire reads one."""
     top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
-    draw = _lemire(rng, top + 1, 2**32 // n, height)
+    draw = _lemire(rng, top + 1, 2**32 // n)
 
     def rows(m: int) -> np.ndarray:
         block = draw(m)
@@ -215,38 +237,39 @@ def _random_rows(rng: np.random.Generator, n: int, k: int, height: int):
     return rows
 
 
-def _lemire(rng: np.random.Generator, size: np.ndarray, window: int,
-            height: int):
+def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     """Lemire's multiply-and-reject, as numpy bounds a uint32 draw: returns
-    ``draw``, where ``draw(m)`` gives a fresh (m, k) block for ``m <=
-    height``, slot i of each row drawn from ``[0, size[i])``, from the next
-    values of ``rng``'s 32-bit stream, read at most ``window`` values at a
-    time. A one-value range reads a value too. At ``window`` 2**32 // n, for
-    ranges of at most n, a window holds about one rejection, so a rejection
-    recomputes little. The tables and scratch cover one window or one block,
-    whichever is smaller: about 43,000 entries for a block of 64,000 winners
-    at n = 100,000, and two rows for a single drawing. Each block reads the generator state once
+    ``draw``, where ``draw(m)`` gives a fresh (m, k) block, slot i of each
+    row drawn from ``[0, size[i])``, from the next values of ``rng``'s 32-bit
+    stream, read at most ``window`` values at a time, or one row where k
+    exceeds that. A one-value range reads a value too. At ``window`` 2**32 //
+    n, for ranges of at most n, a window holds about one rejection, so a
+    rejection recomputes little. The tables hold one period of the sizes: k
+    entries, or one where all sizes are equal. A block's rejection scratch
+    covers one window or the block, whichever is smaller, and is freed when
+    the block is drawn; the accepted raw values are multiplied by their
+    sizes once, in the block. Each block reads the generator state once
     before it and writes it once after, so values and state equal numpy's
     own 32-bit reads."""
     bitgen = rng.bit_generator
     size = np.asarray(size, dtype=np.uint64)
     k = size.size
-    # range sizes and Lemire thresholds 2**32 % size, tiled over the rows one
-    # window or one block can reach, or one entry the ufuncs broadcast where
-    # all sizes are equal; the test runs on uint32, where raw * size wraps to
-    # the low word
-    equal = size.min() == size.max()
-    period, rows = (1, 1) if equal else (k, min(height + 1, window // k + 2))
-    sizes = np.tile(size[:period], rows)
+    # range sizes and Lemire thresholds 2**32 % size over one period, which
+    # the ufuncs broadcast over the rows of a window and of the block; the
+    # test runs on uint32, where raw * size wraps to the low word
+    period = 1 if size.min() == size.max() else k
+    sizes = size[:period].copy()
     sizes32 = sizes.astype(np.uint32)
-    reject_below = np.tile((2**32 % size[:period]).astype(np.uint32), rows)
-    # the rejection test's scratch, reused by every window of every block
-    low = np.empty(min(window, height * k), dtype=np.uint32)
-    rejected = np.empty(low.size, dtype=bool)
+    reject_below = (2**32 % sizes).astype(np.uint32)
+    periods = max(1, window // period)  # whole periods a window holds
 
     def draw(m: int) -> np.ndarray:
         block = np.empty((m, k), dtype=np.int64)
-        need, product = block.size, block.ravel().view(np.uint64)
+        product = block.view(np.uint64)
+        need, accepted = block.size, product.ravel()
+        # the rejection test's scratch, for every window of this block
+        low = np.empty(min(periods * period, need), dtype=np.uint32)
+        rejected = np.empty(low.size, dtype=bool)
         # numpy's buffered half, if any, is the stream's next value
         state = bitgen.state
         raw = np.full(state["has_uint32"], state["uinteger"], dtype=np.uint32)
@@ -254,20 +277,28 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int,
         while pos < need:
             if cur == raw.size:
                 raw, cur = _halves(bitgen, need - pos), 0
-            # a window starts at entry pos % period and covers at most
-            # window + period entries: the tiled rows, or the one entry; a
-            # read may hold one half more than the block needs
-            span, at = min(raw.size - cur, window, need - pos), pos % period
-            np.multiply(raw[cur:cur + span], sizes32[at:at + span], out=low[:span])
-            np.less(low[:span], reject_below[at:at + span], out=rejected[:span])
+            # a window is (r, width) entries against tables[at:at + width]:
+            # whole periods, or the rest of one where it starts mid-period,
+            # after a rejection or where a read ended; a read may hold one
+            # half more than the block needs
+            left, at = raw.size - cur, pos % period
+            if at or left < period:
+                r, width = 1, min(left, period - at)
+            else:
+                r, width = min(periods, left // period, (need - pos) // period), period
+            span, tab = r * width, slice(at, at + width)
+            lows = low[:span].reshape(r, width)
+            np.multiply(raw[cur:cur + span].reshape(r, width), sizes32[tab], out=lows)
+            np.less(lows, reject_below[tab], out=rejected[:span].reshape(r, width))
             first = int(rejected[:span].argmax())
             taken = first if rejected[first] else span
-            np.multiply(raw[cur:cur + taken], sizes[at:at + taken],
-                        out=product[pos:pos + taken])
+            accepted[pos:pos + taken] = raw[cur:cur + taken]
             pos += taken
             # numpy draws a rejecting slot again from the next raw value
             cur += taken + (taken < span)
-        product >>= 32  # each accepted draw is the high word of its product
+        # each accepted draw is the high word of its raw value times its size
+        product *= sizes
+        product >>= 32
         # a half left over stays buffered; a used one stays behind as uinteger
         state = bitgen.state
         state["has_uint32"], state["uinteger"] = raw.size - cur, int(raw[-1])
@@ -281,14 +312,25 @@ def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
     """Floyd's collision rule on a block of row-wise draws, in place: slot i
     takes ``top[i]`` when its draw is already held, that is when it repeats
     an earlier draw of the row, or equals ``top[p]`` for an earlier slot p
-    that took ``top[p]``.
+    that took ``top[p]``. Each stage's scratch is freed when it returns."""
+    k = top.size
+    flat = block.ravel()
+    held, at = _repeats(block, n)
+    _chains(held, at, flat, n, k)
+    took_top = np.flatnonzero(held)
+    flat[took_top] = top[took_top % k]
+
+
+def _repeats(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flags, one per draw of the flattened block, of the draws that repeat
+    an earlier draw of their row, and the flat positions of the draws at or
+    above n - k.
 
     Repeats are found by sorting each row's keys (draw << shift) | slot;
     uint32 keys sort faster, and uint64 holds those that do not fit."""
-    k = top.size
+    k = block.shape[1]
     shift = k.bit_length()
-    flat = block.ravel()
-    held = np.zeros(flat.size, dtype=bool)
+    held = np.zeros(block.size, dtype=bool)
     key = np.uint32 if n << shift <= 2**32 else np.uint64
     keyed = block.astype(key)
     keyed <<= shift
@@ -300,15 +342,26 @@ def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
     repeat = repeat[repeat % k != k - 1]  # the last and first key of two rows
     slot = (keys[repeat + 1] & (1 << shift) - 1).astype(np.intp)
     held[repeat - repeat % k + slot] = True
-    src = at - at % k + flat[at] - (n - k)  # where top[flat[at]] would sit
-    at, src = at[src < at], src[src < at]
+    return held, at
+
+
+def _chains(held: np.ndarray, at: np.ndarray, flat: np.ndarray, n: int,
+            k: int) -> None:
+    """Flags, in ``held``, each draw at flat position ``at`` that equals
+    ``top[p]`` of an earlier slot p of its row that is held, link by link
+    along the chains of such draws."""
+    # where top[flat[at]] would sit: the same row, slot flat[at] - (n - k)
+    src = flat[at]
+    src += at
+    src -= at % k
+    src -= n - k
+    earlier = src < at
+    at, src = at[earlier], src[earlier]
     while True:
         more = held[src] & ~held[at]
         if not more.any():
             break
         held[at[more]] = True
-    took_top = np.flatnonzero(held)
-    flat[took_top] = top[took_top % k]
 
 
 def _halves(bitgen: np.random.PCG64, count: int) -> np.ndarray:
@@ -318,15 +371,15 @@ def _halves(bitgen: np.random.PCG64, count: int) -> np.ndarray:
     return bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False).view("<u4")
 
 
-def _bracketed_rows(rng: np.random.Generator, n: int, k: int, height: int):
+def _bracketed_rows(rng: np.random.Generator, n: int, k: int):
     """The bracketed kernel: returns ``rows``, where ``rows(m)`` gives the
-    sorted-order positions of one winner per bracket for the next ``m <=
-    height`` drawings. Successive blocks of offsets into the brackets equal
+    sorted-order positions of one winner per bracket for the next ``m``
+    drawings. Successive blocks of offsets into the brackets equal
     successive ``rng.integers(0, sizes, size=(m, k))`` calls and leave
     ``rng`` in their state, except that Lemire reads a value for a
     one-account bracket, where numpy reads none."""
     bounds = bracket_bounds(n, k)
-    draw = _lemire(rng, np.diff(bounds), 2**32 // n, height)
+    draw = _lemire(rng, np.diff(bounds), 2**32 // n)
 
     def rows(m: int) -> np.ndarray:
         block = draw(m)
@@ -357,6 +410,7 @@ def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
     Capping keeps the balance order, so the same accounts win at any cap,
     and only their balances are truncated.
     """
+    _require_cap(cap)
     _, worst = _extremes(pop, sched, mechanism)
     return float(np.minimum(pop.sorted_balances()[worst], cap).sum() * sched.multiple)
 

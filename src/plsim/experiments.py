@@ -34,7 +34,8 @@ from functools import partial
 
 import numpy as np
 
-from .drawing import MECHANISMS, PrizeSchedule, expected_payout, payouts, worst_payout
+from .drawing import (MECHANISMS, PrizeSchedule, expected_payout, payouts, require_caps,
+                      worst_payout)
 from .pareto import ParetoParams
 from .population import AccountPopulation, generate, require_drawable
 from .risk import compare_percentage_higher, relative_difference, std_dev, var_rank
@@ -94,13 +95,7 @@ class ExperimentConfig:
         if self.caps is not None:
             if not self.caps:
                 raise ValueError("caps, when given, must be non-empty")
-            for cap in self.caps:
-                # an infinite cap would price nothing and dump as Infinity,
-                # which is not JSON
-                if not 0.0 < cap < math.inf:
-                    raise ValueError(f"caps must be finite and positive, got {cap}")
-            if any(hi <= lo for hi, lo in zip(self.caps, self.caps[1:])):
-                raise ValueError("caps must be strictly descending")
+            require_caps(self.caps)
 
 
 def bracketing_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentConfig:

@@ -61,6 +61,11 @@ class TestExpectedPayout:
         assert expected_payout(POP4, TWO_AT_100, 250.0) == 400.0
         assert expected_payout(POP4, TWO_AT_100, np.inf) == 500.0
 
+    @pytest.mark.parametrize("cap", [np.nan, 0.0, -250.0])
+    def test_refuses_a_cap_that_is_nan_or_not_positive(self, cap):
+        with pytest.raises(ValueError, match="a cap must be positive, or inf"):
+            expected_payout(POP4, TWO_AT_100, cap)
+
 
 class TestExpectedInterest:
     def test_paper_setups(self):
@@ -177,6 +182,12 @@ class TestWorstBest:
         assert worst_payout(POP4, TWO_AT_100, "random", 50.0) == 100.0
         assert worst_payout(POP4, TWO_AT_100, "random", np.inf) == 700.0
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("cap", [np.nan, 0.0, -350.0])
+    def test_refuses_a_cap_that_is_nan_or_not_positive(self, mechanism, cap):
+        with pytest.raises(ValueError, match="a cap must be positive, or inf"):
+            worst_payout(POP4, TWO_AT_100, mechanism, cap)
+
     def test_bracketing_tightens_bounds_everywhere(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
@@ -240,6 +251,21 @@ class TestBatchHelpers:
         # rows are distinct winner sets
         assert all(len(set(row.tolist())) == sched.count for row in winners)
 
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_payouts_refuse_ascending_caps(self, mechanism):
+        # each cap truncates the previous cap's balances in place, so 1000
+        # after 150 would price the 150-capped sums again
+        with pytest.raises(ValueError, match="caps must be strictly descending"):
+            payouts(POP4, TWO_AT_100, mechanism, np.random.default_rng(0), 3,
+                    (150.0, 1000.0))
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    @pytest.mark.parametrize("cap", [np.nan, 0.0, -150.0, np.inf])
+    def test_payouts_refuse_caps_not_finite_and_positive(self, mechanism, cap):
+        with pytest.raises(ValueError, match="caps must be finite and positive"):
+            payouts(POP4, TWO_AT_100, mechanism, np.random.default_rng(0), 3,
+                    (1000.0, cap))
+
     def test_payout_linear_in_multiple(self):
         pop = generate(ParetoParams(1.04, 150.0), 200, 53)
         base = payouts(pop, PrizeSchedule(5, 1.0), "random", np.random.default_rng(3), 30)[0]
@@ -253,14 +279,14 @@ def winner_matrix(pop, sched, rng, draws):
     return np.concatenate([block for _, block in blocks])
 
 
-# the block height the Exact tests pass to the kernels in place of the
+# the block height the Exact tests split their drawings by in place of the
 # engine's own, so that their ROWS drawings span four full blocks and a short
 # one of 3 at every prize count
 HEIGHT = 64
 
 
 def batched_rows(rng, n, k, rows):
-    kernel = drawing._random_rows(rng, n, k, HEIGHT)
+    kernel = drawing._random_rows(rng, n, k)
     return np.concatenate([kernel(m) for _, m in drawing._spans(rows, HEIGHT)])
 
 
@@ -369,7 +395,7 @@ class TestBatchedKernelsExact:
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("k", [1000, 10])
     def test_blocks_at_the_engine_budget_equal_numpy_calls(self, mechanism, k):
-        # the helpers above pass their own height; here the engine sizes its
+        # the helpers above use their own height; here the engine sizes its
         # blocks, two full ones of _BLOCK_WINNERS // k drawings and one of 3
         pop = generate(ParetoParams(1.04, 150.0), 20_000, 59)
         sched = PrizeSchedule(k, 3.0)
@@ -436,7 +462,7 @@ class TestRawStreamExact:
         # so one block of `count` rows is the kernel's read of the 32-bit
         # stream; a window of 64 splits the longer reads
         rng, ref = (generator(bit_generator, 5, buffered) for _ in range(2))
-        got = drawing._lemire(rng, np.array([2**32], dtype=np.uint64), 64, count)(count)
+        got = drawing._lemire(rng, np.array([2**32], dtype=np.uint64), 64)(count)
         assert got.shape == (count, 1)
         assert np.array_equal(got[:, 0],
                               ref.integers(0, 2**32, size=count, dtype=np.uint32))
@@ -472,6 +498,19 @@ class TestRawStreamExact:
         assert state(rng) == state(ref)
         assert len(reads) > len(range(0, self.ROWS, HEIGHT))
 
+    @pytest.mark.parametrize("buffered", [0, 1])
+    def test_windows_restart_mid_row_after_rejections(self, buffered):
+        # seven unequal sizes just above 2**31, where about half of all
+        # values are rejected: a window of 21 values is three whole rows,
+        # nearly every window ends at a rejection in mid-row, and the next
+        # window first runs to the end of that row
+        sizes = 2**31 + np.arange(1, 8, dtype=np.int64)
+        rng, ref = (generator(np.random.PCG64, 29, buffered) for _ in range(2))
+        draw = drawing._lemire(rng, sizes, 21)
+        for _ in range(4):
+            assert np.array_equal(draw(5), ref.integers(0, sizes, size=(5, 7)))
+            assert state(rng) == state(ref)
+
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", [0, 1])
     def test_single_draw_equals_one_choice_call(self, bit_generator, buffered):
@@ -502,7 +541,7 @@ class TestRawStreamExact:
     def test_bracketed_blocks_and_state_equal_integers_calls(self, buffered, n, k):
         rng, ref = (generator(np.random.PCG64, 19, buffered) for _ in range(2))
         bounds = bracket_bounds(n, k)
-        rows = drawing._bracketed_rows(rng, n, k, HEIGHT)
+        rows = drawing._bracketed_rows(rng, n, k)
         for _, m in drawing._spans(self.ROWS, HEIGHT):
             expected = ref.integers(0, np.diff(bounds), size=(m, k))
             assert np.array_equal(rows(m), bounds[:-1] + expected)
@@ -511,7 +550,7 @@ class TestRawStreamExact:
     def test_one_account_brackets_read_one_value_each(self):
         # where numpy reads none: the one declared departure from integers
         rng, ref = (generator(np.random.PCG64, 23, 0) for _ in range(2))
-        rows = drawing._bracketed_rows(rng, 5, 5, 3)
+        rows = drawing._bracketed_rows(rng, 5, 5)
         assert np.array_equal(rows(3), np.tile(np.arange(5), (3, 1)))
         ref.integers(0, 2**32, size=15, dtype=np.uint32)
         assert state(rng) == state(ref)
@@ -552,35 +591,42 @@ class TestPeakMemory:
     returns, 8 B per drawing and level.
 
     A block's 64,000 int64 winner indices take 512,000 B (0.49 MiB), and
-    pricing it gathers as many float64 balances, another 0.49 MiB. The
-    kernel's scratch is alive only while a block is drawn, before its
-    gather. For the random kernel that is the uint32 collision keys and their
-    neighbour XOR (0.24 MiB each) and two bool flags per winner (0.12 MiB),
-    0.61 MiB. The Lemire tables last the whole call: one 42,949-value window
-    of 16 B per entry, 0.66-0.67 MiB at every k (44 rows at k = 1000, 4,296
-    at k = 10), and the window's scratch, 0.2 MiB. The peak is block, keys
-    and tables, 0.49 + 0.61 + 0.88 = 1.98 MiB, under 2.25 MiB. The bracketed
-    kernel draws through the same Lemire routine. Where the brackets have
-    one size its tables hold one entry each, and its peak is block, gather
-    and the window's scratch, 0.49 + 0.49 + 0.2 = 1.18 MiB, under 1.4 MiB.
-    At k = 999 the brackets differ, so the tables are tiled too: 1.85 MiB,
-    under 2.0 MiB. Keeping the previous block alive while the next block is
-    drawn adds 0.49 MiB and breaks every bound.
+    pricing it gathers as many float64 balances, another 0.49 MiB. Lemire's
+    tables hold one period of the range sizes, 16 B per prize or one entry,
+    and its scratch lives while a block is drawn: the block's read of the
+    32-bit stream (0.24 MiB) and one window's rejection test (5 B for each
+    of about 42,000 values, 0.2 MiB). That is 0.49 + 0.24 + 0.2 = 0.93 MiB,
+    under the 0.98 MiB of block and gather. The random kernel then runs
+    Floyd's rule on the block: uint32 collision keys and their neighbour
+    XOR (0.24 MiB each) and two bool flags per winner (0.12 MiB), 0.61 MiB,
+    freed before the gather. Its peak is block and keys, 0.49 + 0.61 = 1.10
+    MiB (1.10-1.13 at every k), under 1.3 MiB. The bracketed kernel draws
+    through the same Lemire routine, and its peak is block and gather,
+    0.98 MiB where the brackets have one size and 1.02 MiB at k = 999,
+    where they differ, under 1.15 MiB. Keeping the previous block alive
+    while the next block is drawn adds 0.49 MiB and breaks every bound.
     """
 
     @pytest.mark.parametrize("mechanism, caps, k, bound_mib", [
-        *(("random", DEFAULT_CAPS, k, 2.25) for k in (1000, 999, 500, 100, 10)),
-        *(("bracketed", (), k, 1.4) for k in (1000, 500, 100, 10)),
-        ("bracketed", (), 999, 2.0),
+        *(("random", DEFAULT_CAPS, k, 1.3) for k in (1000, 999, 500, 100, 10)),
+        *(("bracketed", (), k, 1.15) for k in (1000, 999, 500, 100, 10)),
     ])
     def test_payouts_hold_one_block_at_a_time(self, mechanism, caps, k, bound_mib):
         pop = generate(ParetoParams(1.04, 150.0), 100_000, 0)
         draws = 2 * (drawing._BLOCK_WINNERS // k) + 1
         assert traced_peak(pop, k, mechanism, draws, caps) <= bound_mib
 
+    def test_payouts_scale_their_output_in_place(self):
+        # 200,000 drawings priced at four levels return 6.1 MiB; a scaled
+        # copy of them would come on top of the random bound
+        pop = generate(ParetoParams(1.04, 150.0), 100_000, 0)
+        assert traced_peak(pop, 10, "random", 200_000, DEFAULT_CAPS) <= 1.3
+
     def test_dense_payouts_hold_one_block_at_a_time(self):
         # 259 drawings of 9,999 winners from 10,000 accounts, in blocks of 6;
         # nearly every draw is at or above n - k, so the collision stage
-        # holds int64 positions for nearly every winner: 4.98 MiB
+        # holds int64 positions for nearly every winner, 0.46 MiB per array:
+        # the candidates, their sources and the filtered copies of both,
+        # beside the block, 2.63 MiB
         pop = generate(ParetoParams(1.04, 150.0), 10_000, 0)
-        assert traced_peak(pop, 9_999, "random", 259) <= 5.5
+        assert traced_peak(pop, 9_999, "random", 259) <= 3.0
