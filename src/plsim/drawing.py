@@ -16,13 +16,13 @@ The total payout of a drawing is ``multiple`` times the sum of the winners'
 balances.
 
 Each mechanism draws its winners in one kernel, a function of a block's
-height that returns a fresh block of winners; ``winner_blocks`` exposes it in
-blocks of drawings. ``payouts`` prices those blocks, uncapped and at each
-balance cap, and ``draw`` is a single drawing of the same kernel. A block
-holds at most ``_BLOCK_WINNERS`` winners, so its memory is bounded by that
-budget, not by the prize count. One block's arrays are alive at a time:
-``payouts`` draws, gathers and prices a block in calls whose temporaries are
-freed when they return, before the next block is drawn, so a call holds
+height that returns a fresh block of winners, and one loop,
+``winner_blocks``, draws them in blocks of drawings: ``payouts`` prices those
+blocks, uncapped and at each balance cap, and ``draw`` is their single
+drawing. A block holds at most ``_BLOCK_WINNERS`` winners, so its memory is
+bounded by that budget, not by the prize count. One block's arrays are alive
+at a time: ``payouts`` gathers and prices a block, summing straight into its
+output, and deletes it before the next block is drawn, so a call holds
 0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
 is drawn, the kernel's scratch: 1.0-1.13 MiB in all at its peak at
 n = 100,000.
@@ -41,6 +41,7 @@ on PCG64, ``SeedSequence`` and numpy's float operations.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,13 @@ class DrawOutcome:
 
 
 def require_caps(caps) -> None:
-    """Refuse balance caps that are not finite, positive and strictly
-    descending: ``payouts`` truncates each cap's balances from the previous
-    cap's, in place."""
+    """Refuse balance caps that are not real numbers, finite, positive and
+    strictly descending: ``payouts`` truncates each cap's balances from the
+    previous cap's, in place."""
     for cap in caps:
+        # float() would parse "7" and b"9" and take True as 1.0
+        if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
+            raise ValueError(f"caps must be real numbers, got {cap!r}")
         # an infinite cap would price nothing and dump as Infinity,
         # which is not JSON
         if not 0.0 < cap < math.inf:
@@ -144,24 +148,6 @@ def _check(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str):
         )
 
 
-def _kernel(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
-            rng: np.random.Generator, draws: int):
-    """The mechanism's winner kernel on ``pop``, and the block height for
-    ``draws`` drawings: ``_BLOCK_WINNERS // count`` drawings, at least one
-    and at most ``draws``. The kernel is a function of ``m`` that returns the
-    winners of the next ``m`` drawings as a fresh (m, count) array."""
-    _check(pop, sched, mechanism)
-    require_pcg64(rng)
-    height = max(1, min(draws, _BLOCK_WINNERS // sched.count))
-    kernel = _random_rows if mechanism == "random" else _bracketed_rows
-    return kernel(rng, pop.count, sched.count), height
-
-
-def _spans(draws: int, height: int):
-    """``(first row, rows)`` of each block of at most ``height`` drawings."""
-    return ((lo, min(height, draws - lo)) for lo in range(0, draws, height))
-
-
 def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
                   rng: np.random.Generator, draws: int):
     """Winners of ``draws`` drawings, yielded as ``(first row, block)`` with
@@ -170,10 +156,14 @@ def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
 
     Entries index ``pop.balances`` for the random mechanism and
     ``pop.sorted_balances()`` for the bracketed one. Each block is a fresh
-    array, which the caller may keep.
+    array, which the caller may keep; the arguments are checked at the call.
     """
-    rows, height = _kernel(pop, sched, mechanism, rng, draws)
-    return ((lo, rows(m)) for lo, m in _spans(draws, height))
+    _check(pop, sched, mechanism)
+    require_pcg64(rng)
+    kernel = _random_rows if mechanism == "random" else _bracketed_rows
+    rows = kernel(rng, pop.count, sched.count)
+    height = max(1, _BLOCK_WINNERS // sched.count)
+    return ((lo, rows(min(height, draws - lo))) for lo in range(0, draws, height))
 
 
 def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -185,13 +175,13 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     strictly descending.
     """
     require_caps(caps)
-    rows, height = _kernel(pop, sched, mechanism, rng, draws)
+    blocks = winner_blocks(pop, sched, mechanism, rng, draws)
     won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
     out = np.empty((1 + len(caps), draws))
-    for lo, m in _spans(draws, height):
-        # the block and its gather are arguments, not names of this loop, so
-        # both are freed before the next block is drawn
-        _price(np.take(won_from, rows(m)), caps, out[:, lo:lo + m])
+    for lo, block in blocks:
+        # the gather is freed when _price returns, the block before the next
+        _price(np.take(won_from, block), caps, out[:, lo:lo + len(block)])
+        del block
     out *= sched.multiple
     return out
 
@@ -199,12 +189,12 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
 def _price(won: np.ndarray, caps, out: np.ndarray) -> None:
     """Row sums of the gathered balances ``won`` into ``out[0]``, and at
     each cap into the following rows of ``out``."""
-    out[0] = won.sum(axis=1)
+    won.sum(axis=1, out=out[0])
     # min(min(x, c1), c2) == min(x, c2) for c1 >= c2, so each cap can
     # truncate the previous level's buffer in place
     for row, cap in enumerate(caps, 1):
         np.minimum(won, cap, out=won)
-        out[row] = won.sum(axis=1)
+        won.sum(axis=1, out=out[row])
 
 
 def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -226,12 +216,12 @@ def _random_rows(rng: np.random.Generator, n: int, k: int):
     d-th of successive such calls, and ``rng`` ends in the state they leave
     it in, except at n == k: numpy reads no value for slot 0's one-value
     range, and Lemire reads one."""
-    top = np.arange(n - k, n, dtype=np.int64)  # slot i draws from [0, top[i]]
-    draw = _lemire(rng, top + 1, 2**32 // n)
+    # slot i draws from [0, n - k + i]
+    draw = _lemire(rng, np.arange(n - k + 1, n + 1), 2**32 // n)
 
     def rows(m: int) -> np.ndarray:
         block = draw(m)
-        _floyd(block, n, top)
+        _floyd(block, n)
         return block
 
     return rows
@@ -244,8 +234,9 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     stream, read at most ``window`` values at a time, or one row where k
     exceeds that. A one-value range reads a value too. At ``window`` 2**32 //
     n, for ranges of at most n, a window holds about one rejection, so a
-    rejection recomputes little. The tables hold one period of the sizes: k
-    entries, or one where all sizes are equal. A block's rejection scratch
+    rejection recomputes little. The tables hold two periods of the sizes (a
+    period is k entries, or one where all sizes are equal), so that a window
+    of whole periods may start at any slot. A block's rejection scratch
     covers one window or the block, whichever is smaller, and is freed when
     the block is drawn; the accepted raw values are multiplied by their
     sizes once, in the block. Each block reads the generator state once
@@ -254,13 +245,14 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     bitgen = rng.bit_generator
     size = np.asarray(size, dtype=np.uint64)
     k = size.size
-    # range sizes and Lemire thresholds 2**32 % size over one period, which
-    # the ufuncs broadcast over the rows of a window and of the block; the
-    # test runs on uint32, where raw * size wraps to the low word
+    # range sizes over one period, broadcast over the block's rows, and sizes
+    # and Lemire thresholds 2**32 % size over two, broadcast over a window's;
+    # the test runs on uint32, where raw * size wraps to the low word
     period = 1 if size.min() == size.max() else k
     sizes = size[:period].copy()
-    sizes32 = sizes.astype(np.uint32)
-    reject_below = (2**32 % sizes).astype(np.uint32)
+    twice = np.tile(sizes, 2)
+    sizes32 = twice.astype(np.uint32)
+    reject_below = (2**32 % twice).astype(np.uint32)
     periods = max(1, window // period)  # whole periods a window holds
 
     def draw(m: int) -> np.ndarray:
@@ -278,14 +270,13 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
             if cur == raw.size:
                 raw, cur = _halves(bitgen, need - pos), 0
             # a window is (r, width) entries against tables[at:at + width]:
-            # whole periods, or the rest of one where it starts mid-period,
-            # after a rejection or where a read ended; a read may hold one
-            # half more than the block needs
+            # whole periods from slot at, or one row of what is left of the
+            # read or of the block, shorter than a period; a read may hold
+            # one half more than the block needs
             left, at = raw.size - cur, pos % period
-            if at or left < period:
-                r, width = 1, min(left, period - at)
-            else:
-                r, width = min(periods, left // period, (need - pos) // period), period
+            r, width = min(periods, left // period, (need - pos) // period), period
+            if not r:
+                r, width = 1, min(left, need - pos)
             span, tab = r * width, slice(at, at + width)
             lows = low[:span].reshape(r, width)
             np.multiply(raw[cur:cur + span].reshape(r, width), sizes32[tab], out=lows)
@@ -308,17 +299,18 @@ def _lemire(rng: np.random.Generator, size: np.ndarray, window: int):
     return draw
 
 
-def _floyd(block: np.ndarray, n: int, top: np.ndarray) -> None:
+def _floyd(block: np.ndarray, n: int) -> None:
     """Floyd's collision rule on a block of row-wise draws, in place: slot i
-    takes ``top[i]`` when its draw is already held, that is when it repeats
-    an earlier draw of the row, or equals ``top[p]`` for an earlier slot p
-    that took ``top[p]``. Each stage's scratch is freed when it returns."""
-    k = top.size
+    of k takes its top, ``n - k + i``, when its draw is already held, that
+    is when it repeats an earlier draw of the row, or equals the top of an
+    earlier slot that took its top. Each stage's scratch is freed when it
+    returns."""
+    k = block.shape[1]
     flat = block.ravel()
     held, at = _repeats(block, n)
     _chains(held, at, flat, n, k)
     took_top = np.flatnonzero(held)
-    flat[took_top] = top[took_top % k]
+    flat[took_top] = took_top % k + (n - k)
 
 
 def _repeats(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,10 +339,10 @@ def _repeats(block: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _chains(held: np.ndarray, at: np.ndarray, flat: np.ndarray, n: int,
             k: int) -> None:
-    """Flags, in ``held``, each draw at flat position ``at`` that equals
-    ``top[p]`` of an earlier slot p of its row that is held, link by link
-    along the chains of such draws."""
-    # where top[flat[at]] would sit: the same row, slot flat[at] - (n - k)
+    """Flags, in ``held``, each draw at flat position ``at`` that equals the
+    top ``n - k + p`` of an earlier slot p of its row that is held, link by
+    link along the chains of such draws."""
+    # the slot whose top flat[at] is: the same row, slot flat[at] - (n - k)
     src = flat[at]
     src += at
     src -= at % k

@@ -17,11 +17,11 @@ Runs are independent: every run derives its generator substreams from the
 master seed and its own index, so results are bit-identical regardless of
 how many worker processes execute them.
 
-Every process that executes runs, the calling one and each pool worker, first
-calls ``keep_freed_memory``: under glibc it keeps the arrays a run frees for
-the next block and the next run to reuse, where the default thresholds hand
-them back to the OS and fault them in again page by page. It changes no
-output.
+Each pool worker, and the ``plsim`` command where it runs the runs itself,
+first calls ``keep_freed_memory``: under glibc it keeps the arrays a run frees
+for the next block and the next run to reuse, where the default thresholds
+hand them back to the OS and fault them in again page by page. It changes no
+output. A library call leaves its caller's allocator as it is.
 """
 
 from __future__ import annotations
@@ -76,7 +76,9 @@ class ExperimentConfig:
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "var_levels", tuple(self.var_levels))
         if self.caps is not None:
-            object.__setattr__(self, "caps", tuple(float(c) for c in self.caps))
+            caps = tuple(self.caps)
+            require_caps(caps)  # before float() can take "7" or True
+            object.__setattr__(self, "caps", tuple(float(c) for c in caps))
         if not self.schedules:
             raise ValueError("config needs at least one prize schedule")
         if self.runs < 1:
@@ -95,7 +97,6 @@ class ExperimentConfig:
         if self.caps is not None:
             if not self.caps:
                 raise ValueError("caps, when given, must be non-empty")
-            require_caps(self.caps)
 
 
 def bracketing_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentConfig:
@@ -421,7 +422,6 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
         on_start()
     workers = min(workers, config.runs)
     if workers <= 1:
-        keep_freed_memory()
         for r in range(config.runs):
             data[r] = _one_run(config, r)
     else:

@@ -269,6 +269,21 @@ class TestCapsCommand:
         assert f"wrong type: {field}" in result.stderr
         assert not out.exists()
 
+    def test_memory_policy_is_set_by_the_command_not_the_library(
+            self, runner, tmp_path, monkeypatch):
+        # a library call leaves the caller's allocator as it is; the command
+        # sets the policy in its own process when the runs run there
+        calls = []
+        monkeypatch.setattr(experiments, "keep_freed_memory", lambda: calls.append(1))
+        golden = GOLDEN / "golden_caps.json"
+        config = experiments.config_from_dict(json.loads(golden.read_text()))
+        experiments.run_caps(config, workers=1)
+        assert calls == []
+        result = runner.invoke(main, ["caps", "--config", str(golden), "--threads", "1",
+                                      "--out", str(tmp_path / "c.csv")])
+        assert result.exit_code == 0
+        assert calls == [1]
+
     def test_caps_flag_overrides(self, runner, tmp_path):
         out = tmp_path / "c.csv"
         result = runner.invoke(main, [

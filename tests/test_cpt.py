@@ -276,3 +276,23 @@ class TestSignReport:
         parts = utility_dynamic(PARAMS, DYN, 2.0)
         assert pt.gain == pytest.approx(parts.gain)
         assert pt.total == pytest.approx(parts.total)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: weight_inflection(1.0), "no concave-to-convex inflection"),
+    (lambda: utility_dynamic(PARAMS, DYN, -1.0), "savings amount must be non-negative"),
+    (lambda: fixed_growth_prize_slope(PARAMS, FIXED_G, FIXED_G.max_savings()),
+     "requires X < prize / growth_rate"),
+    (lambda: fixed_growth_prize_curvature(PARAMS, FIXED_G, 2 * FIXED_G.max_savings()),
+     "requires X < prize / growth_rate"),
+    (lambda: dynamic_gain_slope(PARAMS, DYN, 0.0), "slope defined for X > 0"),
+    (lambda: dynamic_gain_curvature(PARAMS, DYN, np.array([1.0, -1.0])),
+     "curvature defined for X > 0"),
+    (lambda: sign_report(PARAMS, DYN, np.array([])), "non-empty 1-D array"),
+    (lambda: sign_report(PARAMS, DYN, np.ones((2, 2))), "non-empty 1-D array"),
+], ids=["inflection-linear-weight", "dynamic-utility-negative-x", "fixed-slope-at-bound",
+        "fixed-curvature-beyond-bound", "dynamic-slope-at-zero",
+        "dynamic-curvature-negative-x", "sign-report-empty-grid", "sign-report-2d-grid"])
+def test_refusals_outside_each_domain(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -285,9 +285,14 @@ def winner_matrix(pop, sched, rng, draws):
 HEIGHT = 64
 
 
+def heights(rows):
+    """Rows of each block of ``rows`` drawings split by ``HEIGHT``."""
+    return [min(HEIGHT, rows - lo) for lo in range(0, rows, HEIGHT)]
+
+
 def batched_rows(rng, n, k, rows):
     kernel = drawing._random_rows(rng, n, k)
-    return np.concatenate([kernel(m) for _, m in drawing._spans(rows, HEIGHT)])
+    return np.concatenate([kernel(m) for m in heights(rows)])
 
 
 def choice_loop(rng, n, k, rows):
@@ -503,7 +508,8 @@ class TestRawStreamExact:
         # seven unequal sizes just above 2**31, where about half of all
         # values are rejected: a window of 21 values is three whole rows,
         # nearly every window ends at a rejection in mid-row, and the next
-        # window first runs to the end of that row
+        # window runs whole rows from that slot, or the rest of the read or
+        # of the block where less than a row is left
         sizes = 2**31 + np.arange(1, 8, dtype=np.int64)
         rng, ref = (generator(np.random.PCG64, 29, buffered) for _ in range(2))
         draw = drawing._lemire(rng, sizes, 21)
@@ -542,7 +548,7 @@ class TestRawStreamExact:
         rng, ref = (generator(np.random.PCG64, 19, buffered) for _ in range(2))
         bounds = bracket_bounds(n, k)
         rows = drawing._bracketed_rows(rng, n, k)
-        for _, m in drawing._spans(self.ROWS, HEIGHT):
+        for m in heights(self.ROWS):
             expected = ref.integers(0, np.diff(bounds), size=(m, k))
             assert np.array_equal(rows(m), bounds[:-1] + expected)
         assert state(rng) == state(ref)
@@ -591,18 +597,20 @@ class TestPeakMemory:
     returns, 8 B per drawing and level.
 
     A block's 64,000 int64 winner indices take 512,000 B (0.49 MiB), and
-    pricing it gathers as many float64 balances, another 0.49 MiB. Lemire's
-    tables hold one period of the range sizes, 16 B per prize or one entry,
-    and its scratch lives while a block is drawn: the block's read of the
-    32-bit stream (0.24 MiB) and one window's rejection test (5 B for each
-    of about 42,000 values, 0.2 MiB). That is 0.49 + 0.24 + 0.2 = 0.93 MiB,
-    under the 0.98 MiB of block and gather. The random kernel then runs
+    pricing it gathers as many float64 balances, another 0.49 MiB, while the
+    block is still held; the row sums go straight into the payouts. Lemire's
+    tables hold one period of the uint64 range sizes and two of the uint32
+    sizes and thresholds, 24 B per prize or 24 B in all where every range
+    has one size, and its scratch lives while a block is drawn: the block's
+    read of the 32-bit stream (0.24 MiB) and one window's rejection test
+    (5 B for each of about 42,000 values, 0.2 MiB). That is 0.49 + 0.24 +
+    0.2 = 0.93 MiB, under the 0.98 MiB of block and gather. The random kernel then runs
     Floyd's rule on the block: uint32 collision keys and their neighbour
     XOR (0.24 MiB each) and two bool flags per winner (0.12 MiB), 0.61 MiB,
     freed before the gather. Its peak is block and keys, 0.49 + 0.61 = 1.10
     MiB (1.10-1.13 at every k), under 1.3 MiB. The bracketed kernel draws
     through the same Lemire routine, and its peak is block and gather,
-    0.98 MiB where the brackets have one size and 1.02 MiB at k = 999,
+    0.98 MiB where the brackets have one size and 1.03 MiB at k = 999,
     where they differ, under 1.15 MiB. Keeping the previous block alive
     while the next block is drawn adds 0.49 MiB and breaks every bound.
     """

@@ -102,6 +102,17 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"wrong type: {field}"):
                 config_from_dict({**data, **changed})
 
+    @pytest.mark.parametrize("bad", ["7", True, b"9", np.True_, None],
+                             ids=["str", "bool", "bytes", "numpy-bool", "None"])
+    def test_caps_that_are_not_real_numbers_are_refused(self, bad):
+        # float() would take "7", True and b"9" as 7.0, 1.0 and 9.0
+        with pytest.raises(ValueError, match="caps must be real numbers, got "):
+            small_config(caps=(1000.0, bad))
+        pop = generate(P104, 40, 3)
+        with pytest.raises(ValueError, match="caps must be real numbers, got "):
+            payouts(pop, PrizeSchedule(2, 1.0), "random", np.random.default_rng(0), 3,
+                    (bad,))
+
     def test_float_fields_take_json_integers(self):
         data = config_to_dict(small_config(caps=(1000.0,)))
         config = config_from_dict({**data, "pareto": {"alpha": 2, "b": 150},
@@ -387,6 +398,23 @@ class TestCaps:
         cell = doc["cells"][0]
         assert set(cell["scaled"].keys()) == {"uncapped", "5000"}
         assert len(cell["scaled"]["uncapped"]) == cfg.runs
+
+
+@pytest.mark.parametrize("rising", [(1, 0), (2, 5)], ids=["first-cap", "last-cap"])
+def test_a_raw_payout_that_rises_under_a_lower_cap_is_refused(monkeypatch, rising):
+    # the engine's payouts never rise as the cap falls; a stand-in that
+    # makes one drawing's payout rise at one cap must stop the run
+    real = experiments.payouts
+
+    def rising_payouts(*args, **kwargs):
+        raw = real(*args, **kwargs)
+        level, drawing = rising
+        raw[level, drawing] = raw[level - 1, drawing] + 1.0
+        return raw
+
+    monkeypatch.setattr(experiments, "payouts", rising_payouts)
+    with pytest.raises(RuntimeError, match="raw payout increased after lowering the cap"):
+        experiments._one_run(small_config(caps=(5000.0, 800.0)), 0)
 
 
 # full-size runs reuse the memory that the runs before them freed

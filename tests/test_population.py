@@ -45,6 +45,13 @@ def test_balances_are_read_only():
         pop.balances[0] = 1.0
 
 
+@pytest.mark.parametrize("balances", [[], np.ones((2, 3)), 5.0],
+                         ids=["empty", "2-D", "0-D"])
+def test_rejects_balances_not_a_non_empty_1d_array(balances):
+    with pytest.raises(ValueError, match="non-empty 1-D balance array"):
+        AccountPopulation.from_balances(balances)
+
+
 def test_rejects_nonpositive_balances():
     with pytest.raises(ValueError):
         AccountPopulation.from_balances([100.0, 0.0, 50.0])
