@@ -211,7 +211,7 @@ def _experiment(name: str, protocol, config, threads: int, out: str,
     progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
                 f"{variants}, seed {config.master_seed}")
     if min(threads, config.runs) == 1:  # the runs run in this process
-        experiments.keep_freed_memory()
+        experiments.prepare_engine_process()
     with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
         result = protocol(config, workers=threads,
                           on_start=partial(click.echo, progress, err=True))

@@ -18,10 +18,14 @@ master seed and its own index, so results are bit-identical regardless of
 how many worker processes execute them.
 
 Each pool worker, and the ``plsim`` command where it runs the runs itself,
-first calls ``keep_freed_memory``: under glibc it keeps the arrays a run frees
-for the next block and the next run to reuse, where the default thresholds
-hand them back to the OS and fault them in again page by page. It changes no
-output. A library call leaves its caller's allocator as it is.
+first calls ``prepare_engine_process``. It does two things. Under glibc it
+keeps the arrays a run frees for the next block and the next run to reuse,
+where the default thresholds hand them back to the OS and fault them in again
+page by page. And unless the process has loaded OpenSSL already, it blocks
+``_hashlib``, so that ``numpy.random``, imported at the first run, loads no
+OpenSSL; ``hashlib`` and ``hmac`` then use CPython's built-in hashes in that
+process. It changes no output. A library call leaves its caller's process as
+it is: its allocator and its imports.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import partial
 
@@ -369,8 +374,9 @@ def _mallopt():
     return mallopt
 
 
-def keep_freed_memory() -> None:
-    """Make this process keep the memory it frees, for its next arrays.
+def prepare_engine_process() -> None:
+    """Set up the process that is about to run the runs: keep the memory it
+    frees, and load no OpenSSL.
 
     By default glibc unmaps a freed array above 128 KiB and returns a free
     heap top above 128 KiB to the OS, so the next array faults its pages in
@@ -380,7 +386,14 @@ def keep_freed_memory() -> None:
     threshold alone pins the mmap threshold at 128 KiB. Without ``mallopt``
     this does nothing, and a refused setting is let be: it changes no output,
     only how long a run takes.
+
+    ``numpy.random``, which the first run imports, imports ``secrets`` and so
+    ``hmac``, which loads OpenSSL through ``_hashlib``; the engine seeds from
+    integers and hashes nothing. Unless this process has loaded it already,
+    ``_hashlib`` is blocked, so ``hashlib`` and ``hmac`` fall back to
+    CPython's built-in hashes here.
     """
+    sys.modules.setdefault("_hashlib", None)
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, 32 << 20)
@@ -429,9 +442,9 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
         from concurrent.futures import ProcessPoolExecutor
 
         # as initializer, so that workers started by spawn or forkserver,
-        # which inherit no allocator settings, keep their memory too
+        # which inherit neither setting, are set up too
         with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=keep_freed_memory) as pool:
+                                 initializer=prepare_engine_process) as pool:
             # map preserves submission order, so aggregation stays deterministic
             for r, values in enumerate(pool.map(partial(_one_run, config),
                                                 range(config.runs))):

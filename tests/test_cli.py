@@ -32,6 +32,16 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+def fresh_python(script, *args, path=()):
+    """stdout of ``script`` in a fresh interpreter that imports plsim from
+    this tree, with ``path`` also on its import path; a fresh one, so that
+    no other test has loaded a module already."""
+    paths = [str(Path(plsim.__file__).parents[1]), *map(str, path)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                          capture_output=True, text=True, env=env, check=True).stdout
+
+
 class TestTable1:
     def test_default_matches_published_table(self, runner):
         result = runner.invoke(main, ["table1"])
@@ -139,7 +149,6 @@ class TestBracketingCommand:
         assert one.read_bytes() == many.read_bytes()
 
     def test_one_worker_loads_no_pool_and_no_cpt(self, tmp_path):
-        # a fresh interpreter, so that no other test has loaded them already
         out = tmp_path / "b.csv"
         script = (
             "import sys, plsim, plsim.cli\n"
@@ -147,11 +156,7 @@ class TestBracketingCommand:
             " '--out', sys.argv[2]], standalone_mode=False)\n"
             "print(sorted({'concurrent.futures', 'multiprocessing', 'plsim.cpt'}"
             " & set(sys.modules)))\n")
-        env = {**os.environ, "PYTHONPATH": str(Path(plsim.__file__).parents[1])}
-        done = subprocess.run(
-            [sys.executable, "-c", script, str(GOLDEN / "golden_bracketing.json"), str(out)],
-            capture_output=True, text=True, env=env, check=True)
-        assert done.stdout == "[]\n"
+        assert fresh_python(script, GOLDEN / "golden_bracketing.json", out) == "[]\n"
         assert out.read_bytes() == (GOLDEN / "bracketing_small.csv").read_bytes()
 
     def test_smoke_run_completes(self, runner):
@@ -274,7 +279,7 @@ class TestCapsCommand:
         # a library call leaves the caller's allocator as it is; the command
         # sets the policy in its own process when the runs run there
         calls = []
-        monkeypatch.setattr(experiments, "keep_freed_memory", lambda: calls.append(1))
+        monkeypatch.setattr(experiments, "prepare_engine_process", lambda: calls.append(1))
         golden = GOLDEN / "golden_caps.json"
         config = experiments.config_from_dict(json.loads(golden.read_text()))
         experiments.run_caps(config, workers=1)
@@ -283,6 +288,76 @@ class TestCapsCommand:
                                       "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 0
         assert calls == [1]
+
+    def test_one_worker_loads_no_openssl_and_still_hashes(self, tmp_path):
+        out = tmp_path / "c.csv"
+        script = (
+            "import sys, plsim.cli\n"
+            "plsim.cli.main(['caps', '--config', sys.argv[1], '--threads', '1',"
+            " '--out', sys.argv[2]], standalone_mode=False)\n"
+            "import hashlib, hmac\n"
+            "print('numpy.random' in sys.modules, sys.modules.get('_hashlib'))\n"
+            "print(hashlib.sha256(b'x').hexdigest())\n"
+            "print(hmac.new(b'k', b'm', 'sha256').hexdigest())\n")
+        assert fresh_python(script, GOLDEN / "golden_caps.json", out).splitlines() == [
+            "True None",
+            "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881",
+            "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec"]
+        assert out.read_bytes() == (GOLDEN / "caps_small.csv").read_bytes()
+
+    # forced, so that every Python runs all three, whatever its default
+    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    def test_pool_workers_load_no_openssl(self, tmp_path, method):
+        # each run reports, from the worker that ran it, once numpy.random
+        # has loaded there; the workers import this module by name
+        log = tmp_path / "workers.txt"
+        (tmp_path / "report_run.py").write_text(
+            "import os, sys\n"
+            "from plsim import experiments\n"
+            "one_run = experiments._one_run\n"
+            "def reported(config, r):\n"
+            "    values = one_run(config, r)\n"
+            f"    with open({str(log)!r}, 'a') as fh:\n"
+            "        print(os.getpid(), 'numpy.random' in sys.modules,"
+            " sys.modules.get('_hashlib', 'absent'), file=fh)\n"
+            "    return values\n")
+        out = tmp_path / "c.csv"
+        script = (
+            "import multiprocessing, os, sys, report_run\n"
+            "from plsim import cli, experiments\n"
+            "multiprocessing.set_start_method(sys.argv[1])\n"
+            "experiments._one_run = report_run.reported\n"
+            "cli.main(['caps', '--config', sys.argv[2], '--threads', '2',"
+            " '--out', sys.argv[3]], standalone_mode=False)\n"
+            "print(os.getpid())\n")
+        parent = fresh_python(script, method, GOLDEN / "golden_caps.json", out,
+                              path=[tmp_path]).strip()
+        reports = [line.split() for line in log.read_text().splitlines()]
+        assert len(reports) == 3  # one per run
+        assert all(pid != parent and state == ["True", "None"]
+                   for pid, *state in reports)
+        assert out.read_bytes() == (GOLDEN / "caps_small.csv").read_bytes()
+
+    def test_library_call_leaves_the_imports_as_they_were(self):
+        script = (
+            "import json, sys, plsim\n"
+            "from plsim import experiments\n"
+            "config = experiments.config_from_dict(json.load(open(sys.argv[1])))\n"
+            "print('_hashlib' in sys.modules)\n"
+            "experiments.run_caps(config, workers=1)\n"
+            "print(type(sys.modules.get('_hashlib')).__name__)\n")
+        # numpy.random loads OpenSSL as it would without plsim
+        assert fresh_python(script, GOLDEN / "golden_caps.json") == "False\nmodule\n"
+
+    def test_process_that_loaded_openssl_keeps_it(self, tmp_path):
+        script = (
+            "import hashlib, sys, _hashlib, plsim.cli\n"
+            "plsim.cli.main(['caps', '--config', sys.argv[1], '--threads', '1',"
+            " '--out', sys.argv[2]], standalone_mode=False)\n"
+            "print(sys.modules['_hashlib'] is _hashlib,"
+            " hashlib.sha256 is _hashlib.openssl_sha256)\n")
+        assert fresh_python(script, GOLDEN / "golden_caps.json",
+                            tmp_path / "c.csv") == "True True\n"
 
     def test_caps_flag_overrides(self, runner, tmp_path):
         out = tmp_path / "c.csv"

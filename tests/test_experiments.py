@@ -241,7 +241,7 @@ class TestBracketing:
         pooled = run_bracketing(cfg, workers=3).to_csv_string()
         assert pooled == run_bracketing(cfg, workers=1).to_csv_string()
         # every worker sets the memory policy itself, however it was started
-        assert seen == [(2, experiments.keep_freed_memory)]
+        assert seen == [(2, experiments.prepare_engine_process)]
 
     def test_schedule_cells_invariant_to_later_schedules(self):
         # drawing streams are keyed by schedule index, so results for a
@@ -429,7 +429,7 @@ def test_runs_after_the_first_fault_in_almost_no_memory(config):
     def minor_faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
-    experiments.keep_freed_memory()
+    experiments.prepare_engine_process()
     experiments._one_run(config, 0)
     before = minor_faults()
     for r in range(1, 5):

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from plsim.drawing import PrizeSchedule, expected_payout, worst_payout
-from plsim.experiments import (ExperimentConfig, _population, keep_freed_memory,
+from plsim.experiments import (ExperimentConfig, _population, prepare_engine_process,
                                run_bracketing)
 from plsim.pareto import ParetoParams
 
@@ -85,7 +85,7 @@ def full_check(seed: int) -> dict:
 def main():
     first = int(sys.argv[1]) if len(sys.argv) > 1 else 0
     count = int(sys.argv[2]) if len(sys.argv) > 2 else 200
-    keep_freed_memory()  # this script's process runs the runs, as plsim's does
+    prepare_engine_process()  # this script's process runs the runs, as plsim's does
     survivors = []
     t0 = time.perf_counter()
     for seed in range(first, first + count):

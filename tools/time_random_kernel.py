@@ -12,11 +12,11 @@ timing that paid for fresh memory from one that did not. Per prize count it
 also reports the traced peak, in MiB, of one untimed ``drawing.payouts`` pass
 over the same drawings (``k1000_peak_mib``, ...), taken under
 ``tracemalloc`` after the timings so that they stay as they were. Before
-timing, the script sets the allocator as a plsim run does
-(``experiments.keep_freed_memory``), so a timing measures the kernel, not
-whether the C library's default thresholds happened to hand its arrays back
-to the OS; its timings then compare across checkouts: run it alternately
-with each one's ``src`` on ``PYTHONPATH``.
+timing, the script sets up its process as a plsim run does
+(``experiments.prepare_engine_process``: the allocator, and no OpenSSL), so a
+timing measures the kernel, not whether the C library's default thresholds
+happened to hand its arrays back to the OS; its timings then compare across
+checkouts: run it alternately with each one's ``src`` on ``PYTHONPATH``.
 """
 
 import json
@@ -28,7 +28,7 @@ import tracemalloc
 import numpy as np
 
 from plsim.drawing import PrizeSchedule, payouts, winner_blocks
-from plsim.experiments import keep_freed_memory
+from plsim.experiments import prepare_engine_process
 from plsim.pareto import ParetoParams
 from plsim.population import generate
 
@@ -54,7 +54,7 @@ def peak_mib(pop, sched) -> float:
 
 
 def main():
-    keep_freed_memory()
+    prepare_engine_process()
     pop = generate(ParetoParams(1.04, 150.0), ACCOUNTS, 0)
     record = {"numpy": np.__version__, "accounts": ACCOUNTS,
               "draws": DRAWS, "repeat": REPEAT}
