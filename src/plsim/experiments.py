@@ -24,8 +24,10 @@ where the default thresholds hand them back to the OS and fault them in again
 page by page. And unless the process has loaded OpenSSL already, it blocks
 ``_hashlib``, so that ``numpy.random``, imported at the first run, loads no
 OpenSSL; ``hashlib`` and ``hmac`` then use CPython's built-in hashes in that
-process. It changes no output. A library call leaves its caller's process as
-it is: its allocator and its imports.
+process. A worker that a fork server forks after loading OpenSSL, as
+CPython's does from 3.14 to authenticate the request, keeps it. It changes no
+output. A library call leaves its caller's process as it is: its allocator
+and its imports.
 """
 
 from __future__ import annotations

@@ -289,24 +289,39 @@ class TestCapsCommand:
         assert result.exit_code == 0
         assert calls == [1]
 
-    def test_one_worker_loads_no_openssl_and_still_hashes(self, tmp_path):
+    # a process that loaded OpenSSL before the command keeps it
+    @pytest.mark.parametrize("prelude, state", [
+        ("", "True True False"),
+        ("import hashlib, _hashlib\n", "True False True"),
+    ], ids=["fresh", "hashlib_first"])
+    def test_one_worker_blocks_openssl_unless_loaded_first(self, tmp_path, prelude, state):
         out = tmp_path / "c.csv"
-        script = (
+        script = prelude + (
             "import sys, plsim.cli\n"
             "plsim.cli.main(['caps', '--config', sys.argv[1], '--threads', '1',"
             " '--out', sys.argv[2]], standalone_mode=False)\n"
             "import hashlib, hmac\n"
-            "print('numpy.random' in sys.modules, sys.modules.get('_hashlib'))\n"
+            "openssl = sys.modules.get('_hashlib')\n"
+            "print('numpy.random' in sys.modules, openssl is None,"
+            " hashlib.sha256 is getattr(openssl, 'openssl_sha256', None))\n"
             "print(hashlib.sha256(b'x').hexdigest())\n"
             "print(hmac.new(b'k', b'm', 'sha256').hexdigest())\n")
         assert fresh_python(script, GOLDEN / "golden_caps.json", out).splitlines() == [
-            "True None",
+            state,
             "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881",
             "b60090e3052297aeb5a080889ce2fc4bca957e756faeb4df7d31800ca1e771ec"]
         assert out.read_bytes() == (GOLDEN / "caps_small.csv").read_bytes()
 
-    # forced, so that every Python runs all three, whatever its default
-    @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+    # forced, so that every Python runs all three, whatever its default. From
+    # CPython 3.14 the fork server authenticates each fork request with hmac
+    # before it forks (read in CPython's source; no 3.14 run has checked it
+    # yet), so it has loaded _hashlib, and its workers inherit OpenSSL
+    @pytest.mark.parametrize("method", [
+        "fork",
+        pytest.param("forkserver", marks=pytest.mark.xfail(
+            sys.version_info >= (3, 14), raises=AssertionError, strict=True,
+            reason="the fork server loads _hashlib before it forks")),
+        "spawn"])
     def test_pool_workers_load_no_openssl(self, tmp_path, method):
         # each run reports, from the worker that ran it, once numpy.random
         # has loaded there; the workers import this module by name
@@ -333,10 +348,10 @@ class TestCapsCommand:
         parent = fresh_python(script, method, GOLDEN / "golden_caps.json", out,
                               path=[tmp_path]).strip()
         reports = [line.split() for line in log.read_text().splitlines()]
-        assert len(reports) == 3  # one per run
-        assert all(pid != parent and state == ["True", "None"]
-                   for pid, *state in reports)
         assert out.read_bytes() == (GOLDEN / "caps_small.csv").read_bytes()
+        assert len(reports) == 3  # one per run
+        assert all(pid != parent for pid, *_ in reports)
+        assert all(state == ["True", "None"] for _, *state in reports)
 
     def test_library_call_leaves_the_imports_as_they_were(self):
         script = (
@@ -345,19 +360,9 @@ class TestCapsCommand:
             "config = experiments.config_from_dict(json.load(open(sys.argv[1])))\n"
             "print('_hashlib' in sys.modules)\n"
             "experiments.run_caps(config, workers=1)\n"
-            "print(type(sys.modules.get('_hashlib')).__name__)\n")
-        # numpy.random loads OpenSSL as it would without plsim
-        assert fresh_python(script, GOLDEN / "golden_caps.json") == "False\nmodule\n"
-
-    def test_process_that_loaded_openssl_keeps_it(self, tmp_path):
-        script = (
-            "import hashlib, sys, _hashlib, plsim.cli\n"
-            "plsim.cli.main(['caps', '--config', sys.argv[1], '--threads', '1',"
-            " '--out', sys.argv[2]], standalone_mode=False)\n"
-            "print(sys.modules['_hashlib'] is _hashlib,"
-            " hashlib.sha256 is _hashlib.openssl_sha256)\n")
-        assert fresh_python(script, GOLDEN / "golden_caps.json",
-                            tmp_path / "c.csv") == "True True\n"
+            "print(sys.modules.get('_hashlib', 'absent') is not None)\n")
+        # loaded or not, as numpy.random leaves it: never blocked
+        assert fresh_python(script, GOLDEN / "golden_caps.json") == "False\nTrue\n"
 
     def test_caps_flag_overrides(self, runner, tmp_path):
         out = tmp_path / "c.csv"
