@@ -210,8 +210,7 @@ def _experiment(name: str, protocol, config, threads: int, out: str,
                 else f"caps {','.join(f'{c:g}' for c in config.caps)}")
     progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
                 f"{variants}, seed {config.master_seed}")
-    if min(threads, config.runs) == 1:  # the runs run in this process
-        experiments.prepare_engine_process()
+    experiments.prepare_engine_process()  # plsim owns this process, at any --threads
     with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
         result = protocol(config, workers=threads,
                           on_start=partial(click.echo, progress, err=True))

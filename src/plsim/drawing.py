@@ -24,8 +24,8 @@ bounded by that budget, not by the prize count. One block's arrays are alive
 at a time: ``payouts`` gathers and prices a block, summing straight into its
 output, and deletes it before the next block is drawn, so a call holds
 0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
-is drawn, the kernel's scratch: 1.0-1.13 MiB in all at its peak at
-n = 100,000.
+is drawn, the kernel's scratch, at any prize count; ``TestPeakMemory`` in
+``tests/test_drawing.py`` bounds that peak.
 
 Both kernels draw their integers in one routine, ``_lemire``: Lemire's
 multiply-and-reject on the 32-bit stream of a PCG64 generator, read in bulk
@@ -64,6 +64,9 @@ class PrizeSchedule:
     multiple: float
 
     def __post_init__(self):
+        # True would draw one prize and label it "Truex100%"
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"prize count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ValueError("a schedule needs at least one prize")
         if not 0.0 < self.multiple < math.inf:

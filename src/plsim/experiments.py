@@ -4,7 +4,7 @@ Both experiments share one protocol per run: generate a fresh population;
 for every schedule and mechanism, perform ``draws_per_run`` drawings and
 price them at each price level, a cap being the level at which every balance
 is truncated; sort each level's raw payouts, read the VaR order statistics at
-``risk.var_rank`` and the analytic worst payout, and scale them by the
+``var_rank`` and the analytic worst payout, and scale them by the
 sample's expected payout at that level, from the mean of the capped balances.
 The config's caps alone pick the variants, mechanisms times price levels.
 Without caps (bracketing experiment) they are the random and the bracketed
@@ -17,14 +17,15 @@ Runs are independent: every run derives its generator substreams from the
 master seed and its own index, so results are bit-identical regardless of
 how many worker processes execute them.
 
-Each pool worker, and the ``plsim`` command where it runs the runs itself,
-first calls ``prepare_engine_process``. It does two things. Under glibc it
-keeps the arrays a run frees for the next block and the next run to reuse,
-where the default thresholds hand them back to the OS and fault them in again
-page by page. And unless the process has loaded OpenSSL already, it blocks
-``_hashlib``, so that ``numpy.random``, imported at the first run, loads no
-OpenSSL; ``hashlib`` and ``hmac`` then use CPython's built-in hashes in that
-process. A worker that a fork server forks after loading OpenSSL, as
+``prepare_engine_process`` sets up a process that plsim owns: the ``plsim``
+command calls it in its own process before every experiment, at any worker
+count, and each pool worker before its first run. It does two things. Under
+glibc it keeps the arrays a run frees for the next block and the next run to
+reuse, where the default thresholds hand them back to the OS and fault them
+in again page by page. And unless the process has loaded OpenSSL already, it
+blocks ``_hashlib``, so that ``numpy.random``, imported at the first run,
+loads no OpenSSL; ``hashlib`` and ``hmac`` then use CPython's built-in hashes
+in that process. A worker that a fork server forks after loading OpenSSL, as
 CPython's does from 3.14 to authenticate the request, keeps it. It changes no
 output. A library call leaves its caller's process as it is: its allocator
 and its imports.
@@ -35,6 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -45,7 +47,6 @@ from .drawing import (MECHANISMS, PrizeSchedule, expected_payout, payouts, requi
                       worst_payout)
 from .pareto import ParetoParams
 from .population import AccountPopulation, generate, require_drawable
-from .risk import compare_percentage_higher, relative_difference, std_dev, var_rank
 
 DEFAULT_SEED = 42
 
@@ -80,6 +81,11 @@ class ExperimentConfig:
     master_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        for name in ("n_accounts", "draws_per_run", "runs", "master_seed"):
+            value = getattr(self, name)
+            # True would run once with seed 1, and 2.5 fail inside numpy
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "var_levels", tuple(self.var_levels))
         if self.caps is not None:
@@ -226,12 +232,14 @@ class Cell:
         # each variant against the previous one; the first has no baseline
         out: list[float | None] = [None]
         for prev, cur in zip(self.values, self.values[1:]):
-            out.append(compare_percentage_higher(cur, prev))
+            out.append(float(np.mean(cur > prev) * 100.0))
         return out
 
     @property
     def stds(self) -> list[float | None]:
-        return [std_dev(row) if row.size > 1 else None for row in self.values]
+        # sample standard deviation (n - 1 denominator) of each variant's runs
+        return [float(np.std(row, ddof=1)) if row.size > 1 else None
+                for row in self.values]
 
 
 BRACKETING_CSV_COLUMNS = (
@@ -285,7 +293,8 @@ class Result:
             if caps is None:
                 row += [f"{avgs[1]:.6f}", f"{pcts[1]:.2f}"]
                 row += ["" if sd is None else f"{sd:.6f}" for sd in cell.stds]
-                row.append(f"{relative_difference(*avgs):.2f}")
+                # percent by which the random average exceeds the bracketed one
+                row.append(f"{(avgs[0] / avgs[1] - 1.0) * 100.0:.2f}")
             else:
                 for avg, pct in zip(avgs[1:], pcts[1:]):
                     row += [f"{avg:.6f}", f"{pct:.2f}"]
@@ -329,6 +338,30 @@ def _variants(config: ExperimentConfig) -> tuple[tuple[str, ...], tuple[float, .
     caps, the random one uncapped and then at each cap with them."""
     caps = config.caps or ()
     return ("random",) if caps else MECHANISMS, (math.inf, *caps)
+
+
+# float-roundoff guard when testing level * draws against the resolution limit
+_LEVEL_EPS = 1e-9
+
+
+def var_rank(draws: int, level: float) -> int:
+    """Position of the VaR at tail probability ``level`` among ``draws``
+    ascending payouts: the k-th smallest, k = round((1 - level) * draws).
+
+    The one exception is a level at the distribution's resolution limit,
+    level * draws <= 1 (0.01% of 10,000 draws, 0.1% of 1,000): there the
+    maximum is reported, the topmost approximation the draws can resolve.
+    ``_one_run`` reads it off the sorted raw payouts and then scales them:
+    division by a positive number is monotone, so that is the same float.
+    """
+    if draws == 0:
+        raise ValueError("empty payout distribution")
+    if not 0.0 < level < 1.0:
+        raise ValueError("VaR level must lie in (0, 1)")
+    if level * draws <= 1.0 + _LEVEL_EPS:
+        return draws - 1
+    k = int(round((1.0 - level) * draws))
+    return min(max(k, 1), draws) - 1
 
 
 def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:

@@ -274,20 +274,25 @@ class TestCapsCommand:
         assert f"wrong type: {field}" in result.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_memory_policy_is_set_by_the_command_not_the_library(
-            self, runner, tmp_path, monkeypatch):
+            self, runner, tmp_path, monkeypatch, serial_pool, threads):
         # a library call leaves the caller's allocator as it is; the command
-        # sets the policy in its own process when the runs run there
+        # sets the policy in its own process at any --threads, and a pool's
+        # initializer sets it in each worker
         calls = []
         monkeypatch.setattr(experiments, "prepare_engine_process", lambda: calls.append(1))
         golden = GOLDEN / "golden_caps.json"
         config = experiments.config_from_dict(json.loads(golden.read_text()))
         experiments.run_caps(config, workers=1)
         assert calls == []
-        result = runner.invoke(main, ["caps", "--config", str(golden), "--threads", "1",
+        result = runner.invoke(main, ["caps", "--config", str(golden), "--threads", threads,
                                       "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 0
         assert calls == [1]
+        assert serial_pool == ([] if threads == "1"
+                               else [(2, experiments.prepare_engine_process)])
+        assert (tmp_path / "c.csv").read_bytes() == (GOLDEN / "caps_small.csv").read_bytes()
 
     # a process that loaded OpenSSL before the command keeps it
     @pytest.mark.parametrize("prelude, state", [

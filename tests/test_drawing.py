@@ -33,6 +33,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             PrizeSchedule(5, 0.0)
 
+    @pytest.mark.parametrize("count", [True, np.True_, 2.5, 2.0, "2"],
+                             ids=["bool", "numpy-bool", "fraction", "float", "str"])
+    def test_rejects_a_count_that_is_not_an_integer(self, count):
+        # True would draw one prize and label it "Truex100%"
+        with pytest.raises(ValueError, match="^prize count must be an integer, got "):
+            PrizeSchedule(count, 1.0)
+
     @pytest.mark.parametrize("multiple", [np.inf, np.nan])
     def test_rejects_non_finite_multiple(self, multiple):
         with pytest.raises(ValueError, match="finite"):
@@ -41,6 +48,7 @@ class TestSchedule:
     def test_label(self):
         assert PrizeSchedule(1000, 1.0).label() == "1000x100%"
         assert PrizeSchedule(10, 99.0).label() == "10x9900%"
+        assert PrizeSchedule(np.int64(2), 1.0).label() == "2x100%"
 
 
 class TestExpectedPayout:
@@ -92,6 +100,22 @@ class TestBracketBounds:
             bracket_bounds(3, 0)
 
 
+def successive_draws(sched, mechanism, seed, draws):
+    """The winners, as account indices, of ``draws`` successive drawings
+    from POP4 with a generator seeded ``seed``, one row each: from one
+    ``winner_blocks`` call, whose rows are successive ``draw`` calls' winners,
+    as the first 200 are checked to be."""
+    rng = np.random.default_rng(seed)
+    winners = np.concatenate([block for _, block in
+                              winner_blocks(POP4, sched, mechanism, rng, draws)])
+    if mechanism == "bracketed":
+        winners = POP4.sort_order()[winners]
+    rng = np.random.default_rng(seed)
+    np.testing.assert_array_equal(
+        [draw(POP4, sched, mechanism, rng).winners for _ in range(200)], winners[:200])
+    return winners
+
+
 class TestDrawRandom:
     def test_rejects_oversized_schedule(self):
         rng = np.random.default_rng(0)
@@ -112,19 +136,17 @@ class TestDrawRandom:
             assert out.payout == pytest.approx(POP4.balances[out.winners].sum())
 
     def test_subsets_equally_likely(self):
-        # chi-square over the 6 possible winner sets at 60k draws
-        index = {frozenset(s): i for i, s in enumerate(combinations(range(4), 2))}
-        rng = np.random.default_rng(11)
-        counts = np.zeros(6)
-        per_account = np.zeros(4)
-        draws = 60_000
-        for _ in range(draws):
-            out = draw(POP4, TWO_AT_100, "random", rng)
-            counts[index[frozenset(out.winners.tolist())]] += 1
-            per_account[out.winners] += 1
+        # chi-square over the 6 possible winner sets at 60k draws; a set's
+        # bit mask indexes its place among them
+        index = np.zeros(16, dtype=int)
+        for i, s in enumerate(combinations(range(4), 2)):
+            index[sum(1 << a for a in s)] = i
+        winners = successive_draws(TWO_AT_100, "random", 11, 60_000)
+        counts = np.bincount(index[(1 << winners).sum(axis=1)], minlength=6)
+        per_account = np.bincount(winners.ravel(), minlength=4)
         assert stats.chisquare(counts).pvalue > 0.001
         # each account wins with probability count/population = 1/2
-        np.testing.assert_allclose(per_account / draws, 0.5, atol=0.011)
+        np.testing.assert_allclose(per_account / len(winners), 0.5, atol=0.011)
 
 
 class TestDrawBracketed:
@@ -139,25 +161,18 @@ class TestDrawBracketed:
         assert seen == {400.0, 500.0, 600.0}
 
     def test_combos_equally_likely(self):
-        rng = np.random.default_rng(13)
-        counts = np.zeros((2, 2))
-        per_account = np.zeros(4)
-        draws = 40_000
-        for _ in range(draws):
-            out = draw(POP4, TWO_AT_100, "bracketed", rng)
-            counts[out.winners.min(), out.winners.max() - 2] += 1
-            per_account[out.winners] += 1
-        assert stats.chisquare(counts.ravel()).pvalue > 0.001
-        np.testing.assert_allclose(per_account / draws, 0.5, atol=0.013)
+        winners = successive_draws(TWO_AT_100, "bracketed", 13, 40_000)
+        # (lower bracket's winner, upper bracket's winner - 2), row-major
+        combos = 2 * winners.min(axis=1) + winners.max(axis=1) - 2
+        counts = np.bincount(combos, minlength=4)
+        per_account = np.bincount(winners.ravel(), minlength=4)
+        assert stats.chisquare(counts).pvalue > 0.001
+        np.testing.assert_allclose(per_account / len(winners), 0.5, atol=0.013)
 
     def test_single_prize_is_uniform_over_population(self):
         # one bracket covers everything, matching the random mechanism
-        rng = np.random.default_rng(17)
-        counts = np.zeros(4)
-        for _ in range(40_000):
-            out = draw(POP4, PrizeSchedule(1, 1.0), "bracketed", rng)
-            counts[out.winners[0]] += 1
-        assert stats.chisquare(counts).pvalue > 0.001
+        winners = successive_draws(PrizeSchedule(1, 1.0), "bracketed", 17, 40_000)
+        assert stats.chisquare(np.bincount(winners[:, 0], minlength=4)).pvalue > 0.001
 
     def test_rejects_oversized_schedule(self):
         rng = np.random.default_rng(0)

@@ -1,4 +1,5 @@
-import concurrent.futures
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -15,7 +16,9 @@ from plsim.drawing import (
     worst_payout,
 )
 from plsim.experiments import (
+    Cell,
     ExperimentConfig,
+    Result,
     bracketing_config,
     caps_config,
     config_from_dict,
@@ -23,12 +26,13 @@ from plsim.experiments import (
     level_label,
     run_bracketing,
     run_caps,
+    var_rank,
 )
 from plsim.pareto import ParetoParams
 from plsim.population import generate
-from plsim.risk import var_rank
 
 P104 = ParetoParams(1.04, 150.0)
+TWENTY = PrizeSchedule(20, 1.0)
 ROOT = Path(__file__).parent.parent
 
 
@@ -151,6 +155,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="caps must be finite and positive, got inf"):
             config_from_dict(doc)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, 2.5, 4.0, "4", None],
+                             ids=["bool", "numpy-bool", "fraction", "float", "str", "None"])
+    def test_integer_fields_refuse_non_integers(self, bad):
+        # True would run once with seed 1; the others would fail inside numpy
+        for field in ("n_accounts", "runs", "draws_per_run", "master_seed"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+                small_config(**{field: bad})
+
+    def test_integer_fields_take_numpy_integers(self):
+        config = small_config(runs=np.int64(2), master_seed=np.uint32(7))
+        assert run_bracketing(config).to_csv_string() == run_bracketing(
+            small_config(runs=2, master_seed=7)).to_csv_string()
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed"):
             small_config(master_seed=-1)
@@ -219,29 +236,12 @@ class TestBracketing:
             np.testing.assert_array_equal(a.values[0], b.values[0])
             np.testing.assert_array_equal(a.values[1], b.values[1])
 
-    def test_workers_clamped_to_runs(self, monkeypatch):
-        seen = []
-
-        class SerialPool:
-            def __init__(self, max_workers, initializer):
-                seen.append((max_workers, initializer))
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, func, items):
-                return map(func, items)
-
-        # _run imports the pool from concurrent.futures when it needs one
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    def test_workers_clamped_to_runs(self, serial_pool):
         cfg = small_config(runs=2)
         pooled = run_bracketing(cfg, workers=3).to_csv_string()
         assert pooled == run_bracketing(cfg, workers=1).to_csv_string()
         # every worker sets the memory policy itself, however it was started
-        assert seen == [(2, experiments.prepare_engine_process)]
+        assert serial_pool == [(2, experiments.prepare_engine_process)]
 
     def test_schedule_cells_invariant_to_later_schedules(self):
         # drawing streams are keyed by schedule index, so results for a
@@ -321,6 +321,66 @@ class TestResultCell:
         result = run_bracketing(small_config(runs=1))
         with pytest.raises(ValueError, match=r"0\.03 .*\[0\.05, 0\.02\]"):
             result.cell(0, 0.03)
+
+
+class TestVarRank:
+    def test_order_statistic_convention(self):
+        ranks = [var_rank(10_000, level) for level in (0.05, 0.01, 0.001)]
+        assert ranks == [9499, 9899, 9989]
+        # topmost resolvable level reports the largest payout
+        assert var_rank(10_000, 0.0001) == 9999
+
+    def test_thousand_draw_convention(self):
+        assert [var_rank(1_000, level) for level in (0.05, 0.01, 0.001)] == [949, 989, 999]
+
+    def test_below_resolution_reports_maximum(self):
+        assert var_rank(10, 0.001) == 9
+
+    def test_empty_distribution_rejected(self):
+        with pytest.raises(ValueError):
+            var_rank(0, 0.05)
+
+    def test_level_domain(self):
+        for bad in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError):
+                var_rank(100, bad)
+
+
+def bracketing_rows(*values):
+    """CSV rows of a one-schedule bracketing result whose 5% cell and worst
+    cell hold ``values``, each a (random, bracketed) pair of per-run rows."""
+    config = small_config(schedules=(TWENTY,), var_levels=(0.05,), runs=len(values[0][0]))
+    cells = tuple(Cell(TWENTY, level, np.array(rows, dtype=float))
+                  for level, rows in zip((0.05, None), values))
+    return list(csv.DictReader(io.StringIO(Result(config, cells).to_csv_string())))
+
+
+class TestCellStatistics:
+    def test_relative_difference_published_rows(self):
+        rows = bracketing_rows([[2.044715], [1.864649]], [[60.90616], [14.42867]])
+        assert [round(float(row["rel_diff_pct"]), 1) for row in rows] == [9.7, 322.1]
+        rows = bracketing_rows([[3.0], [3.0]], [[3.0], [3.0]])
+        assert [row["rel_diff_pct"] for row in rows] == ["0.00", "0.00"]
+
+    def test_percentage_higher(self):
+        # each variant against the previous one: 2 > 1 but 3 < 4
+        assert Cell(TWENTY, 0.05, np.array([[1.0, 4.0], [2.0, 3.0]])).pct_higher == [
+            None, 50.0]
+        assert Cell(TWENTY, 0.05, np.ones((3, 2))).pct_higher == [None, 0.0, 0.0]
+
+    def test_mutual_percentages_bounded(self):
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, 5, 200).astype(float)
+        b = rng.integers(0, 5, 200).astype(float)
+        b_higher = Cell(TWENTY, 0.05, np.array([a, b])).pct_higher[1]
+        a_higher = Cell(TWENTY, 0.05, np.array([b, a])).pct_higher[1]
+        assert b_higher + a_higher <= 100.0
+
+    def test_known_standard_deviations(self):
+        stds = Cell(TWENTY, None, np.array([[1.0, 1.0, 1.0], [0.0, 2.0, 1.0]])).stds
+        assert stds == [0.0, 1.0]
+        assert Cell(TWENTY, None, np.array([[0.0, 2.0]])).stds == [
+            pytest.approx(np.sqrt(2.0))]
 
 
 class TestCaps:

@@ -30,10 +30,10 @@ from plsim.experiments import (
     config_to_dict,
     run_bracketing,
     run_caps,
+    var_rank,
 )
 from plsim.pareto import ParetoParams
 from plsim.population import AccountPopulation, generate
-from plsim.risk import var_rank
 
 # small populations keep each example to milliseconds; up to 300 drawings
 # of more than 213 prizes cross a block boundary of the batched kernels
