@@ -7,6 +7,9 @@ verbatim). Each validates its input, opens all its outputs (``_outputs``),
 computes, writes, and commits the outputs together. Data goes to --out
 (stdout by default); progress goes to stderr so piped CSV stays clean.
 
+``bracketing`` and ``caps`` are one body, registered twice by
+``_experiment_command``; each flag is declared under the field it overrides.
+
 A command fails in one place, ``_Main.invoke``: a refusal of bad input
 (ValueError), an allocation numpy cannot make (MemoryError) or a failed read
 or write (OSError) ends it with exit status 1 and one ``Error:`` line.
@@ -155,100 +158,80 @@ def cmd_table1(params_csv: str, out: str):
 # experiments
 
 
-def _load_config(config_path: str | None, preset, runs, draws, accounts, seed,
-                 caps_csv=None) -> experiments.ExperimentConfig:
-    if config_path is not None:
-        with open(config_path) as fh:
-            try:
-                config = experiments.config_from_dict(json.load(fh))
-            except (json.JSONDecodeError, ValueError) as exc:
-                _fail(f"invalid config {config_path}: {exc}")
-    else:
-        config = preset()
-
-    flags = {"runs": runs, "draws_per_run": draws, "n_accounts": accounts,
-             "master_seed": seed}
-    overrides = {name: value for name, value in flags.items() if value is not None}
-    if caps_csv is not None:
-        try:
-            overrides["caps"] = tuple(float(c) for c in caps_csv.split(","))
-        except ValueError:
-            _fail(f"could not parse --caps {caps_csv!r}")
-    return replace(config, **overrides) if overrides else config
-
-
-_experiment_options = [
+# a flag that overrides an ExperimentConfig field is declared under its name
+_EXPERIMENT_OPTIONS = (
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config; flags override its fields."),
     click.option("--runs", type=int, default=None, help="Override run count."),
-    click.option("--draws", type=int, default=None, help="Override draws per run."),
-    click.option("--accounts", type=int, default=None, help="Override account count."),
-    click.option("--seed", type=int, default=None, help="Override master seed."),
+    click.option("--draws", "draws_per_run", type=int, default=None,
+                 help="Override draws per run."),
+    click.option("--accounts", "n_accounts", type=int, default=None,
+                 help="Override account count."),
+    click.option("--seed", "master_seed", type=int, default=None, help="Override master seed."),
     click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
                  help="Worker processes; results are identical for any value."),
     click.option("--out", default="-", show_default=True,
                  help="Output CSV path, or - for stdout."),
     click.option("--json-out", default=None,
                  help="Also dump raw per-run values as JSON to this path."),
-]
+)
 
 
-def _with_experiment_options(func):
-    for option in reversed(_experiment_options):
-        func = option(func)
-    return func
+def _experiment_command(name: str, preset, doc: str, *extra_options):
+    """Register ``plsim <name>``: ``preset()`` or --config, each flag given
+    replacing its field, run by ``experiments.run_<name>`` as looked up when
+    the command runs, not at import, so that a wrapper installed on
+    ``experiments`` sees the call. The outputs open before the run and commit
+    after it; the progress line is printed once the protocol has sized its result."""
+
+    def command(config_path, threads, out, json_out, **fields):
+        if config_path is None:
+            config = preset()
+        else:
+            with open(config_path) as fh:
+                try:
+                    config = experiments.config_from_dict(json.load(fh))
+                except (json.JSONDecodeError, ValueError) as exc:
+                    _fail(f"invalid config {config_path}: {exc}")
+        caps = fields.get("caps")
+        if caps is not None:
+            try:
+                fields["caps"] = tuple(float(c) for c in caps.split(","))
+            except ValueError:
+                _fail(f"could not parse --caps {caps!r}")
+        config = replace(config, **{f: v for f, v in fields.items() if v is not None})
+        variants = (f"{len(config.schedules)} schedules" if config.caps is None
+                    else f"caps {','.join(f'{c:g}' for c in config.caps)}")
+        progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
+                    f"{variants}, seed {config.master_seed}")
+        experiments.prepare_engine_process()  # plsim owns this process, at any --threads
+        with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
+            result = getattr(experiments, f"run_{name}")(
+                config, workers=threads, on_start=partial(click.echo, progress, err=True))
+            result.write_csv(stream)
+            if json_stream is not None:
+                json.dump(result.to_json_dict(), json_stream, indent=2)
+                json_stream.write("\n")
+        click.echo(f"{name}: done", err=True)
+
+    for option in reversed(_EXPERIMENT_OPTIONS + extra_options):
+        command = option(command)
+    main.command(name, help=doc)(command)
 
 
-def _experiment(name: str, protocol, config, threads: int, out: str,
-                json_out: str | None):
-    """The run and its outputs, opened before the run and committed after
-    it; the progress line is printed once the protocol has checked the
-    config's caps and sized its result. The commands pass
-    ``experiments.run_*`` as looked up when they run, not at import, so a
-    wrapper installed on ``experiments`` in the meantime sees the call."""
-    variants = (f"{len(config.schedules)} schedules" if config.caps is None
-                else f"caps {','.join(f'{c:g}' for c in config.caps)}")
-    progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
-                f"{variants}, seed {config.master_seed}")
-    experiments.prepare_engine_process()  # plsim owns this process, at any --threads
-    with _outputs(("--out", out), ("--json-out", json_out)) as (stream, json_stream):
-        result = protocol(config, workers=threads,
-                          on_start=partial(click.echo, progress, err=True))
-        result.write_csv(stream)
-        if json_stream is not None:
-            json.dump(result.to_json_dict(), json_stream, indent=2)
-            json_stream.write("\n")
-    click.echo(f"{name}: done", err=True)
+_experiment_command("bracketing", experiments.bracketing_config, """\
+Compare random and bracketed drawings across repeated runs.
 
+Without --config, uses the full-scale preset: 100,000 accounts, four
+schedules, 10,000 draws per run, 200 runs.""")
 
-@main.command("bracketing")
-@_with_experiment_options
-def cmd_bracketing(config_path, runs, draws, accounts, seed, threads, out, json_out):
-    """Compare random and bracketed drawings across repeated runs.
+_experiment_command("caps", experiments.caps_config, """\
+Re-price identical drawings under descending balance caps.
 
-    Without --config, uses the full-scale preset: 100,000 accounts, four
-    schedules, 10,000 draws per run, 200 runs.
-    """
-    config = _load_config(config_path, experiments.bracketing_config, runs, draws,
-                          accounts, seed)
-    _experiment("bracketing", experiments.run_bracketing, config, threads, out,
-                json_out)
-
-
-@main.command("caps")
-@_with_experiment_options
-@click.option("--caps", "caps_csv", default=None,
-              help="Override cap levels, descending: c1,c2,c3")
-def cmd_caps(config_path, runs, draws, accounts, seed, threads, out, json_out,
-             caps_csv):
-    """Re-price identical drawings under descending balance caps.
-
-    Without --config, uses the full-scale preset: 1,000 draws per run,
-    2,000 runs, caps 250000/50000/10000. A config without caps needs --caps.
-    """
-    config = _load_config(config_path, experiments.caps_config, runs, draws,
-                          accounts, seed, caps_csv)
-    _experiment("caps", experiments.run_caps, config, threads, out, json_out)
+Without --config, uses the full-scale preset: 1,000 draws per run,
+2,000 runs, caps 250000/50000/10000. A config without caps needs --caps.""",
+                    click.option("--caps", default=None,
+                                 help="Override cap levels, descending: c1,c2,c3"))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +315,7 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
 @click.option("--multiple", type=float, required=True)
 @click.option("--mechanism", type=click.Choice(drawing.MECHANISMS),
               default="random", show_default=True)
-@click.option("--seed", type=int, default=experiments.DEFAULT_SEED,
+@click.option("--seed", type=click.IntRange(min=0), default=experiments.DEFAULT_SEED,
               show_default=True)
 @click.option("--dump-balances", "dump_path", default=None,
               help="Also write the generated balances, one per line.")

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pareto import require_pcg64
+from .pareto import _real, require_pcg64
 from .population import AccountPopulation, require_stream_range
 
 MECHANISMS = ("random", "bracketed")
@@ -58,7 +58,8 @@ _BLOCK_WINNERS = 64_000
 
 @dataclass(frozen=True)
 class PrizeSchedule:
-    """Number of prizes per drawing and prize size as a fraction of balance."""
+    """Number of prizes per drawing and prize size as a multiple of balance,
+    an integer and a real number (a float once stored), neither a bool."""
 
     count: int
     multiple: float
@@ -69,6 +70,7 @@ class PrizeSchedule:
             raise ValueError(f"prize count must be an integer, got {self.count!r}")
         if self.count < 1:
             raise ValueError("a schedule needs at least one prize")
+        object.__setattr__(self, "multiple", _real(self.multiple, "prize multiple"))
         if not 0.0 < self.multiple < math.inf:
             raise ValueError(
                 f"prize multiple must be finite and positive, got {self.multiple}")

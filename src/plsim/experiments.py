@@ -45,7 +45,7 @@ import numpy as np
 
 from .drawing import (MECHANISMS, PrizeSchedule, expected_payout, payouts, require_caps,
                       worst_payout)
-from .pareto import ParetoParams
+from .pareto import ParetoParams, _real
 from .population import AccountPopulation, generate, require_drawable
 
 DEFAULT_SEED = 42
@@ -87,7 +87,8 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         object.__setattr__(self, "schedules", tuple(self.schedules))
-        object.__setattr__(self, "var_levels", tuple(self.var_levels))
+        object.__setattr__(self, "var_levels",
+                           tuple(_real(lvl, "VaR level") for lvl in self.var_levels))
         if self.caps is not None:
             caps = tuple(self.caps)
             require_caps(caps)  # before float() can take "7" or True

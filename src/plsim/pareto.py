@@ -16,6 +16,7 @@ sampler draws arrays, and its only state is the caller-owned generator.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,17 +33,28 @@ __all__ = [
 ]
 
 
+def _real(value, what: str) -> float:
+    """``value`` as a float, refused if it is a bool or not a real number: True
+    would be labelled 1 and dumped as true, and "1.5" fail a comparison."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ParetoParams:
     """Shape/scale pair; ``b`` equals the minimum possible value.
 
-    ``alpha`` must exceed 1 so the mean is finite, and both must be finite.
+    ``alpha`` must exceed 1 so the mean is finite, and both must be finite
+    real numbers, not bools; they are stored as floats.
     """
 
     alpha: float
     b: float
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
+        object.__setattr__(self, "b", _real(self.b, "scale b"))
         if not 1.0 < self.alpha < math.inf:
             raise ValueError(
                 f"alpha must be finite and exceed 1 for a finite mean, got {self.alpha}")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -12,22 +12,21 @@ from .pareto import ParetoParams, sample
 
 @dataclass(frozen=True)
 class AccountPopulation:
-    """Immutable sample of account balances with a cached mean.
-
-    Balances stay in generation order. The sorted values (needed for
-    bracketing and the extreme payouts) come from ``np.sort`` and the account
-    order from a stable ``argsort``, which only ``draw`` asks for; each is
-    computed on first use and cached, which is safe because the arrays are
-    read-only.
+    """Immutable sample of account balances: a non-empty 1-D array of positive
+    values with a finite float64 sum, kept as a read-only copy in generation
+    order, from which ``count`` and ``mean`` are derived, never given. The
+    sorted values (needed for bracketing and the extreme payouts) come from
+    ``np.sort`` and the account order from a stable ``argsort``, which only
+    ``draw`` asks for; each is computed on first use and cached, which is
+    safe because the arrays are read-only.
     """
 
     balances: np.ndarray
-    mean: float
-    count: int
+    mean: float = field(init=False)
+    count: int = field(init=False)
 
-    @classmethod
-    def from_balances(cls, balances) -> "AccountPopulation":
-        arr = np.array(balances, dtype=float)
+    def __post_init__(self):
+        arr = np.array(self.balances, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("population requires a non-empty 1-D balance array")
         if not np.all(arr > 0.0):
@@ -37,7 +36,9 @@ class AccountPopulation:
         if not mean < math.inf:
             raise ValueError("balances must be finite and sum within float64")
         arr.setflags(write=False)
-        return cls(balances=arr, mean=mean, count=int(arr.size))
+        object.__setattr__(self, "balances", arr)
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "count", int(arr.size))
 
     def sorted_balances(self) -> np.ndarray:
         cached = getattr(self, "_sorted", None)
@@ -66,7 +67,7 @@ def generate(params: ParetoParams, n: int, seed) -> AccountPopulation:
     if n < 1:
         raise ValueError("population must contain at least one account")
     rng = np.random.default_rng(seed)
-    return AccountPopulation.from_balances(sample(params, rng, n))
+    return AccountPopulation(sample(params, rng, n))
 
 
 def require_stream_range(n: int) -> None:

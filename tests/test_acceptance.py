@@ -220,7 +220,7 @@ def test_criterion_7_raw_payouts_monotone_under_caps(caps_results):
 
 def test_criterion_8_equal_chance():
     # exhaustive enumeration on six accounts, two and three prizes
-    pop = AccountPopulation.from_balances([40.0, 10.0, 60.0, 20.0, 50.0, 30.0])
+    pop = AccountPopulation([40.0, 10.0, 60.0, 20.0, 50.0, 30.0])
     for k in (2, 3):
         # random mechanism: every k-subset equally likely
         prob_random = np.zeros(6)

@@ -501,6 +501,23 @@ class TestCapsCommand:
         assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("name, flags, fields", [
+    ("bracketing", [], {}),
+    ("caps", ["--caps", "9000,900"], {"caps": [9000.0, 900.0]}),
+])
+def test_every_experiment_flag_lands_on_its_field(runner, tmp_path, name, flags, fields):
+    golden = GOLDEN / f"golden_{name}.json"
+    json_out = tmp_path / "o.json"
+    result = runner.invoke(main, [
+        name, "--config", str(golden), "--runs", "2", "--draws", "30", "--accounts", "200",
+        "--seed", "11", *flags, "--out", str(tmp_path / "o.csv"), "--json-out", str(json_out)])
+    assert result.exit_code == 0
+    # each value under its own field, and every other field as the file gave it
+    assert json.loads(json_out.read_text())["config"] == {
+        **json.loads(golden.read_text()),
+        "runs": 2, "draws_per_run": 30, "n_accounts": 200, "master_seed": 11, **fields}
+
+
 class TestOutputs:
     @pytest.mark.parametrize("args, option", [
         (["caps", "--config", str(GOLDEN / "golden_caps.json")], "--json-out"),
@@ -733,6 +750,14 @@ class TestDrawCommand:
         assert result.stderr.splitlines() == [
             f"Error: cannot draw from {2**32 + 1} accounts: the 32-bit stream "
             "draws from at most 2**32"]
+
+    def test_negative_seed_fails_naming_its_option(self, runner):
+        result = runner.invoke(main, [
+            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "10",
+            "--prizes", "2", "--multiple", "1", "--seed", "-1"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Invalid value for '--seed': -1 is not in the range x>=0." in result.stderr
 
     def test_invalid_inputs_fail(self, runner):
         assert runner.invoke(main, [

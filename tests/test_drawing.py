@@ -1,5 +1,6 @@
 import tracemalloc
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from plsim.experiments import DEFAULT_CAPS
 from plsim.pareto import ParetoParams, quantile
 from plsim.population import AccountPopulation, generate
 
-POP4 = AccountPopulation.from_balances([100.0, 200.0, 300.0, 400.0])
+POP4 = AccountPopulation([100.0, 200.0, 300.0, 400.0])
 TWO_AT_100 = PrizeSchedule(2, 1.0)
 
 
@@ -40,6 +41,13 @@ class TestSchedule:
         with pytest.raises(ValueError, match="^prize count must be an integer, got "):
             PrizeSchedule(count, 1.0)
 
+    @pytest.mark.parametrize("multiple", [True, np.True_, "2", None],
+                             ids=["bool", "numpy-bool", "str", "None"])
+    def test_rejects_a_multiple_that_is_not_a_real_number(self, multiple):
+        # True would be labelled "3x100%" and dumped as true
+        with pytest.raises(ValueError, match="^prize multiple must be a real number, got "):
+            PrizeSchedule(3, multiple)
+
     @pytest.mark.parametrize("multiple", [np.inf, np.nan])
     def test_rejects_non_finite_multiple(self, multiple):
         with pytest.raises(ValueError, match="finite"):
@@ -53,9 +61,9 @@ class TestSchedule:
 
 class TestExpectedPayout:
     def test_direct_formula(self):
-        pop = AccountPopulation.from_balances(np.full(10, 3900.0))
+        pop = AccountPopulation(np.full(10, 3900.0))
         assert expected_payout(pop, PrizeSchedule(5, 1.0)) == pytest.approx(19_500.0)
-        pop250 = AccountPopulation.from_balances(np.full(4, 250.0))
+        pop250 = AccountPopulation(np.full(4, 250.0))
         assert expected_payout(pop250, PrizeSchedule(1, 2.0)) == pytest.approx(500.0)
 
     def test_matches_enumeration(self):
@@ -392,8 +400,8 @@ class TestBatchedKernelsExact:
 
     def test_refuses_populations_beyond_the_32_bit_stream(self):
         # Lemire's window 2**32 // n would be 0; a population of that count,
-        # built here without its balances, is refused before any draw
-        huge = AccountPopulation(balances=np.empty(0), mean=1.0, count=2**32 + 1)
+        # a stand-in here without balances, is refused before any is read
+        huge = SimpleNamespace(count=2**32 + 1)
         for mechanism in MECHANISMS:
             with pytest.raises(ValueError, match="at most 2\\*\\*32"):
                 payouts(huge, PrizeSchedule(1, 1.0), mechanism, np.random.default_rng(0), 1)

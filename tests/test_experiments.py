@@ -163,6 +163,25 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
                 small_config(**{field: bad})
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.05", None],
+                             ids=["bool", "numpy-bool", "str", "None"])
+    def test_var_levels_refuse_non_real_numbers(self, bad):
+        # "0.05" would fail a comparison; True would be refused as outside (0, 1)
+        # only because it equals 1
+        with pytest.raises(ValueError, match="^VaR level must be a real number, got "):
+            small_config(var_levels=(0.05, bad))
+
+    def test_float_fields_dump_as_floats(self):
+        # a config built from integers still reads back from its own JSON
+        config = small_config(pareto=ParetoParams(2, np.float32(150)),
+                              var_levels=(np.float32(0.5),), schedules=(PrizeSchedule(20, 1),))
+        data = config_to_dict(config)
+        assert json.dumps(data["pareto"]) == '{"alpha": 2.0, "b": 150.0}'
+        assert data["schedules"] == [{"count": 20, "multiple": 1.0}]
+        assert type(data["schedules"][0]["multiple"]) is float
+        assert data["var_levels"] == [0.5] and type(data["var_levels"][0]) is float
+        assert config_from_dict(json.loads(json.dumps(data))) == config
+
     def test_integer_fields_take_numpy_integers(self):
         config = small_config(runs=np.int64(2), master_seed=np.uint32(7))
         assert run_bracketing(config).to_csv_string() == run_bracketing(

@@ -36,6 +36,15 @@ class TestParams:
         with pytest.raises(ValueError, match="finite"):
             ParetoParams(alpha, b)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "1.5", None],
+                             ids=["bool", "numpy-bool", "str", "None"])
+    def test_refuses_parameters_that_are_not_real_numbers(self, bad):
+        # True would be labelled 1 and dumped as true; "1.5" would fail a comparison
+        with pytest.raises(ValueError, match="^alpha must be a real number, got "):
+            ParetoParams(bad, 150.0)
+        with pytest.raises(ValueError, match="^scale b must be a real number, got "):
+            ParetoParams(1.5, bad)
+
 
 class TestPdf:
     def test_at_scale_equals_alpha_over_b(self):

@@ -39,6 +39,14 @@ def test_mean_cache_matches_balances():
     assert pop.count == len(pop.balances)
 
 
+def test_mean_and_count_are_derived_from_the_balances():
+    # no population can carry a mean or count its balances do not have
+    pop = AccountPopulation([1.0, 3.0])
+    assert (pop.count, pop.mean) == (2, 2.0)
+    with pytest.raises(TypeError):
+        AccountPopulation([1.0, 3.0], mean=5.0, count=2)
+
+
 def test_balances_are_read_only():
     pop = generate(P104, 100, 3)
     with pytest.raises(ValueError):
@@ -49,18 +57,18 @@ def test_balances_are_read_only():
                          ids=["empty", "2-D", "0-D"])
 def test_rejects_balances_not_a_non_empty_1d_array(balances):
     with pytest.raises(ValueError, match="non-empty 1-D balance array"):
-        AccountPopulation.from_balances(balances)
+        AccountPopulation(balances)
 
 
 def test_rejects_nonpositive_balances():
     with pytest.raises(ValueError):
-        AccountPopulation.from_balances([100.0, 0.0, 50.0])
+        AccountPopulation([100.0, 0.0, 50.0])
 
 
 @pytest.mark.parametrize("balances", [[100.0, math.inf], [1e308, 1e308]])
 def test_rejects_balances_summing_past_float64(balances):
     with pytest.raises(ValueError, match="float64"):
-        AccountPopulation.from_balances(balances)
+        AccountPopulation(balances)
 
 
 def test_float64_range_bounds_accounts_times_largest_sample_times_multiple():

@@ -198,7 +198,7 @@ def tied_populations(draw_from):
     values = draw_from(st.lists(st.floats(1e-3, 1e6), min_size=1, max_size=4))
     picks = draw_from(st.lists(st.integers(0, len(values) - 1), min_size=1,
                                max_size=300))
-    return AccountPopulation.from_balances([values[i] for i in picks])
+    return AccountPopulation([values[i] for i in picks])
 
 
 @properties
