@@ -290,7 +290,7 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
         grid = np.linspace(x_min, x_max, points)
 
     with _outputs(("--out", out)) as (stream,):
-        report = cpt.sign_report(cpt.CptParams(), spec, grid)
+        report = cpt.sign_report(spec, grid)
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(_CPT_CSV_COLUMNS)
         for pt in report:

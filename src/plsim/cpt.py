@@ -2,12 +2,14 @@
 
 Value function and probability weighting follow the standard two-part form:
 
-    v(x)  =  x**a                    for gains (0 < a < 1)
-          = -lam * (-x)**b           for losses (0 < b < 1, lam >= 1)
+    v(x)  =  x**a                    for gains
+          = -lam * (-x)**b           for losses
     w(p)  =  p**e / (p**e + (1-p)**e)**(1/e)
 
-with separate weighting exponents for gains and losses. Two prize specs
-are evaluated over the savings amount X; each owns its domain:
+with a = b = GAIN_EXP = LOSS_EXP = 0.88, lam = LOSS_AVERSION = 2.25, and e =
+GAIN_WEIGHT_EXP = 0.61 for gains, LOSS_WEIGHT_EXP = 0.69 for losses: Tversky &
+Kahneman's median estimates ("Advances in prospect theory", 1992). Two prize
+specs are evaluated over the savings amount X; each owns its domain:
 
 * FixedPrizeSpec    a fixed prize ``y``; the chance of winning grows linearly
                     in X (slope ``c``) and the saver expects growth at rate
@@ -26,48 +28,24 @@ forms; everything else is probed with central finite differences.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .pareto import _maybe_scalar
+from .pareto import _maybe_scalar, _real
 
-# below this weighting exponent the weighting form is no longer monotone
-_MONOTONE_WEIGHT_EXP = 0.28
+# the median estimates of Tversky & Kahneman, J. Risk Uncertain. 5 (1992)
+GAIN_EXP = LOSS_EXP = 0.88
+LOSS_AVERSION = 2.25
+GAIN_WEIGHT_EXP = 0.61
+LOSS_WEIGHT_EXP = 0.69
 
-@dataclass(frozen=True)
-class CptParams:
-    """Curvature, loss-aversion, and weighting parameters.
 
-    Defaults are the canonical median estimates for this functional form:
-    0.88 curvature on both branches, loss aversion 2.25, weighting exponents
-    0.61 (gains) and 0.69 (losses).
-    """
-
-    gain_exp: float = 0.88
-    loss_exp: float = 0.88
-    loss_aversion: float = 2.25
-    gain_weight_exp: float = 0.61
-    loss_weight_exp: float = 0.69
-
-    def __post_init__(self):
-        if not 0.0 < self.gain_exp < 1.0:
-            raise ValueError("gain curvature exponent must lie in (0, 1)")
-        if not 0.0 < self.loss_exp < 1.0:
-            raise ValueError("loss curvature exponent must lie in (0, 1)")
-        if self.loss_aversion < 1.0:
-            raise ValueError("loss aversion must be >= 1")
-        for name in ("gain_weight_exp", "loss_weight_exp"):
-            exp = getattr(self, name)
-            if not 0.0 < exp <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1]")
-            if exp < _MONOTONE_WEIGHT_EXP:
-                warnings.warn(
-                    f"{name}={exp} makes the probability weighting "
-                    f"non-monotone (threshold ~{_MONOTONE_WEIGHT_EXP})",
-                    stacklevel=2,
-                )
+def _store_floats(spec) -> None:
+    """Store every field of a frozen spec as a float, refusing a bool or a
+    value that is not a real number as ``pareto._real`` does."""
+    for field in fields(spec):
+        object.__setattr__(spec, field.name, _real(getattr(spec, field.name), field.name))
 
 
 def _check_growth_rate(rate: float) -> None:
@@ -85,6 +63,7 @@ class FixedPrizeSpec:
     growth_rate: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self)
         if not 0.0 < self.prize < math.inf:
             raise ValueError(f"prize must be finite and positive, got {self.prize}")
         if not 0.0 < self.prob_per_unit < math.inf:
@@ -119,6 +98,7 @@ class DynamicPrizeSpec:
     growth_rate: float = 0.0
 
     def __post_init__(self):
+        _store_floats(self)
         _check_growth_rate(self.growth_rate)
         if not self.growth_rate < self.multiple < math.inf:
             raise ValueError("prize multiple must be finite and exceed the growth "
@@ -140,13 +120,12 @@ class UtilityParts:
     total: float | np.ndarray
 
 
-def value(params: CptParams, x) -> float | np.ndarray:
+def value(x) -> float | np.ndarray:
     """Two-part value function: concave over gains, convex and steeper
     (by the loss-aversion factor) over losses; v(0) = 0."""
     x_arr = np.asarray(x, dtype=float)
-    gains = np.power(np.clip(x_arr, 0.0, None), params.gain_exp)
-    losses = -params.loss_aversion * np.power(
-        np.clip(-x_arr, 0.0, None), params.loss_exp)
+    gains = np.power(np.clip(x_arr, 0.0, None), GAIN_EXP)
+    losses = -LOSS_AVERSION * np.power(np.clip(-x_arr, 0.0, None), LOSS_EXP)
     return _maybe_scalar(np.where(x_arr >= 0.0, gains, losses), x)
 
 
@@ -159,14 +138,14 @@ def _weight(p, exponent: float):
     return _maybe_scalar(out, p)
 
 
-def weight_gain(params: CptParams, p) -> float | np.ndarray:
+def weight_gain(p) -> float | np.ndarray:
     """Decision weight for gains; fixes 0 and 1, overweights small p."""
-    return _weight(p, params.gain_weight_exp)
+    return _weight(p, GAIN_WEIGHT_EXP)
 
 
-def weight_loss(params: CptParams, p) -> float | np.ndarray:
+def weight_loss(p) -> float | np.ndarray:
     """Decision weight for losses (same form, loss exponent)."""
-    return _weight(p, params.loss_weight_exp)
+    return _weight(p, LOSS_WEIGHT_EXP)
 
 
 def weight_inflection(exponent: float) -> float:
@@ -190,16 +169,16 @@ def weight_inflection(exponent: float) -> float:
 # prize-model utilities
 
 
-def _utility(params: CptParams, x, won, p, lost) -> UtilityParts:
+def _utility(x, won, p, lost) -> UtilityParts:
     """gain = v(won) * w_gain(p); loss = v(lost) * w_loss(1 - p), each
     shaped like ``x``."""
-    gain = value(params, won) * weight_gain(params, p)
-    loss = value(params, lost) * weight_loss(params, 1.0 - p)
+    gain = value(won) * weight_gain(p)
+    loss = value(lost) * weight_loss(1.0 - p)
     return UtilityParts(gain=_maybe_scalar(gain, x), loss=_maybe_scalar(loss, x),
                         total=_maybe_scalar(gain + loss, x))
 
 
-def utility_fixed_growth(params: CptParams, spec: FixedPrizeSpec, x) -> UtilityParts:
+def utility_fixed_growth(spec: FixedPrizeSpec, x) -> UtilityParts:
     """Fixed prize with growth expectation.
 
     gain = v(prize - X*r) * w_gain(X*c); loss = v(-X*r) * w_loss(1 - X*c).
@@ -215,10 +194,10 @@ def utility_fixed_growth(params: CptParams, spec: FixedPrizeSpec, x) -> UtilityP
     if np.any(x_arr >= spec.max_savings()):
         raise ValueError("requires X < prize / growth_rate")
     rate = spec.growth_rate
-    return _utility(params, x, spec.prize - x_arr * rate, p, -x_arr * rate)
+    return _utility(x, spec.prize - x_arr * rate, p, -x_arr * rate)
 
 
-def utility_dynamic(params: CptParams, spec: DynamicPrizeSpec, x) -> UtilityParts:
+def utility_dynamic(spec: DynamicPrizeSpec, x) -> UtilityParts:
     """Dynamic prize: gain = v(X*(w - r)) * w_gain(p), with the constant win
     probability leaving the weighting untouched by X; the loss of forgone
     growth, v(-X*r) * w_loss(1 - p), is reported separately so the gain-side
@@ -227,53 +206,50 @@ def utility_dynamic(params: CptParams, spec: DynamicPrizeSpec, x) -> UtilityPart
     if np.any(x_arr < 0.0):
         raise ValueError("savings amount must be non-negative")
     rate = spec.growth_rate
-    return _utility(params, x, x_arr * (spec.multiple - rate), spec.win_prob,
-                    -x_arr * rate)
+    return _utility(x, x_arr * (spec.multiple - rate), spec.win_prob, -x_arr * rate)
 
 
 # ---------------------------------------------------------------------------
 # analytic derivatives (simple closed forms only)
 
 
-def fixed_growth_prize_slope(params: CptParams, spec: FixedPrizeSpec, x):
+def fixed_growth_prize_slope(spec: FixedPrizeSpec, x):
     """d/dX of v(prize - X*r): -a * r * (prize - X*r)**(a - 1)."""
-    a, r = params.gain_exp, spec.growth_rate
+    a, r = GAIN_EXP, spec.growth_rate
     net = spec.prize - np.asarray(x, dtype=float) * r
     if np.any(net <= 0.0):
         raise ValueError("requires X < prize / growth_rate")
     return _maybe_scalar(-a * r * net ** (a - 1.0), x)
 
 
-def fixed_growth_prize_curvature(params: CptParams, spec: FixedPrizeSpec, x):
+def fixed_growth_prize_curvature(spec: FixedPrizeSpec, x):
     """d2/dX2 of v(prize - X*r): a * (a - 1) * r**2 * (prize - X*r)**(a - 2)."""
-    a, r = params.gain_exp, spec.growth_rate
+    a, r = GAIN_EXP, spec.growth_rate
     net = spec.prize - np.asarray(x, dtype=float) * r
     if np.any(net <= 0.0):
         raise ValueError("requires X < prize / growth_rate")
     return _maybe_scalar(a * (a - 1.0) * r**2 * net ** (a - 2.0), x)
 
 
-def dynamic_gain_slope(params: CptParams, spec: DynamicPrizeSpec, x):
+def dynamic_gain_slope(spec: DynamicPrizeSpec, x):
     """d/dX of the dynamic gain term:
     a * (w - r)**a * X**(a - 1) * w_gain(p), positive for all X > 0."""
-    a = params.gain_exp
-    net = spec.multiple - spec.growth_rate
+    a, net = GAIN_EXP, spec.multiple - spec.growth_rate
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("slope defined for X > 0")
-    w = _weight(spec.win_prob, params.gain_weight_exp)
+    w = _weight(spec.win_prob, GAIN_WEIGHT_EXP)
     return _maybe_scalar(a * net**a * x_arr ** (a - 1.0) * w, x)
 
 
-def dynamic_gain_curvature(params: CptParams, spec: DynamicPrizeSpec, x):
+def dynamic_gain_curvature(spec: DynamicPrizeSpec, x):
     """d2/dX2 of the dynamic gain term:
     a * (a - 1) * (w - r)**a * X**(a - 2) * w_gain(p), negative for X > 0."""
-    a = params.gain_exp
-    net = spec.multiple - spec.growth_rate
+    a, net = GAIN_EXP, spec.multiple - spec.growth_rate
     x_arr = np.asarray(x, dtype=float)
     if np.any(x_arr <= 0.0):
         raise ValueError("curvature defined for X > 0")
-    w = _weight(spec.win_prob, params.gain_weight_exp)
+    w = _weight(spec.win_prob, GAIN_WEIGHT_EXP)
     return _maybe_scalar(a * (a - 1.0) * net**a * x_arr ** (a - 2.0) * w, x)
 
 
@@ -326,7 +302,7 @@ class CurvePoint:
     total_curvature: float | None = None
 
 
-def sign_report(params: CptParams, spec, x_grid) -> list[CurvePoint]:
+def sign_report(spec, x_grid) -> list[CurvePoint]:
     """Evaluate a prize spec over a grid and probe first/second differences
     of the gain, loss, and total components at every point.
 
@@ -352,7 +328,7 @@ def sign_report(params: CptParams, spec, x_grid) -> list[CurvePoint]:
             (x + h) < hi if hi_exclusive else (x + h) <= hi)
         # the utility at each stencil point, evaluated once for all three parts
         stencil = (x - h, x, x + h) if feasible else (x,)
-        at = {t: utility(params, spec, t) for t in stencil}
+        at = {t: utility(spec, t) for t in stencil}
         diffs: dict[str, float | None] = {}
         for name in ("gain", "loss", "total"):
             f = lambda t, name=name: getattr(at[t], name)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pareto import _real, require_pcg64
+from .pareto import _integer, _real, require_pcg64
 from .population import AccountPopulation, require_stream_range
 
 MECHANISMS = ("random", "bracketed")
@@ -59,15 +59,14 @@ _BLOCK_WINNERS = 64_000
 @dataclass(frozen=True)
 class PrizeSchedule:
     """Number of prizes per drawing and prize size as a multiple of balance,
-    an integer and a real number (a float once stored), neither a bool."""
+    an integer and a real number, neither a bool, stored as an int and a float."""
 
     count: int
     multiple: float
 
     def __post_init__(self):
         # True would draw one prize and label it "Truex100%"
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
-            raise ValueError(f"prize count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", _integer(self.count, "prize count"))
         if self.count < 1:
             raise ValueError("a schedule needs at least one prize")
         object.__setattr__(self, "multiple", _real(self.multiple, "prize multiple"))

@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import numbers
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -45,7 +44,7 @@ import numpy as np
 
 from .drawing import (MECHANISMS, PrizeSchedule, expected_payout, payouts, require_caps,
                       worst_payout)
-from .pareto import ParetoParams, _real
+from .pareto import ParetoParams, _integer, _real
 from .population import AccountPopulation, generate, require_drawable
 
 DEFAULT_SEED = 42
@@ -82,10 +81,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("n_accounts", "draws_per_run", "runs", "master_seed"):
-            value = getattr(self, name)
-            # True would run once with seed 1, and 2.5 fail inside numpy
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "var_levels",
                            tuple(_real(lvl, "VaR level") for lvl in self.var_levels))

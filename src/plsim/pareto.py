@@ -41,6 +41,15 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int, refused if it is a bool or not an integer: True
+    would run once with seed 1 and 2.5 fail inside numpy; an int, unlike a
+    numpy integer, dumps as JSON."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ParetoParams:
     """Shape/scale pair; ``b`` equals the minimum possible value.

@@ -19,7 +19,6 @@ from scipy import stats
 
 from plsim.cli import main as cli_main
 from plsim.cpt import (
-    CptParams,
     DynamicPrizeSpec,
     FixedPrizeSpec,
     dynamic_gain_curvature,
@@ -283,35 +282,34 @@ def test_criterion_9_bracketing_bounds_thousand_populations():
 
 
 def test_criterion_10_cpt_sign_suite(big_bracketing):
-    params = CptParams()
     dyn = DynamicPrizeSpec(multiple=1.0, win_prob=0.01, growth_rate=0.05)
     fixed_g = FixedPrizeSpec(prize=10_000.0, prob_per_unit=1e-6,
                              growth_rate=0.05)
 
     # dynamic gain: rising and diminishing everywhere on a 220-point log grid
     dyn_grid = np.geomspace(1e-2, 1e6, 220)
-    for pt in sign_report(params, dyn, dyn_grid):
+    for pt in sign_report(dyn, dyn_grid):
         assert pt.gain_slope > 0.0, pt.x
         assert pt.gain_curvature < 0.0, pt.x
 
     # fixed-growth gain: diminishing on (0, prize/rate)
     fg_grid = np.geomspace(1.0, 0.995 * fixed_g.max_savings(), 220)
-    for pt in sign_report(params, fixed_g, fg_grid):
+    for pt in sign_report(fixed_g, fg_grid):
         assert pt.gain_curvature < 0.0, pt.x
 
     # analytic derivatives against finite differences, 1e-6 relative
-    f_dyn = lambda x: utility_dynamic(params, dyn, x).gain
+    f_dyn = lambda x: utility_dynamic(dyn, x).gain
     for x in np.geomspace(0.1, 1e5, 25):
-        assert dynamic_gain_slope(params, dyn, x) == pytest.approx(
+        assert dynamic_gain_slope(dyn, x) == pytest.approx(
             first_diff(f_dyn, x), rel=1e-6)
-        assert dynamic_gain_curvature(params, dyn, x) == pytest.approx(
+        assert dynamic_gain_curvature(dyn, x) == pytest.approx(
             curvature_oracle(f_dyn, x, h=1e-4 * max(1.0, x)), rel=1e-6)
-    f_fg = lambda x: value(params, fixed_g.prize - x * fixed_g.growth_rate)
+    f_fg = lambda x: value(fixed_g.prize - x * fixed_g.growth_rate)
     for x in np.geomspace(1.0, 0.99 * fixed_g.max_savings(), 25):
         span = (fixed_g.prize - x * fixed_g.growth_rate) / fixed_g.growth_rate
-        assert fixed_growth_prize_slope(params, fixed_g, x) == pytest.approx(
+        assert fixed_growth_prize_slope(fixed_g, x) == pytest.approx(
             first_diff(f_fg, x, h=1e-5 * span), rel=1e-6)
-        assert fixed_growth_prize_curvature(params, fixed_g, x) == pytest.approx(
+        assert fixed_growth_prize_curvature(fixed_g, x) == pytest.approx(
             curvature_oracle(f_fg, x, h=1e-3 * span), rel=1e-6)
 
     # extreme-VaR ordering at reduced scale: the bracket 0.01% average sits

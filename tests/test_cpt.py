@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from plsim import cpt
 from plsim.cpt import (
-    CptParams,
     CurvePoint,
     DynamicPrizeSpec,
     FixedPrizeSpec,
@@ -22,7 +24,6 @@ from plsim.cpt import (
     weight_loss,
 )
 
-PARAMS = CptParams()
 FIXED_NG = FixedPrizeSpec(prize=10_000.0, prob_per_unit=1e-6)
 FIXED_G = FixedPrizeSpec(prize=10_000.0, prob_per_unit=1e-6, growth_rate=0.05)
 DYN = DynamicPrizeSpec(multiple=1.0, win_prob=0.01, growth_rate=0.05)
@@ -32,77 +33,60 @@ DYN = DynamicPrizeSpec(multiple=1.0, win_prob=0.01, growth_rate=0.05)
 CURV_STEP = lambda x: 1e-4 * max(1.0, abs(x))
 
 
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CptParams(gain_exp=1.0)
-        with pytest.raises(ValueError):
-            CptParams(loss_exp=0.0)
-        with pytest.raises(ValueError):
-            CptParams(loss_aversion=0.5)
-        with pytest.raises(ValueError):
-            CptParams(gain_weight_exp=1.2)
-
-    def test_warns_on_nonmonotone_weighting(self):
-        with pytest.warns(UserWarning):
-            CptParams(gain_weight_exp=0.2)
-        with pytest.warns(UserWarning):
-            CptParams(loss_weight_exp=0.25)
-
-
 class TestValue:
     def test_reference_points(self):
-        assert value(PARAMS, 0.0) == 0.0
-        assert value(PARAMS, 1.0) == 1.0
-        assert value(PARAMS, -1.0) == -PARAMS.loss_aversion
+        # the published median estimates, pinned here by name
+        assert (cpt.GAIN_EXP, cpt.LOSS_EXP, cpt.LOSS_AVERSION) == (0.88, 0.88, 2.25)
+        assert (cpt.GAIN_WEIGHT_EXP, cpt.LOSS_WEIGHT_EXP) == (0.61, 0.69)
+        assert value(0.0) == 0.0
+        assert value(1.0) == 1.0
+        assert value(-1.0) == -2.25
 
     def test_strictly_increasing_and_s_shaped(self):
         xs = np.linspace(-50.0, 50.0, 401)
-        vs = value(PARAMS, xs)
+        vs = value(xs)
         assert np.all(np.diff(vs) > 0.0)
         gains = np.geomspace(0.1, 100.0, 50)
         # concave over gains, convex over losses
-        assert all(second_diff(lambda t: value(PARAMS, t), x) < 0.0 for x in gains)
-        assert all(second_diff(lambda t: value(PARAMS, -t), x) > 0.0 for x in gains)
+        assert all(second_diff(lambda t: value(t), x) < 0.0 for x in gains)
+        assert all(second_diff(lambda t: value(-t), x) > 0.0 for x in gains)
 
     def test_array_input(self):
-        out = value(PARAMS, np.array([-1.0, 0.0, 4.0]))
+        out = value(np.array([-1.0, 0.0, 4.0]))
         np.testing.assert_allclose(out, [-2.25, 0.0, 4.0**0.88])
 
 
 class TestWeights:
     def test_endpoints_fixed(self):
-        assert weight_gain(PARAMS, 0.0) == 0.0
-        assert weight_gain(PARAMS, 1.0) == 1.0
-        assert weight_loss(PARAMS, 0.0) == 0.0
-        assert weight_loss(PARAMS, 1.0) == 1.0
+        assert weight_gain(0.0) == 0.0
+        assert weight_gain(1.0) == 1.0
+        assert weight_loss(0.0) == 0.0
+        assert weight_loss(1.0) == 1.0
 
     def test_high_precision_reference_values(self):
         # frozen from 50-digit arithmetic
-        assert weight_gain(PARAMS, 0.1) == pytest.approx(0.186302566377, abs=1e-9)
-        assert weight_gain(PARAMS, 0.25) == pytest.approx(0.29074293416, abs=1e-9)
-        assert weight_gain(PARAMS, 0.5) == pytest.approx(0.420639354336, abs=1e-9)
-        assert weight_loss(PARAMS, 0.9) == pytest.approx(0.774903487231, abs=1e-9)
+        assert weight_gain(0.1) == pytest.approx(0.186302566377, abs=1e-9)
+        assert weight_gain(0.25) == pytest.approx(0.29074293416, abs=1e-9)
+        assert weight_gain(0.5) == pytest.approx(0.420639354336, abs=1e-9)
+        assert weight_loss(0.9) == pytest.approx(0.774903487231, abs=1e-9)
 
     def test_unit_exponent_is_identity(self):
-        params = CptParams(gain_weight_exp=1.0)
         ps = np.linspace(0.0, 1.0, 101)
-        np.testing.assert_allclose(weight_gain(params, ps), ps, atol=1e-12)
+        np.testing.assert_allclose(cpt._weight(ps, 1.0), ps, atol=1e-12)
 
     def test_monotone_at_and_above_threshold(self):
         ps = np.linspace(0.0, 1.0, 400)
         for exp in (0.28, 0.4, 0.61, 0.69, 1.0):
-            params = CptParams(gain_weight_exp=exp)
-            assert np.all(np.diff(weight_gain(params, ps)) > 0.0)
+            assert np.all(np.diff(cpt._weight(ps, exp)) > 0.0)
 
     def test_overweights_small_probabilities(self):
         ps = np.linspace(0.001, 0.0999, 60)
-        assert np.all(weight_gain(PARAMS, ps) > ps)
+        assert np.all(weight_gain(ps) > ps)
 
     def test_domain_errors(self):
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError):
-                weight_gain(PARAMS, bad)
+                weight_gain(bad)
 
     def test_inflection_location(self):
         # frozen from 40-digit arithmetic: 0.4261922...
@@ -112,62 +96,62 @@ class TestWeights:
 
 class TestFixedNoGrowth:
     def test_boundary_values(self):
-        assert utility_fixed_growth(PARAMS, FIXED_NG, 0.0).gain == 0.0
-        top = utility_fixed_growth(PARAMS, FIXED_NG, 1.0 / FIXED_NG.prob_per_unit).gain
-        assert top == pytest.approx(value(PARAMS, FIXED_NG.prize))
+        assert utility_fixed_growth(FIXED_NG, 0.0).gain == 0.0
+        top = utility_fixed_growth(FIXED_NG, 1.0 / FIXED_NG.prob_per_unit).gain
+        assert top == pytest.approx(value(FIXED_NG.prize))
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            utility_fixed_growth(PARAMS, FIXED_NG, 1.0 / FIXED_NG.prob_per_unit + 1.0).gain
+            utility_fixed_growth(FIXED_NG, 1.0 / FIXED_NG.prob_per_unit + 1.0).gain
         with pytest.raises(ValueError):
-            utility_fixed_growth(PARAMS, FIXED_NG, -1.0).gain
+            utility_fixed_growth(FIXED_NG, -1.0).gain
 
     def test_concave_below_weight_inflection(self):
         # diminishing returns hold where the weighting curve is concave,
         # i.e. win probabilities below the located inflection (with margin)
-        inflection = weight_inflection(PARAMS.gain_weight_exp)
+        inflection = weight_inflection(cpt.GAIN_WEIGHT_EXP)
         x_top = 0.85 * inflection / FIXED_NG.prob_per_unit
-        f = lambda x: utility_fixed_growth(PARAMS, FIXED_NG, x).gain
+        f = lambda x: utility_fixed_growth(FIXED_NG, x).gain
         for x in np.geomspace(1_000.0, x_top, 80):
             assert second_diff(f, x) < 0.0
 
 
 class TestFixedGrowth:
     def test_zero_savings_zero_utility(self):
-        parts = utility_fixed_growth(PARAMS, FIXED_G, 0.0)
+        parts = utility_fixed_growth(FIXED_G, 0.0)
         assert parts.gain == 0.0
         assert parts.loss == 0.0
         assert parts.total == 0.0
 
     def test_domain_error_at_growth_limit(self):
         with pytest.raises(ValueError):
-            utility_fixed_growth(PARAMS, FIXED_G, FIXED_G.max_savings())
+            utility_fixed_growth(FIXED_G, FIXED_G.max_savings())
 
     def test_gain_diminishes_everywhere(self):
-        f = lambda x: utility_fixed_growth(PARAMS, FIXED_G, x).gain
+        f = lambda x: utility_fixed_growth(FIXED_G, x).gain
         for x in np.geomspace(1.0, 0.995 * FIXED_G.max_savings(), 120):
             assert second_diff(f, x) < 0.0
 
     def test_loss_branch_is_convex(self):
-        f = lambda x: utility_fixed_growth(PARAMS, FIXED_G, x).loss
+        f = lambda x: utility_fixed_growth(FIXED_G, x).loss
         for x in np.geomspace(1.0, 0.995 * FIXED_G.max_savings(), 120):
             assert second_diff(f, x) > 0.0
 
     def test_analytic_prize_slope_matches_difference(self):
         # the function's own length scale is (prize - x*r)/r, not x; steps
         # tied to x suffer cancellation where the slope is tiny next to f
-        f = lambda x: value(PARAMS, FIXED_G.prize - x * FIXED_G.growth_rate)
+        f = lambda x: value(FIXED_G.prize - x * FIXED_G.growth_rate)
         for x in (1.0, 100.0, 10_000.0, 150_000.0):
             span = (FIXED_G.prize - x * FIXED_G.growth_rate) / FIXED_G.growth_rate
-            analytic = fixed_growth_prize_slope(PARAMS, FIXED_G, x)
+            analytic = fixed_growth_prize_slope(FIXED_G, x)
             assert analytic == pytest.approx(first_diff(f, x, h=1e-5 * span), rel=1e-6)
             assert analytic < 0.0
 
     def test_analytic_prize_curvature_matches_difference(self):
-        f = lambda x: value(PARAMS, FIXED_G.prize - x * FIXED_G.growth_rate)
+        f = lambda x: value(FIXED_G.prize - x * FIXED_G.growth_rate)
         for x in (1.0, 100.0, 10_000.0, 150_000.0):
             span = (FIXED_G.prize - x * FIXED_G.growth_rate) / FIXED_G.growth_rate
-            analytic = fixed_growth_prize_curvature(PARAMS, FIXED_G, x)
+            analytic = fixed_growth_prize_curvature(FIXED_G, x)
             assert analytic == pytest.approx(
                 second_diff(f, x, h=3e-4 * span), rel=1e-6)
             assert analytic < 0.0
@@ -175,42 +159,42 @@ class TestFixedGrowth:
 
 class TestDynamic:
     def test_zero_savings_zero_utility(self):
-        parts = utility_dynamic(PARAMS, DYN, 0.0)
+        parts = utility_dynamic(DYN, 0.0)
         assert parts.gain == 0.0
         assert parts.loss == 0.0
         assert parts.total == 0.0
 
     def test_components_reported_separately(self):
-        parts = utility_dynamic(PARAMS, DYN, 500.0)
-        expected_gain = value(PARAMS, 500.0 * 0.95) * weight_gain(PARAMS, 0.01)
-        expected_loss = value(PARAMS, -25.0) * weight_loss(PARAMS, 0.99)
+        parts = utility_dynamic(DYN, 500.0)
+        expected_gain = value(500.0 * 0.95) * weight_gain(0.01)
+        expected_loss = value(-25.0) * weight_loss(0.99)
         assert parts.gain == pytest.approx(expected_gain)
         assert parts.loss == pytest.approx(expected_loss)
         assert parts.total == pytest.approx(expected_gain + expected_loss)
 
     def test_array_input(self):
         xs = np.array([0.0, 1.0, 10.0])
-        parts = utility_dynamic(PARAMS, DYN, xs)
+        parts = utility_dynamic(DYN, xs)
         assert parts.gain.shape == xs.shape
         np.testing.assert_allclose(parts.total, parts.gain + parts.loss)
 
     def test_gain_increasing_and_diminishing(self):
-        f = lambda x: utility_dynamic(PARAMS, DYN, x).gain
+        f = lambda x: utility_dynamic(DYN, x).gain
         for x in np.geomspace(0.01, 1e6, 120):
             assert first_diff(f, x) > 0.0
             assert second_diff(f, x) < 0.0
 
     def test_analytic_slope_matches_difference(self):
-        f = lambda x: utility_dynamic(PARAMS, DYN, x).gain
+        f = lambda x: utility_dynamic(DYN, x).gain
         for x in (0.5, 10.0, 1_000.0, 250_000.0):
-            analytic = dynamic_gain_slope(PARAMS, DYN, x)
+            analytic = dynamic_gain_slope(DYN, x)
             assert analytic == pytest.approx(first_diff(f, x), rel=1e-6)
             assert analytic > 0.0
 
     def test_analytic_curvature_matches_difference(self):
-        f = lambda x: utility_dynamic(PARAMS, DYN, x).gain
+        f = lambda x: utility_dynamic(DYN, x).gain
         for x in (0.5, 10.0, 1_000.0, 250_000.0):
-            analytic = dynamic_gain_curvature(PARAMS, DYN, x)
+            analytic = dynamic_gain_curvature(DYN, x)
             assert analytic == pytest.approx(second_diff(f, x, h=CURV_STEP(x)), rel=1e-6)
             assert analytic < 0.0
 
@@ -219,6 +203,30 @@ class TestDynamic:
             DynamicPrizeSpec(multiple=0.05, win_prob=0.5, growth_rate=0.05)
         with pytest.raises(ValueError):
             DynamicPrizeSpec(multiple=1.0, win_prob=0.0)
+
+
+@pytest.mark.parametrize("spec, field, bad", [
+    (FIXED_G, "prize", True),
+    (FIXED_G, "prob_per_unit", "1e-6"),
+    (FIXED_G, "growth_rate", np.True_),
+    (DYN, "multiple", "2"),
+    (DYN, "win_prob", True),
+    (DYN, "growth_rate", None),
+], ids=["fixed-prize-True", "fixed-slope-str", "fixed-growth-np.True_",
+        "dynamic-multiple-str", "dynamic-win-prob-True", "dynamic-growth-None"])
+def test_specs_refuse_bools_and_non_reals(spec, field, bad):
+    # True would be taken as 1, and "2" fail a comparison with a bare TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        replace(spec, **{field: bad})
+
+
+def test_specs_store_floats():
+    fixed = FixedPrizeSpec(prize=10_000, prob_per_unit=np.float32(0.5),
+                           growth_rate=np.int64(0))
+    dynamic = DynamicPrizeSpec(multiple=np.int64(2), win_prob=np.float64(0.01), growth_rate=0)
+    for spec in (fixed, dynamic):
+        assert all(type(value) is float for value in vars(spec).values())
+    assert (fixed.prize, fixed.prob_per_unit, dynamic.multiple) == (10_000.0, 0.5, 2.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -240,13 +248,13 @@ class TestNonFiniteInput:
                                              ("dynamic", DYN)])
     def test_grid_point_outside_domain(self, model, spec, bad):
         with pytest.raises(ValueError, match="outside"):
-            sign_report(PARAMS, spec, np.array([1.0, bad]))
+            sign_report(spec, np.array([1.0, bad]))
 
 
 class TestSignReport:
     def test_dynamic_signs(self):
         grid = np.geomspace(0.1, 1e5, 50)
-        report = sign_report(PARAMS, DYN, grid)
+        report = sign_report(DYN, grid)
         assert len(report) == 50
         for pt in report:
             assert pt.gain_slope > 0.0 and pt.gain_curvature < 0.0
@@ -254,7 +262,7 @@ class TestSignReport:
             assert sign_char(pt.gain_slope) == "+"
 
     def test_fixed_model_loss_is_flat_zero(self):
-        report = sign_report(PARAMS, FIXED_NG, np.geomspace(10.0, 1e5, 10))
+        report = sign_report(FIXED_NG, np.geomspace(10.0, 1e5, 10))
         for pt in report:
             assert pt.loss == 0.0
             assert sign_char(pt.loss_slope) == "0"
@@ -262,34 +270,34 @@ class TestSignReport:
 
     def test_out_of_domain_grid_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            sign_report(PARAMS, FIXED_G, np.array([1.0, FIXED_G.max_savings() + 1.0]))
+            sign_report(FIXED_G, np.array([1.0, FIXED_G.max_savings() + 1.0]))
 
     def test_stencil_infeasible_at_boundary(self):
-        report = sign_report(PARAMS, DYN, np.array([0.0, 1.0]))
+        report = sign_report(DYN, np.array([0.0, 1.0]))
         assert report[0].gain_slope is None
         assert report[0].total_curvature is None
         assert report[1].gain_slope is not None
 
     def test_point_fields(self):
-        pt = sign_report(PARAMS, DYN, np.array([2.0]))[0]
+        pt = sign_report(DYN, np.array([2.0]))[0]
         assert isinstance(pt, CurvePoint)
-        parts = utility_dynamic(PARAMS, DYN, 2.0)
+        parts = utility_dynamic(DYN, 2.0)
         assert pt.gain == pytest.approx(parts.gain)
         assert pt.total == pytest.approx(parts.total)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: weight_inflection(1.0), "no concave-to-convex inflection"),
-    (lambda: utility_dynamic(PARAMS, DYN, -1.0), "savings amount must be non-negative"),
-    (lambda: fixed_growth_prize_slope(PARAMS, FIXED_G, FIXED_G.max_savings()),
+    (lambda: utility_dynamic(DYN, -1.0), "savings amount must be non-negative"),
+    (lambda: fixed_growth_prize_slope(FIXED_G, FIXED_G.max_savings()),
      "requires X < prize / growth_rate"),
-    (lambda: fixed_growth_prize_curvature(PARAMS, FIXED_G, 2 * FIXED_G.max_savings()),
+    (lambda: fixed_growth_prize_curvature(FIXED_G, 2 * FIXED_G.max_savings()),
      "requires X < prize / growth_rate"),
-    (lambda: dynamic_gain_slope(PARAMS, DYN, 0.0), "slope defined for X > 0"),
-    (lambda: dynamic_gain_curvature(PARAMS, DYN, np.array([1.0, -1.0])),
+    (lambda: dynamic_gain_slope(DYN, 0.0), "slope defined for X > 0"),
+    (lambda: dynamic_gain_curvature(DYN, np.array([1.0, -1.0])),
      "curvature defined for X > 0"),
-    (lambda: sign_report(PARAMS, DYN, np.array([])), "non-empty 1-D array"),
-    (lambda: sign_report(PARAMS, DYN, np.ones((2, 2))), "non-empty 1-D array"),
+    (lambda: sign_report(DYN, np.array([])), "non-empty 1-D array"),
+    (lambda: sign_report(DYN, np.ones((2, 2))), "non-empty 1-D array"),
 ], ids=["inflection-linear-weight", "dynamic-utility-negative-x", "fixed-slope-at-bound",
         "fixed-curvature-beyond-bound", "dynamic-slope-at-zero",
         "dynamic-curvature-negative-x", "sign-report-empty-grid", "sign-report-2d-grid"])

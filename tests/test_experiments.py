@@ -186,6 +186,17 @@ class TestConfig:
         config = small_config(runs=np.int64(2), master_seed=np.uint32(7))
         assert run_bracketing(config).to_csv_string() == run_bracketing(
             small_config(runs=2, master_seed=7)).to_csv_string()
+        # stored as Python ints, so a result dumps as JSON and its config
+        # as it would from plain ints
+        fields = dict(n_accounts=np.int32(300), runs=np.int64(2),
+                      draws_per_run=np.uint16(40), master_seed=np.uint32(5))
+        config = bracketing_config(**fields, schedules=(PrizeSchedule(np.int64(7), 1.0),))
+        assert all(type(getattr(config, name)) is int for name in fields)
+        assert type(config.schedules[0].count) is int
+        plain = bracketing_config(**{name: int(value) for name, value in fields.items()},
+                                  schedules=(PrizeSchedule(7, 1.0),))
+        assert json.dumps(run_bracketing(config).to_json_dict()) == json.dumps(
+            run_bracketing(plain).to_json_dict())
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="master_seed"):

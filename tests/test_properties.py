@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom
 
 from plsim import experiments
-from plsim.cpt import CptParams, FixedPrizeSpec, utility_fixed_growth
+from plsim.cpt import FixedPrizeSpec, utility_fixed_growth
 from plsim.drawing import (
     MECHANISMS,
     PrizeSchedule,
@@ -262,7 +262,7 @@ def test_fixed_growth_at_zero_rate_is_the_fixed_model(prize, slope, share):
     # share is the win probability X*c, so X spans [0, 1/c]
     spec = FixedPrizeSpec(prize, slope)
     assert spec.domain() == (0.0, 1.0 / slope, False)
-    parts = utility_fixed_growth(CptParams(), spec, share / slope)
+    parts = utility_fixed_growth(spec, share / slope)
     # not winning returns the principal: a loss of +0.0, which prints as 0
     assert parts.loss == 0.0 and math.copysign(1.0, parts.loss) == 1.0
     assert parts.total == parts.gain
