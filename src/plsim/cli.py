@@ -70,9 +70,9 @@ def _fail(message: str):
 @contextmanager
 def _outputs(*named):
     """One text stream per ``(option, path)`` pair: None where the path is
-    None, stdout for ``-``. Two options naming one output, stdout included,
-    are refused before anything opens; a path that cannot be opened is a
-    one-line error naming its option.
+    None, stdout for ``-``. An empty path, and two options naming one
+    output, stdout included, are refused before anything opens; a path that
+    cannot be opened is a one-line error naming its option.
 
     A file is written under a hidden temporary name beside its target (a
     symlink's target). When the block completes, stdout is flushed and every
@@ -86,6 +86,8 @@ def _outputs(*named):
              for option, path in named if path is not None]
     seen = {}
     for option, path, in_place in given:
+        if not path:  # realpath("") is the working directory
+            _fail(f"cannot write {option} '': the path is empty")
         key = path if path == "-" else os.path.realpath(path)
         if key in seen and not in_place:
             _fail(f"{seen[key]} and {option} name the same output: {path}")

@@ -1,7 +1,20 @@
 import concurrent.futures
+import importlib.util
 import sys
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).parent.parent
+
+
+def load(path):
+    """The script at ``path``, relative to the repository root, imported by
+    path: ``tools/`` and ``perfbench/`` are not packages."""
+    spec = importlib.util.spec_from_file_location(Path(path).stem, ROOT / path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(autouse=True)

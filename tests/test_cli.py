@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,12 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plsim
+from conftest import load
 from plsim import cli, experiments
 from plsim.cli import main
 from plsim.drawing import MECHANISMS
 
 GOLDEN = Path(__file__).parent / "golden"
 JSON_GOLDEN = GOLDEN / "json_out"  # --json-out of the two golden configs
+checks = load("perfbench/checks.py")
 
 
 @pytest.fixture
@@ -164,9 +167,10 @@ class TestBracketingCommand:
             "bracketing", "--runs", "1", "--draws", "10", "--accounts", "2000",
             "--seed", "3"])
         assert result.exit_code == 0
-        rows = list(csv.DictReader(result.stdout.splitlines()))
-        assert len(rows) == 4 * 5  # four schedules, four levels plus worst
-        assert all(float(r["random_avg"]) > 0 for r in rows)
+        config = replace(experiments.bracketing_config(), runs=1, draws_per_run=10,
+                         n_accounts=2000, master_seed=3)
+        assert checks.check_csv(result.stdout, "bracketing",
+                                experiments.config_to_dict(config)) == []
 
     def test_flag_overrides_config(self, runner, tmp_path):
         out = tmp_path / "o.csv"
@@ -375,9 +379,9 @@ class TestCapsCommand:
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
             "--caps", "9000,900", "--out", str(out)])
         assert result.exit_code == 0
-        rows = read_csv(out)
-        assert "cap_9000_avg" in rows[0]
-        assert "cap_900_pct_higher" in rows[0]
+        config = {**json.loads((GOLDEN / "golden_caps.json").read_text()),
+                  "caps": [9000.0, 900.0]}
+        assert checks.check_csv(out.read_text(), "caps", config) == []
 
     def test_worst_rows_zero_pct(self, runner, tmp_path):
         out = tmp_path / "c.csv"
@@ -415,7 +419,9 @@ class TestCapsCommand:
             "caps", "--config", str(GOLDEN / "golden_bracketing.json"),
             "--caps", "5000,800", "--out", str(out)])
         assert result.exit_code == 0
-        assert "cap_800_avg" in read_csv(out)[0]
+        config = {**json.loads((GOLDEN / "golden_bracketing.json").read_text()),
+                  "caps": [5000.0, 800.0]}
+        assert checks.check_csv(out.read_text(), "caps", config) == []
 
     def test_bad_out_leaves_existing_json_out_byte_identical(self, runner, tmp_path):
         keep = tmp_path / "keep.json"
@@ -540,15 +546,16 @@ class TestOutputs:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(experiments, f"run_{command}", never)
-        paths = {"--out": str(tmp_path / "o.csv"), "--json-out": str(tmp_path / "o.json")}
-        paths[option] = str(tmp_path / "missing" / "x")
-        result = runner.invoke(main, [
-            command, "--config", str(GOLDEN / f"golden_{command}.json"),
-            "--out", paths["--out"], "--json-out", paths["--json-out"]])
-        assert result.exit_code == 1
-        [line] = result.stderr.splitlines()
-        assert line.startswith(f"Error: cannot write {option} ")
-        assert list(tmp_path.iterdir()) == []
+        for bad in (str(tmp_path / "missing" / "x"), ""):
+            paths = {"--out": str(tmp_path / "o.csv"), "--json-out": str(tmp_path / "o.json")}
+            paths[option] = bad
+            result = runner.invoke(main, [
+                command, "--config", str(GOLDEN / f"golden_{command}.json"),
+                "--out", paths["--out"], "--json-out", paths["--json-out"]])
+            assert result.exit_code == 1
+            [line] = result.stderr.splitlines()
+            assert line.startswith(f"Error: cannot write {option} ")
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestCptCommand:

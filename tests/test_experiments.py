@@ -2,11 +2,11 @@ import csv
 import io
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import ROOT, load
 from plsim import experiments
 from plsim.drawing import (
     PrizeSchedule,
@@ -33,7 +33,7 @@ from plsim.population import generate
 
 P104 = ParetoParams(1.04, 150.0)
 TWENTY = PrizeSchedule(20, 1.0)
-ROOT = Path(__file__).parent.parent
+checks = load("perfbench/checks.py")
 
 
 def small_config(**overrides):
@@ -309,15 +309,11 @@ class TestBracketing:
             assert np.all(cell.values[1] <= cell.values[0])
 
     def test_csv_shape(self):
-        result = run_bracketing(small_config())
-        lines = result.to_csv_string().splitlines()
-        header = lines[0].split(",")
-        assert header == ["params", "schedule", "var_level", "random_avg",
-                          "bracket_avg", "pct_bracket_higher", "random_std",
-                          "bracket_std", "rel_diff_pct"]
-        # 2 schedules x (2 levels + worst)
-        assert len(lines) == 1 + 2 * 3
-        assert lines[1].startswith("1.04/150,20x100%,5%,")
+        cfg = small_config()
+        text = run_bracketing(cfg).to_csv_string()
+        assert checks.check_csv(text, "bracketing", config_to_dict(cfg)) == []
+        # the checker matches only the schedule's count
+        assert text.splitlines()[1].startswith("1.04/150,20x100%,5%,")
 
     def test_json_contains_per_run_values(self):
         cfg = small_config()
@@ -473,21 +469,14 @@ class TestCaps:
 
     def test_csv_shape(self):
         cfg = small_config(caps=(5000.0, 800.0))
-        result = run_caps(cfg)
-        lines = result.to_csv_string().splitlines()
-        assert lines[0].split(",") == [
-            "params", "schedule", "var_level", "uncapped_avg",
-            "cap_5000_avg", "cap_5000_pct_higher",
-            "cap_800_avg", "cap_800_pct_higher"]
-        assert len(lines) == 1 + 2 * 3
+        text = run_caps(cfg).to_csv_string()
+        assert checks.check_csv(text, "caps", config_to_dict(cfg)) == []
 
     def test_json_layout(self):
         cfg = small_config(caps=(5000.0,))
-        doc = run_caps(cfg).to_json_dict()
-        assert doc["experiment"] == "caps"
-        cell = doc["cells"][0]
-        assert set(cell["scaled"].keys()) == {"uncapped", "5000"}
-        assert len(cell["scaled"]["uncapped"]) == cfg.runs
+        result = run_caps(cfg)
+        dump = json.dumps(result.to_json_dict())
+        assert checks.check_caps_json(dump, result.to_csv_string(), config_to_dict(cfg)) == []
 
 
 @pytest.mark.parametrize("rising", [(1, 0), (2, 5)], ids=["first-cap", "last-cap"])

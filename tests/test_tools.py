@@ -1,28 +1,18 @@
 """The scripts under tools/ run against the package's current API."""
 
-import importlib.util
 import json
-from pathlib import Path
 
+from conftest import load
 from test_acceptance import ACCEPTANCE_SEED
-
-TOOLS = Path(__file__).parent.parent / "tools"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
 
 
 def test_pinned_acceptance_seed_passes_the_prescreen():
-    ok, _, _ = load("find_acceptance_seed").prescreen(ACCEPTANCE_SEED)
+    ok, _, _ = load("tools/find_acceptance_seed.py").prescreen(ACCEPTANCE_SEED)
     assert ok
 
 
 def test_kernel_timing_reports_its_faults(monkeypatch, capsys):
-    tool = load("time_random_kernel")
+    tool = load("tools/time_random_kernel.py")
     monkeypatch.setattr(tool, "DRAWS", 3)
     monkeypatch.setattr(tool, "REPEAT", 1)
     tool.main()
