@@ -193,7 +193,9 @@ def _experiment_command(name: str, preset, doc: str, *extra_options):
             with open(config_path) as fh:
                 try:
                     config = experiments.config_from_dict(json.load(fh))
-                except (json.JSONDecodeError, ValueError) as exc:
+                # json.load ends deep nesting in a RecursionError, and bad
+                # JSON or bytes that are not UTF-8 in a ValueError
+                except (RecursionError, ValueError) as exc:
                     _fail(f"invalid config {config_path}: {exc}")
         caps = fields.get("caps")
         if caps is not None:
@@ -332,7 +334,7 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
         rng = np.random.default_rng(seed)
         pop = generate(params, accounts, rng)
         outcome = draw(pop, sched, mechanism, rng)
-        expected = expected_payout(pop, sched)
+        expected = expected_payout(pop, sched)[0]
         if dump is not None:
             np.savetxt(dump, pop.balances, fmt="%.6f")
         writer = csv.writer(stream, lineterminator="\n")
@@ -343,7 +345,7 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
             f"{outcome.payout:.6f}", f"{expected:.6f}",
             f"{outcome.payout / expected:.6f}",
             f"{best_payout(pop, sched, mechanism):.6f}",
-            f"{worst_payout(pop, sched, mechanism):.6f}",
+            f"{worst_payout(pop, sched, mechanism)[0]:.6f}",
         ])
 
 

@@ -19,8 +19,10 @@ Each mechanism draws its winners in one kernel, a function of a block's
 height that returns a fresh block of winners, and one loop,
 ``winner_blocks``, draws them in blocks of drawings: ``payouts`` prices those
 blocks, uncapped and at each balance cap, and ``draw`` is their single
-drawing. A block holds at most ``_BLOCK_WINNERS`` winners, so its memory is
-bounded by that budget, not by the prize count. One block's arrays are alive
+drawing. One rule, ``_price``, prices every level: ``payouts``' blocks and
+the single rows of ``worst_payout`` and ``expected_payout``. A block holds
+at most ``_BLOCK_WINNERS`` winners, so its memory is bounded by that budget,
+not by the prize count. One block's arrays are alive
 at a time: ``payouts`` gathers and prices a block, summing straight into its
 output, and deletes it before the next block is drawn, so a call holds
 0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
@@ -41,7 +43,6 @@ on PCG64, ``SeedSequence`` and numpy's float operations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,35 +89,27 @@ class DrawOutcome:
 
 def require_caps(caps) -> None:
     """Refuse balance caps that are not real numbers, finite, positive and
-    strictly descending: ``payouts`` truncates each cap's balances from the
+    strictly descending: ``_price`` truncates each cap's balances from the
     previous cap's, in place."""
     for cap in caps:
-        # float() would parse "7" and b"9" and take True as 1.0
-        if isinstance(cap, bool) or not isinstance(cap, numbers.Real):
-            raise ValueError(f"caps must be real numbers, got {cap!r}")
         # an infinite cap would price nothing and dump as Infinity,
         # which is not JSON
-        if not 0.0 < cap < math.inf:
+        if not 0.0 < _real(cap, "each cap") < math.inf:
             raise ValueError(f"caps must be finite and positive, got {cap}")
     if any(hi <= lo for hi, lo in zip(caps, caps[1:])):
         raise ValueError("caps must be strictly descending")
 
 
-def _require_cap(cap: float) -> None:
-    """Refuse a single cap that is NaN or not positive; ``inf`` is none."""
-    if not cap > 0.0:
-        raise ValueError(f"a cap must be positive, or inf for none, got {cap}")
-
-
-def expected_payout(pop: AccountPopulation, sched: PrizeSchedule,
-                    cap: float = math.inf) -> float:
-    """count * multiple * mean balance, with every balance truncated at
-    ``cap``; exact for both mechanisms because every account is equally
-    likely to win each prize.
+def expected_payout(pop: AccountPopulation, sched: PrizeSchedule, caps=()) -> np.ndarray:
+    """count * multiple * mean balance, uncapped and then with every balance
+    truncated at each of ``caps``, shape (1 + len(caps),); exact for both
+    mechanisms because every account is equally likely to win each prize.
+    ``caps`` as for ``payouts``.
     """
-    _require_cap(cap)
-    mean = pop.mean if cap == math.inf else float(np.minimum(pop.balances, cap).mean())
-    return sched.count * sched.multiple * mean
+    require_caps(caps)
+    sums = np.empty(1 + len(caps))
+    _price(np.array(pop.balances), caps, sums)  # a copy, which _price truncates
+    return sched.count * sched.multiple * (sums / pop.count)
 
 
 def expected_interest(schedules, n_accounts: int) -> float:
@@ -191,14 +184,15 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
 
 
 def _price(won: np.ndarray, caps, out: np.ndarray) -> None:
-    """Row sums of the gathered balances ``won`` into ``out[0]``, and at
-    each cap into the following rows of ``out``."""
-    won.sum(axis=1, out=out[0])
+    """Sums of the gathered balances ``won`` along their last axis into
+    ``out[0]``, and at each cap into the following rows of ``out``: a row of
+    balances prices into a 1-D ``out``, a block of rows into a 2-D one."""
+    won.sum(axis=-1, out=out[0, ...])
     # min(min(x, c1), c2) == min(x, c2) for c1 >= c2, so each cap can
     # truncate the previous level's buffer in place
     for row, cap in enumerate(caps, 1):
         np.minimum(won, cap, out=won)
-        won.sum(axis=1, out=out[row])
+        won.sum(axis=-1, out=out[row, ...])
 
 
 def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
@@ -399,16 +393,20 @@ def _extremes(pop: AccountPopulation, sched: PrizeSchedule,
 
 
 def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
-                 mechanism: str, cap: float = math.inf) -> float:
-    """Largest payout the mechanism can produce for this sample, with every
-    balance truncated at ``cap``.
+                 mechanism: str, caps=()) -> np.ndarray:
+    """Largest payout the mechanism can produce for this sample, uncapped
+    and then with every balance truncated at each of ``caps``, shape
+    (1 + len(caps),); ``caps`` as for ``payouts``.
 
     Capping keeps the balance order, so the same accounts win at any cap,
     and only their balances are truncated.
     """
-    _require_cap(cap)
+    require_caps(caps)
     _, worst = _extremes(pop, sched, mechanism)
-    return float(np.minimum(pop.sorted_balances()[worst], cap).sum() * sched.multiple)
+    out = np.empty(1 + len(caps))
+    _price(pop.sorted_balances()[worst], caps, out)
+    out *= sched.multiple
+    return out
 
 
 def best_payout(pop: AccountPopulation, sched: PrizeSchedule,

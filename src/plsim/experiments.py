@@ -141,57 +141,41 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return out
 
 
-def _known(data: dict, names, where: str) -> dict:
-    """``data`` itself, after refusing any key outside ``names``."""
-    if not isinstance(data, dict):
-        raise TypeError(f"{where} must be an object, got {data!r}")
+def _shaped(value, kind: type, where: str):
+    """``value``, refused unless it is a JSON object (``kind`` dict) or list."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} must be {'an object' if kind is dict else 'a list'}, "
+                         f"got {value!r}")
+    return value
+
+
+def _known(data, names, where: str, optional=()) -> dict:
+    """``data``, refused unless an object with exactly the keys ``names``,
+    of which those in ``optional`` may be left out."""
+    _shaped(data, dict, where)
     unknown = sorted(data.keys() - set(names))
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r} in {where}")
+    missing = [name for name in names if name not in data and name not in optional]
+    if missing:
+        raise ValueError(f"{where} is missing required field {missing[0]!r}")
     return data
 
 
-_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
-               list: (list, "a list")}
-
-
-def _typed(value, kind: type, name: str):
-    # JSON values only: int() and float() would truncate 1.7 and parse "7" and true
-    types, what = _JSON_TYPES[kind]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise TypeError(f"{name} must be {what}, got {value!r}")
-    return kind(value)
-
-
-def _floats(data: dict, key: str) -> tuple[float, ...]:
-    return tuple(_typed(v, float, key) for v in _typed(data[key], list, key))
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
-    try:
-        _known(data, [f.name for f in fields(ExperimentConfig)], "config")
-        pareto = _known(data["pareto"], ("alpha", "b"), "pareto")
-        schedules = [_known(s, ("count", "multiple"), "schedule")
-                     for s in _typed(data["schedules"], list, "schedules")]
-        return ExperimentConfig(
-            pareto=ParetoParams(_typed(pareto["alpha"], float, "alpha"),
-                                _typed(pareto["b"], float, "b")),
-            n_accounts=_typed(data["n_accounts"], int, "n_accounts"),
-            schedules=tuple(
-                PrizeSchedule(_typed(s["count"], int, "count"),
-                              _typed(s["multiple"], float, "multiple"))
-                for s in schedules
-            ),
-            draws_per_run=_typed(data["draws_per_run"], int, "draws_per_run"),
-            runs=_typed(data["runs"], int, "runs"),
-            var_levels=_floats(data, "var_levels"),
-            caps=_floats(data, "caps") if "caps" in data else None,
-            master_seed=_typed(data["master_seed"], int, "master_seed"),
-        )
-    except KeyError as exc:
-        raise ValueError(f"config is missing required field {exc}") from exc
-    except TypeError as exc:
-        raise ValueError(f"config field has the wrong type: {exc}") from exc
+    """The config a JSON document describes. Only the document's shape is
+    checked here: objects with exactly their fields (``caps`` may be left
+    out, ``master_seed`` may not) and lists where lists belong. Every value
+    goes as it is to ``ParetoParams``, ``PrizeSchedule`` and
+    ``ExperimentConfig``, which refuse a value of the wrong type."""
+    _known(data, [f.name for f in fields(ExperimentConfig)], "config", optional=("caps",))
+    for name in ("schedules", "var_levels", "caps"):
+        if name in data:
+            _shaped(data[name], list, name)
+    return ExperimentConfig(**{
+        **data, "pareto": ParetoParams(**_known(data["pareto"], ("alpha", "b"), "pareto")),
+        "schedules": tuple(PrizeSchedule(**_known(s, ("count", "multiple"), "schedule"))
+                           for s in data["schedules"])})
 
 
 def level_label(level: float | None) -> str:
@@ -331,10 +315,10 @@ def _population(config: ExperimentConfig, run_index: int) -> AccountPopulation:
 
 
 def _variants(config: ExperimentConfig) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """A run's mechanisms and price levels: both mechanisms uncapped without
-    caps, the random one uncapped and then at each cap with them."""
+    """A run's mechanisms and caps: both mechanisms uncapped without caps,
+    the random one uncapped and then at each cap with them."""
     caps = config.caps or ()
-    return ("random",) if caps else MECHANISMS, (math.inf, *caps)
+    return ("random",) if caps else MECHANISMS, caps
 
 
 # float-roundoff guard when testing level * draws against the resolution limit
@@ -369,14 +353,15 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     times price levels, see the module docstring.
     """
     pop = _population(config, run_index)
-    mechanisms, prices = _variants(config)
-    caps = prices[1:]
+    mechanisms, caps = _variants(config)
     ranks = [var_rank(config.draws_per_run, level) for level in config.var_levels]
-    # each level's (capped) mean balance, once per run: a schedule's expected
-    # payout is count * multiple times it, the float expected_payout gives
-    means = [expected_payout(pop, PrizeSchedule(1, 1.0), cap) for cap in prices]
+    # each price level's (capped) mean balance, once per run: a schedule's
+    # expected payouts are count * multiple times them, the floats
+    # expected_payout gives
+    means = expected_payout(pop, PrizeSchedule(1, 1.0), caps)
     out = []
     for i, sched in enumerate(config.schedules):
+        expected = sched.count * sched.multiple * means
         variants = []
         for mechanism in mechanisms:
             rng = _stream(config.master_seed, run_index, _DRAW_STREAMS[mechanism], i)
@@ -384,10 +369,9 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
             if np.any(raw[1:] > raw[:-1]):
                 raise RuntimeError("invariant violation: a drawing's raw payout "
                                    "increased after lowering the cap")
-            worst = [worst_payout(pop, sched, mechanism, cap) for cap in prices]
-            expected = [sched.count * sched.multiple * mean for mean in means]
-            levels = np.column_stack((np.sort(raw, axis=1)[:, ranks], worst))
-            variants.append(levels / np.array(expected)[:, None])
+            levels = np.column_stack((np.sort(raw, axis=1)[:, ranks],
+                                      worst_payout(pop, sched, mechanism, caps)))
+            variants.append(levels / expected[:, None])
         out.append(np.concatenate(variants).T)
     return np.array(out)
 
@@ -457,12 +441,16 @@ def run_caps(config: ExperimentConfig, workers: int = 1, on_start=None) -> Resul
 
 
 def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
+    # refused before anything runs: True and 0 would run serially, 2.5 fail in the pool
+    workers = _integer(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     levels = list(config.var_levels) + [None]
-    mechanisms, prices = _variants(config)
+    mechanisms, caps = _variants(config)
     # sized before the first run, so a run count no array can hold is
     # refused before any run starts or is announced
     data = np.empty((config.runs, len(config.schedules), len(levels),
-                     len(mechanisms) * len(prices)))
+                     len(mechanisms) * (1 + len(caps))))
     if on_start is not None:
         on_start()
     workers = min(workers, config.runs)

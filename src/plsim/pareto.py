@@ -35,10 +35,15 @@ __all__ = [
 
 def _real(value, what: str) -> float:
     """``value`` as a float, refused if it is a bool or not a real number: True
-    would be labelled 1 and dumped as true, and "1.5" fail a comparison."""
+    would be labelled 1 and dumped as true, and "1.5" fail a comparison; or if
+    it is an integer beyond float64, which JSON can hold."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer of "
+                         f"{len(str(abs(value)))} digits") from None
 
 
 def _integer(value, what: str) -> int:

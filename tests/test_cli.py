@@ -1,7 +1,10 @@
+import atexit
 import csv
+import functools
 import json
 import math
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -23,6 +26,17 @@ from plsim.drawing import MECHANISMS
 GOLDEN = Path(__file__).parent / "golden"
 JSON_GOLDEN = GOLDEN / "json_out"  # --json-out of the two golden configs
 checks = load("perfbench/checks.py")
+_CAPS_DOC = json.loads((GOLDEN / "golden_caps.json").read_text())
+# config files that each experiment command must refuse in one line
+MALFORMED_CONFIGS = {
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,  # json.load: RecursionError
+    "latin-1.json": b'{"runs": "\xe9"}',  # not UTF-8
+    "list.json": b"[]",
+    "string-list.json": json.dumps({**_CAPS_DOC, "var_levels": "0.05"}).encode(),
+    "fractional-runs.json": json.dumps({**_CAPS_DOC, "runs": 4.5}).encode(),
+    # float() overflows on an integer beyond float64, which JSON can hold
+    "huge-alpha.json": json.dumps({**_CAPS_DOC, "pareto": {"alpha": 10**400, "b": 150}}).encode(),
+}
 
 
 @pytest.fixture
@@ -199,7 +213,7 @@ class TestBracketingCommand:
         bad.write_text(json.dumps({**doc, "pareto": None}))
         result = runner.invoke(main, ["bracketing", "--config", str(bad)])
         assert result.exit_code == 1
-        assert "wrong type" in result.stderr
+        assert "pareto must be an object, got None" in result.stderr
         assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -264,9 +278,13 @@ class TestCapsCommand:
         assert result.exit_code == 0
         assert out.read_bytes() == (JSON_GOLDEN / "caps_small.json").read_bytes()
 
-    @pytest.mark.parametrize("field, bad", [
-        ("caps", "321"), ("caps", [5000.0, "800"]), ("var_levels", [True])])
-    def test_mistyped_float_fields_fail_with_one_line(self, runner, tmp_path, field, bad):
+    @pytest.mark.parametrize("field, bad, message", [
+        ("caps", "321", "caps must be a list, got '321'"),
+        ("caps", [5000.0, "800"], "each cap must be a real number, got '800'"),
+        ("var_levels", [True], "VaR level must be a real number, got True")],
+        ids=["caps-321", "caps-bad1", "var_levels-bad2"])
+    def test_mistyped_float_fields_fail_with_one_line(self, runner, tmp_path, field, bad,
+                                                      message):
         doc = json.loads((GOLDEN / "golden_caps.json").read_text())
         doc[field] = bad
         config = tmp_path / "bad.json"
@@ -275,7 +293,7 @@ class TestCapsCommand:
         result = runner.invoke(main, ["caps", "--config", str(config), "--out", str(out)])
         assert result.exit_code == 1
         assert len(result.stderr.splitlines()) == 1
-        assert f"wrong type: {field}" in result.stderr
+        assert message in result.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -790,6 +808,16 @@ class TestFailurePath:
         assert lines[-1].startswith("Error: ")
         assert sum(line.startswith("Error:") for line in lines) == 1
 
+    @pytest.mark.parametrize("name", MALFORMED_CONFIGS)
+    @pytest.mark.parametrize("command", ["bracketing", "caps"])
+    def test_malformed_config(self, runner, tmp_path, command, name):
+        config = tmp_path / name
+        config.write_bytes(MALFORMED_CONFIGS[name])
+        result = runner.invoke(main, [command, "--config", str(config)])
+        self.assert_one_error_line(result)
+        assert result.stderr.startswith(f"Error: invalid config {config}: ")
+        assert result.stdout == ""
+
     def test_absurd_cpt_grid(self, runner):
         result = runner.invoke(main, [
             "cpt", "--model", "dynamic", "--x-min", "1", "--x-max", "2",
@@ -945,11 +973,24 @@ def _table1_args(draw_from):
     return ["table1", "--params", ",".join(pairs)]
 
 
+@functools.cache
+def _malformed_configs() -> list[Path]:
+    """``MALFORMED_CONFIGS`` as files, written on first use to a directory
+    that is removed when the interpreter exits."""
+    folder = Path(tempfile.mkdtemp(prefix="plsim-malformed-"))
+    atexit.register(shutil.rmtree, folder, ignore_errors=True)
+    for name, text in MALFORMED_CONFIGS.items():
+        (folder / name).write_bytes(text)
+    return sorted(folder.iterdir())
+
+
 @st.composite
 def _experiment_args(draw_from):
     name, other = draw_from(st.permutations(["bracketing", "caps"]))
-    config = draw_from(st.sampled_from([None, f"golden_{name}.json", f"golden_{name}.json",
-                                        f"golden_{other}.json"]))
+    goldens = [GOLDEN / f"golden_{name}.json"] * 2 + [GOLDEN / f"golden_{other}.json"]
+    config = draw_from(st.sampled_from([None, *goldens, "malformed"]))
+    if config == "malformed":
+        config = draw_from(st.sampled_from(_malformed_configs()))
     sizes = {"--runs": _sizes(3), "--draws": _sizes(50), "--accounts": _sizes(2_000)}
     optional = {"--seed": _sizes(10**6),
                 "--threads": _mostly(st.just("1"), st.sampled_from(["0", "-2", "two"]))}
@@ -957,8 +998,7 @@ def _experiment_args(draw_from):
         optional["--caps"] = st.lists(_floats(1.0, 1e5), max_size=4).map(",".join)
     if config is None:  # the full-scale preset: its sizes must be overridden
         return [name] + _options(draw_from, sizes, optional)
-    return [name, "--config", str(GOLDEN / config)] + _options(
-        draw_from, {}, {**sizes, **optional})
+    return [name, "--config", str(config)] + _options(draw_from, {}, {**sizes, **optional})
 
 
 @st.composite

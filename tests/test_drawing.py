@@ -74,13 +74,13 @@ class TestExpectedPayout:
 
     def test_capped_mean_prices_the_same_schedule(self):
         # balances 100, 200, 250, 250: mean 200
-        assert expected_payout(POP4, TWO_AT_100, 250.0) == 400.0
-        assert expected_payout(POP4, TWO_AT_100, np.inf) == 500.0
+        assert expected_payout(POP4, TWO_AT_100, (250.0,))[1] == 400.0
+        assert expected_payout(POP4, TWO_AT_100, ())[0] == 500.0
 
     @pytest.mark.parametrize("cap", [np.nan, 0.0, -250.0])
     def test_refuses_a_cap_that_is_nan_or_not_positive(self, cap):
-        with pytest.raises(ValueError, match="a cap must be positive, or inf"):
-            expected_payout(POP4, TWO_AT_100, cap)
+        with pytest.raises(ValueError, match="caps must be finite and positive"):
+            expected_payout(POP4, TWO_AT_100, (cap,))
 
 
 class TestExpectedInterest:
@@ -200,16 +200,16 @@ class TestWorstBest:
             worst_payout(POP4, TWO_AT_100, "sorted")
 
     def test_capped_worst_truncates_the_same_winners(self):
-        assert worst_payout(POP4, TWO_AT_100, "random", 350.0) == 650.0
-        assert worst_payout(POP4, TWO_AT_100, "bracketed", 350.0) == 550.0
-        assert worst_payout(POP4, TWO_AT_100, "random", 50.0) == 100.0
-        assert worst_payout(POP4, TWO_AT_100, "random", np.inf) == 700.0
+        assert worst_payout(POP4, TWO_AT_100, "random", (350.0,))[1] == 650.0
+        assert worst_payout(POP4, TWO_AT_100, "bracketed", (350.0,))[1] == 550.0
+        assert worst_payout(POP4, TWO_AT_100, "random", (50.0,))[1] == 100.0
+        assert worst_payout(POP4, TWO_AT_100, "random", ())[0] == 700.0
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("cap", [np.nan, 0.0, -350.0])
     def test_refuses_a_cap_that_is_nan_or_not_positive(self, mechanism, cap):
-        with pytest.raises(ValueError, match="a cap must be positive, or inf"):
-            worst_payout(POP4, TWO_AT_100, mechanism, cap)
+        with pytest.raises(ValueError, match="caps must be finite and positive"):
+            worst_payout(POP4, TWO_AT_100, mechanism, (cap,))
 
     def test_bracketing_tightens_bounds_everywhere(self):
         rng = np.random.default_rng(23)
@@ -242,7 +242,7 @@ class TestWorstBest:
         assert np.all(np.diff(pop.sorted_balances()) >= 0.0)
         for mech in ("random", "bracketed"):
             worst_payout(pop, sched, mech)
-            worst_payout(pop, sched, mech, 1000.0)
+            worst_payout(pop, sched, mech, (1000.0,))
             best_payout(pop, sched, mech)
         payouts(pop, sched, "bracketed", np.random.default_rng(5), 300, (1000.0,))
 

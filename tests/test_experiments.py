@@ -78,20 +78,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="missing"):
             config_from_dict({"pareto": {"alpha": 2.0, "b": 1.0}})
 
+    def test_missing_master_seed_is_refused(self):
+        # the one field with a dataclass default: a document without it must
+        # not run on that default
+        data = config_to_dict(small_config())
+        del data["master_seed"]
+        with pytest.raises(ValueError, match="^config is missing required field 'master_seed'$"):
+            config_from_dict(data)
+
     def test_mistyped_field_message(self):
         data = config_to_dict(small_config())
-        for field, bad in (("pareto", None), ("schedules", 5), ("runs", [4])):
-            with pytest.raises(ValueError, match="wrong type"):
+        for field, bad, message in (("pareto", None, "pareto must be an object"),
+                                    ("schedules", 5, "schedules must be a list"),
+                                    ("runs", [4], "runs must be an integer")):
+            with pytest.raises(ValueError, match=f"^{message}, got "):
                 config_from_dict({**data, field: bad})
 
     @pytest.mark.parametrize("bad", [400.7, True, "7"])
     def test_integer_fields_take_only_json_integers(self, bad):
         data = config_to_dict(small_config())
         for field in ("n_accounts", "runs", "draws_per_run", "master_seed"):
-            with pytest.raises(ValueError, match=f"wrong type: {field}"):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
                 config_from_dict({**data, field: bad})
         schedules = [{**data["schedules"][0], "count": bad}]
-        with pytest.raises(ValueError, match="wrong type: count"):
+        with pytest.raises(ValueError, match="^prize count must be an integer, got "):
             config_from_dict({**data, "schedules": schedules})
 
     @pytest.mark.parametrize("bad", ["1.04", True, None, [1.5]])
@@ -99,21 +109,21 @@ class TestConfig:
         data = config_to_dict(small_config(caps=(1000.0,)))
         for field, changed in (
                 ("alpha", {"pareto": {**data["pareto"], "alpha": bad}}),
-                ("b", {"pareto": {**data["pareto"], "b": bad}}),
-                ("multiple", {"schedules": [{**data["schedules"][0], "multiple": bad}]}),
-                ("var_levels", {"var_levels": [0.05, bad]}),
-                ("caps", {"caps": [bad]})):
-            with pytest.raises(ValueError, match=f"wrong type: {field}"):
+                ("scale b", {"pareto": {**data["pareto"], "b": bad}}),
+                ("prize multiple", {"schedules": [{**data["schedules"][0], "multiple": bad}]}),
+                ("VaR level", {"var_levels": [0.05, bad]}),
+                ("each cap", {"caps": [bad]})):
+            with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
                 config_from_dict({**data, **changed})
 
     @pytest.mark.parametrize("bad", ["7", True, b"9", np.True_, None],
                              ids=["str", "bool", "bytes", "numpy-bool", "None"])
     def test_caps_that_are_not_real_numbers_are_refused(self, bad):
         # float() would take "7", True and b"9" as 7.0, 1.0 and 9.0
-        with pytest.raises(ValueError, match="caps must be real numbers, got "):
+        with pytest.raises(ValueError, match="^each cap must be a real number, got "):
             small_config(caps=(1000.0, bad))
         pop = generate(P104, 40, 3)
-        with pytest.raises(ValueError, match="caps must be real numbers, got "):
+        with pytest.raises(ValueError, match="^each cap must be a real number, got "):
             payouts(pop, PrizeSchedule(2, 1.0), "random", np.random.default_rng(0), 3,
                     (bad,))
 
@@ -129,7 +139,7 @@ class TestConfig:
         ("var_levels", 0.05), ("caps", "321"), ("caps", 1000.0)])
     def test_list_fields_take_only_json_lists(self, field, bad):
         data = config_to_dict(small_config(caps=(1000.0,)))
-        with pytest.raises(ValueError, match=f"wrong type: {field}"):
+        with pytest.raises(ValueError, match=f"^{field} must be a list, got "):
             config_from_dict({**data, field: bad})
 
     def test_infinite_parameters_rejected(self):
@@ -494,6 +504,23 @@ def test_a_raw_payout_that_rises_under_a_lower_cap_is_refused(monkeypatch, risin
     monkeypatch.setattr(experiments, "payouts", rising_payouts)
     with pytest.raises(RuntimeError, match="raw payout increased after lowering the cap"):
         experiments._one_run(small_config(caps=(5000.0, 800.0)), 0)
+
+
+@pytest.mark.parametrize("workers", [0, -4, True, 2.5],
+                         ids=["zero", "negative", "bool", "fraction"])
+def test_worker_counts_below_one_or_not_integers_are_refused(monkeypatch, workers):
+    # 0, -4 and True ran serially, and 2.5 failed in the pool; the count is
+    # refused before the result is sized (10**19 runs fit no array) or
+    # announced, and before any run starts
+    def no_run(*args):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "_one_run", no_run)
+    started = []
+    for run, caps in ((run_bracketing, None), (run_caps, (1000.0,))):
+        with pytest.raises(ValueError, match="^workers must be (an integer|>= 1), got "):
+            run(small_config(runs=10**19, caps=caps), workers, lambda: started.append(run))
+    assert started == []
 
 
 # full-size runs reuse the memory that the runs before them freed

@@ -87,7 +87,7 @@ def test_capped_rows_never_increase(case, caps):
     assert got.shape == (1 + len(caps), draws)
     assert np.all(got[1:] <= got[:-1])
     for row, cap in zip(got[1:], caps):
-        assert np.all(row <= worst_payout(pop, sched, mechanism, cap) * (1 + 1e-12))
+        assert np.all(row <= worst_payout(pop, sched, mechanism, (cap,))[1] * (1 + 1e-12))
     uncapped = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws)
     assert np.array_equal(got[:1], uncapped)
 

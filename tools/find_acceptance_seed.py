@@ -51,9 +51,9 @@ def prescreen(seed: int) -> tuple[bool, float, float]:
     for r in range(RUNS):
         # the engine's own population of run r, the stream full_check's runs use
         pop = _population(config, r)
-        expected = expected_payout(pop, sched)
-        bworst[r] = worst_payout(pop, sched, "bracketed") / expected
-        rworst[r] = worst_payout(pop, sched, "random") / expected
+        expected = expected_payout(pop, sched)[0]
+        bworst[r] = worst_payout(pop, sched, "bracketed")[0] / expected
+        rworst[r] = worst_payout(pop, sched, "random")[0] / expected
     b_avg, r_avg = bworst.mean(), rworst.mean()
     ok = BWORST_BAND[0] < b_avg < BWORST_BAND[1] and r_avg >= 2.0 * b_avg
     return ok, b_avg, r_avg
