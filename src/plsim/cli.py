@@ -179,6 +179,17 @@ _EXPERIMENT_OPTIONS = (
 )
 
 
+def _unique_fields(pairs) -> dict:
+    """A JSON object's ``(key, value)`` pairs as a dict, refused if a key
+    repeats: ``json.load`` would keep the last value silently."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"duplicate field {key!r}")
+        out[key] = value
+    return out
+
+
 def _experiment_command(name: str, preset, doc: str, *extra_options):
     """Register ``plsim <name>``: ``preset()`` or --config, each flag given
     replacing its field, run by ``experiments.run_<name>`` as looked up when
@@ -192,20 +203,21 @@ def _experiment_command(name: str, preset, doc: str, *extra_options):
         else:
             with open(config_path) as fh:
                 try:
-                    config = experiments.config_from_dict(json.load(fh))
+                    config = experiments.config_from_dict(
+                        json.load(fh, object_pairs_hook=_unique_fields))
                 # json.load ends deep nesting in a RecursionError, and bad
-                # JSON or bytes that are not UTF-8 in a ValueError
+                # JSON, a repeated key or bytes that are not UTF-8 in a ValueError
                 except (RecursionError, ValueError) as exc:
                     _fail(f"invalid config {config_path}: {exc}")
-        caps = fields.get("caps")
-        if caps is not None:
+        text = fields.get("caps")  # --caps, which only plsim caps has
+        if text is not None:
             try:
-                fields["caps"] = tuple(float(c) for c in caps.split(","))
+                fields["caps"] = tuple(float(c) for c in text.split(","))
             except ValueError:
-                _fail(f"could not parse --caps {caps!r}")
+                _fail(f"could not parse --caps {text!r}")
         config = replace(config, **{f: v for f, v in fields.items() if v is not None})
-        variants = (f"{len(config.schedules)} schedules" if config.caps is None
-                    else f"caps {','.join(f'{c:g}' for c in config.caps)}")
+        variants = (f"caps {','.join(f'{c:g}' for c in config.caps)}" if config.caps
+                    else f"{len(config.schedules)} schedules")
         progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
                     f"{variants}, seed {config.master_seed}")
         experiments.prepare_engine_process()  # plsim owns this process, at any --threads

@@ -87,10 +87,11 @@ class DrawOutcome:
     payout: float
 
 
-def require_caps(caps) -> None:
-    """Refuse balance caps that are not real numbers, finite, positive and
-    strictly descending: ``_price`` truncates each cap's balances from the
-    previous cap's, in place."""
+def require_caps(caps) -> tuple[float, ...]:
+    """The balance caps as floats, refused unless real numbers, finite,
+    positive and strictly descending: ``_price`` truncates each cap's
+    balances from the previous cap's, in place."""
+    caps = tuple(caps)
     for cap in caps:
         # an infinite cap would price nothing and dump as Infinity,
         # which is not JSON
@@ -98,6 +99,7 @@ def require_caps(caps) -> None:
             raise ValueError(f"caps must be finite and positive, got {cap}")
     if any(hi <= lo for hi, lo in zip(caps, caps[1:])):
         raise ValueError("caps must be strictly descending")
+    return tuple(float(cap) for cap in caps)
 
 
 def expected_payout(pop: AccountPopulation, sched: PrizeSchedule, caps=()) -> np.ndarray:

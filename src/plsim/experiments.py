@@ -37,7 +37,8 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, fields
+from contextlib import ExitStack
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 
 import numpy as np
@@ -76,8 +77,8 @@ class ExperimentConfig:
     draws_per_run: int
     runs: int
     var_levels: tuple[float, ...]
-    caps: tuple[float, ...] | None = None
     master_seed: int = DEFAULT_SEED
+    caps: tuple[float, ...] = ()
 
     def __post_init__(self):
         for name in ("n_accounts", "draws_per_run", "runs", "master_seed"):
@@ -85,10 +86,7 @@ class ExperimentConfig:
         object.__setattr__(self, "schedules", tuple(self.schedules))
         object.__setattr__(self, "var_levels",
                            tuple(_real(lvl, "VaR level") for lvl in self.var_levels))
-        if self.caps is not None:
-            caps = tuple(self.caps)
-            require_caps(caps)  # before float() can take "7" or True
-            object.__setattr__(self, "caps", tuple(float(c) for c in caps))
+        object.__setattr__(self, "caps", require_caps(self.caps))
         if not self.schedules:
             raise ValueError("config needs at least one prize schedule")
         if self.runs < 1:
@@ -104,9 +102,8 @@ class ExperimentConfig:
         for lvl in self.var_levels:
             if not 0.0 < lvl < 1.0:
                 raise ValueError(f"VaR level {lvl} outside (0, 1)")
-        if self.caps is not None:
-            if not self.caps:
-                raise ValueError("caps, when given, must be non-empty")
+        if any(hi <= lo for hi, lo in zip(self.var_levels, self.var_levels[1:])):
+            raise ValueError("VaR levels must be strictly descending")
 
 
 def bracketing_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentConfig:
@@ -124,57 +121,53 @@ def caps_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentCo
         "caps": DEFAULT_CAPS, **overrides})
 
 
+def _json(value):
+    """``value`` as JSON data: a dataclass as an object of its fields, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _json(getattr(value, f.name)) for f in fields(value)}
+    return [_json(item) for item in value] if isinstance(value, tuple) else value
+
+
 def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {
-        "pareto": {"alpha": config.pareto.alpha, "b": config.pareto.b},
-        "n_accounts": config.n_accounts,
-        "schedules": [
-            {"count": s.count, "multiple": s.multiple} for s in config.schedules
-        ],
-        "draws_per_run": config.draws_per_run,
-        "runs": config.runs,
-        "var_levels": list(config.var_levels),
-        "master_seed": config.master_seed,
-    }
-    if config.caps is not None:
-        out["caps"] = list(config.caps)
-    return out
+    """The config's fields as JSON data, an empty ``caps`` left out."""
+    return {name: value for name, value in _json(config).items() if name != "caps" or value}
 
 
-def _shaped(value, kind: type, where: str):
-    """``value``, refused unless it is a JSON object (``kind`` dict) or list."""
+def _shaped(value, kind: type, where: str) -> None:
+    """Refuse ``value`` unless it is a JSON object (``kind`` dict) or list."""
     if not isinstance(value, kind):
         raise ValueError(f"{where} must be {'an object' if kind is dict else 'a list'}, "
                          f"got {value!r}")
-    return value
 
 
-def _known(data, names, where: str, optional=()) -> dict:
-    """``data``, refused unless an object with exactly the keys ``names``,
-    of which those in ``optional`` may be left out."""
+def _known(data, cls, where: str, optional=()) -> dict:
+    """``data``, refused unless an object with exactly the fields of the
+    dataclass ``cls``, of which those in ``optional`` may be left out, and
+    with a list for each tuple field."""
     _shaped(data, dict, where)
-    unknown = sorted(data.keys() - set(names))
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(data.keys() - types.keys())
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r} in {where}")
-    missing = [name for name in names if name not in data and name not in optional]
+    missing = [name for name in types if name not in data and name not in optional]
     if missing:
         raise ValueError(f"{where} is missing required field {missing[0]!r}")
+    for name, kind in types.items():
+        if name in data and str(kind).startswith("tuple["):
+            _shaped(data[name], list, name)
     return data
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """The config a JSON document describes. Only the document's shape is
-    checked here: objects with exactly their fields (``caps`` may be left
-    out, ``master_seed`` may not) and lists where lists belong. Every value
-    goes as it is to ``ParetoParams``, ``PrizeSchedule`` and
-    ``ExperimentConfig``, which refuse a value of the wrong type."""
-    _known(data, [f.name for f in fields(ExperimentConfig)], "config", optional=("caps",))
-    for name in ("schedules", "var_levels", "caps"):
-        if name in data:
-            _shaped(data[name], list, name)
+    checked here: objects with exactly the fields of ``ExperimentConfig``,
+    ``ParetoParams`` and ``PrizeSchedule`` (``caps`` may be left out,
+    ``master_seed`` may not) and lists where those have tuples. Every value
+    goes as it is to the dataclasses, which refuse a value of the wrong type."""
+    _known(data, ExperimentConfig, "config", optional=("caps",))
     return ExperimentConfig(**{
-        **data, "pareto": ParetoParams(**_known(data["pareto"], ("alpha", "b"), "pareto")),
-        "schedules": tuple(PrizeSchedule(**_known(s, ("count", "multiple"), "schedule"))
+        **data, "pareto": ParetoParams(**_known(data["pareto"], ParetoParams, "pareto")),
+        "schedules": tuple(PrizeSchedule(**_known(s, PrizeSchedule, "schedule"))
                            for s in data["schedules"])})
 
 
@@ -242,7 +235,7 @@ class Result:
         """Drawings whose raw payout the cap experiment checked against the
         previous cap level; 0 for the bracketing experiment."""
         c = self.config
-        return c.runs * len(c.schedules) * c.draws_per_run * len(c.caps or ())
+        return c.runs * len(c.schedules) * c.draws_per_run * len(c.caps)
 
     def cell(self, schedule_index: int, level: float | None) -> Cell:
         """The cell of a schedule at a configured VaR level, matched with
@@ -261,24 +254,24 @@ class Result:
     def write_csv(self, stream) -> None:
         caps = self.config.caps
         writer = csv.writer(stream, lineterminator="\n")
-        if caps is None:
-            writer.writerow(BRACKETING_CSV_COLUMNS)
-        else:
+        if caps:
             writer.writerow(["params", "schedule", "var_level", "uncapped_avg"] + [
                 f"cap_{cap:g}_{stat}" for cap in caps for stat in ("avg", "pct_higher")])
+        else:
+            writer.writerow(BRACKETING_CSV_COLUMNS)
         params = self.config.pareto.label()
         for cell in self.cells:
             avgs, pcts = cell.averages, cell.pct_higher
             row = [params, cell.schedule.label(), level_label(cell.level),
                    f"{avgs[0]:.6f}"]
-            if caps is None:
+            if caps:
+                for avg, pct in zip(avgs[1:], pcts[1:]):
+                    row += [f"{avg:.6f}", f"{pct:.2f}"]
+            else:
                 row += [f"{avgs[1]:.6f}", f"{pcts[1]:.2f}"]
                 row += ["" if sd is None else f"{sd:.6f}" for sd in cell.stds]
                 # percent by which the random average exceeds the bracketed one
                 row.append(f"{(avgs[0] / avgs[1] - 1.0) * 100.0:.2f}")
-            else:
-                for avg, pct in zip(avgs[1:], pcts[1:]):
-                    row += [f"{avg:.6f}", f"{pct:.2f}"]
             writer.writerow(row)
 
     def to_csv_string(self) -> str:
@@ -288,19 +281,19 @@ class Result:
 
     def to_json_dict(self) -> dict:
         caps = self.config.caps
-        doc = {"experiment": "bracketing" if caps is None else "caps",
+        doc = {"experiment": "caps" if caps else "bracketing",
                "config": config_to_dict(self.config)}
-        if caps is None:
-            labels = ("random", "bracket")
-        else:
+        if caps:
             doc["raw_payout_comparisons"] = self.raw_payout_comparisons
             labels = ["uncapped"] + [f"{c:g}" for c in caps]
+        else:
+            labels = ("random", "bracket")
         cells = []
         for cell in self.cells:
             values = {label: row.tolist() for label, row in zip(labels, cell.values)}
             cells.append({"schedule": cell.schedule.label(),
                           "var_level": level_label(cell.level),
-                          **(values if caps is None else {"scaled": values})})
+                          **({"scaled": values} if caps else values)})
         doc["cells"] = cells
         return doc
 
@@ -317,8 +310,7 @@ def _population(config: ExperimentConfig, run_index: int) -> AccountPopulation:
 def _variants(config: ExperimentConfig) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """A run's mechanisms and caps: both mechanisms uncapped without caps,
     the random one uncapped and then at each cap with them."""
-    caps = config.caps or ()
-    return ("random",) if caps else MECHANISMS, caps
+    return ("random",) if config.caps else MECHANISMS, config.caps
 
 
 # float-roundoff guard when testing level * draws against the resolution limit
@@ -416,27 +408,21 @@ def prepare_engine_process() -> None:
         mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _require_caps(config: ExperimentConfig, wanted: bool) -> None:
-    """Refuse a config of the other experiment: the cap experiment needs
-    caps, the bracketing experiment takes none."""
-    if wanted != (config.caps is not None):
-        raise ValueError("cap experiment requires a config with caps" if wanted
-                         else "bracketing experiment takes a config without caps")
-
-
 def run_bracketing(config: ExperimentConfig, workers: int = 1,
                    on_start=None) -> Result:
     """Execute the bracketing protocol; deterministic for a fixed master seed
     regardless of ``workers``. ``on_start``, if given, is called with no
     arguments once the result is sized, before the first run."""
-    _require_caps(config, False)
+    if config.caps:
+        raise ValueError("bracketing experiment takes a config without caps")
     return _run(config, workers, on_start)
 
 
 def run_caps(config: ExperimentConfig, workers: int = 1, on_start=None) -> Result:
     """Execute the cap protocol; deterministic for a fixed master seed
     regardless of ``workers``. ``on_start`` as for ``run_bracketing``."""
-    _require_caps(config, True)
+    if not config.caps:
+        raise ValueError("cap experiment requires a config with caps")
     return _run(config, workers, on_start)
 
 
@@ -454,21 +440,19 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
     if on_start is not None:
         on_start()
     workers = min(workers, config.runs)
-    if workers <= 1:
-        for r in range(config.runs):
-            data[r] = _one_run(config, r)
-    else:
-        # here, so that a one-worker process never loads the pool's modules
-        from concurrent.futures import ProcessPoolExecutor
+    run_all = map
+    with ExitStack() as stack:
+        if workers > 1:
+            # here, so that a one-worker process never loads the pool's modules
+            from concurrent.futures import ProcessPoolExecutor
 
-        # as initializer, so that workers started by spawn or forkserver,
-        # which inherit neither setting, are set up too
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=prepare_engine_process) as pool:
-            # map preserves submission order, so aggregation stays deterministic
-            for r, values in enumerate(pool.map(partial(_one_run, config),
-                                                range(config.runs))):
-                data[r] = values
+            # as initializer, so that workers started by spawn or forkserver,
+            # which inherit neither setting, are set up too
+            run_all = stack.enter_context(ProcessPoolExecutor(
+                max_workers=workers, initializer=prepare_engine_process)).map
+        # both maps yield in submission order, so aggregation stays deterministic
+        for r, values in enumerate(run_all(partial(_one_run, config), range(config.runs))):
+            data[r] = values
     cells = tuple(
         Cell(schedule=sched, level=level, values=data[:, i, j, :].T.copy())
         for i, sched in enumerate(config.schedules)

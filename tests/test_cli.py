@@ -36,6 +36,9 @@ MALFORMED_CONFIGS = {
     "fractional-runs.json": json.dumps({**_CAPS_DOC, "runs": 4.5}).encode(),
     # float() overflows on an integer beyond float64, which JSON can hold
     "huge-alpha.json": json.dumps({**_CAPS_DOC, "pareto": {"alpha": 10**400, "b": 150}}).encode(),
+    # json.load alone keeps the last of a repeated key
+    "duplicate-runs.json": json.dumps(_CAPS_DOC).replace('"runs": ', '"runs": 1, "runs": ').encode(),
+    "ascending-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.02, 0.05]}).encode(),
 }
 
 
@@ -252,6 +255,17 @@ class TestBracketingCommand:
         assert result.stderr.splitlines() == [
             "Error: bracketing experiment takes a config without caps"]
         assert not out.exists()
+
+    def test_empty_caps_is_the_bracketing_experiment(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**json.loads((GOLDEN / "golden_bracketing.json").read_text()), "caps": []}))
+        result = runner.invoke(main, ["bracketing", "--config", str(config)])
+        assert result.exit_code == 0
+        assert result.stdout == (GOLDEN / "bracketing_small.csv").read_text()
+        result = runner.invoke(main, ["caps", "--config", str(config)])
+        assert result.stderr.splitlines() == [
+            "Error: cap experiment requires a config with caps"]
 
     def test_progress_stays_off_stdout(self, runner):
         result = runner.invoke(main, [
@@ -817,6 +831,13 @@ class TestFailurePath:
         self.assert_one_error_line(result)
         assert result.stderr.startswith(f"Error: invalid config {config}: ")
         assert result.stdout == ""
+
+    def test_repeated_key_is_named(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_bytes(MALFORMED_CONFIGS["duplicate-runs.json"])
+        result = runner.invoke(main, ["caps", "--config", str(config)])
+        assert result.stderr.splitlines() == [
+            f"Error: invalid config {config}: duplicate field 'runs'"]
 
     def test_absurd_cpt_grid(self, runner):
         result = runner.invoke(main, [

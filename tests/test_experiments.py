@@ -66,13 +66,24 @@ class TestConfig:
             small_config(caps=(100.0, 100.0))  # not strictly descending
         with pytest.raises(ValueError):
             small_config(caps=(100.0, 200.0))
-        with pytest.raises(ValueError):
-            small_config(caps=())
+        # no caps is the bracketing experiment, as an omitted caps is
+        assert small_config(caps=()) == small_config()
+        with pytest.raises(ValueError, match="^VaR levels must be strictly descending$"):
+            small_config(var_levels=(0.02, 0.05))
+        with pytest.raises(ValueError, match="^VaR levels must be strictly descending$"):
+            small_config(var_levels=(0.05, 0.05))
 
     def test_json_round_trip(self):
         cfg = small_config(caps=(1000.0, 500.0))
         data = json.loads(json.dumps(config_to_dict(cfg)))
         assert config_from_dict(data) == cfg
+
+    def test_empty_caps_load_and_dump_as_no_caps(self):
+        data = config_to_dict(small_config())
+        assert "caps" not in data
+        config = config_from_dict({**data, "caps": []})
+        assert config == config_from_dict(data) and config.caps == ()
+        assert config_to_dict(config) == data
 
     def test_missing_field_message(self):
         with pytest.raises(ValueError, match="missing"):
@@ -239,7 +250,7 @@ class TestConfig:
     def test_full_scale_presets(self):
         br = bracketing_config()
         assert br.runs == 200 and br.draws_per_run == 10_000
-        assert br.n_accounts == 100_000 and br.caps is None
+        assert br.n_accounts == 100_000 and br.caps == ()
         cp = caps_config()
         assert cp.runs == 2000 and cp.draws_per_run == 1_000
         assert cp.caps == (250_000.0, 50_000.0, 10_000.0)
@@ -517,7 +528,7 @@ def test_worker_counts_below_one_or_not_integers_are_refused(monkeypatch, worker
 
     monkeypatch.setattr(experiments, "_one_run", no_run)
     started = []
-    for run, caps in ((run_bracketing, None), (run_caps, (1000.0,))):
+    for run, caps in ((run_bracketing, ()), (run_caps, (1000.0,))):
         with pytest.raises(ValueError, match="^workers must be (an integer|>= 1), got "):
             run(small_config(runs=10**19, caps=caps), workers, lambda: started.append(run))
     assert started == []
