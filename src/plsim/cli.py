@@ -216,7 +216,7 @@ def _experiment_command(name: str, preset, doc: str, *extra_options):
             except ValueError:
                 _fail(f"could not parse --caps {text!r}")
         config = replace(config, **{f: v for f, v in fields.items() if v is not None})
-        variants = (f"caps {','.join(f'{c:g}' for c in config.caps)}" if config.caps
+        variants = (f"caps {','.join(map(drawing.cap_label, config.caps))}" if config.caps
                     else f"{len(config.schedules)} schedules")
         progress = (f"{name}: {config.runs} runs x {config.draws_per_run} draws, "
                     f"{variants}, seed {config.master_seed}")

@@ -87,19 +87,34 @@ class DrawOutcome:
     payout: float
 
 
+def cap_label(cap: float) -> str:
+    """A cap's name in the CSV header, the JSON keys and the progress line."""
+    return f"{cap:g}"
+
+
 def require_caps(caps) -> tuple[float, ...]:
     """The balance caps as floats, refused unless real numbers, finite,
-    positive and strictly descending: ``_price`` truncates each cap's
-    balances from the previous cap's, in place."""
+    positive, strictly descending and of distinct labels: ``_price``
+    truncates each cap's balances from the previous cap's, in place."""
     caps = tuple(caps)
     for cap in caps:
         # an infinite cap would price nothing and dump as Infinity,
         # which is not JSON
         if not 0.0 < _real(cap, "each cap") < math.inf:
             raise ValueError(f"caps must be finite and positive, got {cap}")
-    if any(hi <= lo for hi, lo in zip(caps, caps[1:])):
-        raise ValueError("caps must be strictly descending")
-    return tuple(float(cap) for cap in caps)
+    caps = tuple(float(cap) for cap in caps)
+    _require_descending(caps, cap_label, "caps")
+    return caps
+
+
+def _require_descending(levels, label, what: str) -> None:
+    """Refuse ``levels`` unless strictly descending and of distinct labels,
+    which round monotonically, so that two levels of one label are adjacent."""
+    for hi, lo in zip(levels, levels[1:]):
+        if hi <= lo:
+            raise ValueError(f"{what} must be strictly descending")
+        if label(hi) == label(lo):
+            raise ValueError(f"{what} {hi!r} and {lo!r} share the label {label(lo)!r}")
 
 
 def expected_payout(pop: AccountPopulation, sched: PrizeSchedule, caps=()) -> np.ndarray:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import sys
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, is_dataclass
@@ -43,8 +42,8 @@ from functools import partial
 
 import numpy as np
 
-from .drawing import (MECHANISMS, PrizeSchedule, expected_payout, payouts, require_caps,
-                      worst_payout)
+from .drawing import (MECHANISMS, PrizeSchedule, _require_descending, cap_label,
+                      expected_payout, payouts, require_caps, worst_payout)
 from .pareto import ParetoParams, _integer, _real
 from .population import AccountPopulation, generate, require_drawable
 
@@ -102,8 +101,7 @@ class ExperimentConfig:
         for lvl in self.var_levels:
             if not 0.0 < lvl < 1.0:
                 raise ValueError(f"VaR level {lvl} outside (0, 1)")
-        if any(hi <= lo for hi, lo in zip(self.var_levels, self.var_levels[1:])):
-            raise ValueError("VaR levels must be strictly descending")
+        _require_descending(self.var_levels, level_label, "VaR levels")
 
 
 def bracketing_config(pareto: ParetoParams | None = None, **overrides) -> ExperimentConfig:
@@ -216,12 +214,6 @@ class Cell:
                 for row in self.values]
 
 
-BRACKETING_CSV_COLUMNS = (
-    "params", "schedule", "var_level", "random_avg", "bracket_avg",
-    "pct_bracket_higher", "random_std", "bracket_std", "rel_diff_pct",
-)
-
-
 @dataclass(frozen=True)
 class Result:
     """Cells of one experiment, schedule by schedule, each schedule's VaR
@@ -238,37 +230,33 @@ class Result:
         return c.runs * len(c.schedules) * c.draws_per_run * len(c.caps)
 
     def cell(self, schedule_index: int, level: float | None) -> Cell:
-        """The cell of a schedule at a configured VaR level, matched with
-        ``math.isclose``, or at None for the worst payout."""
+        """The cell of a schedule at the configured VaR level of the same
+        label as ``level``, or at None for the worst payout."""
         levels = self.config.var_levels
-        if level is None:
-            j = len(levels)
-        else:
-            j = next((j for j, known in enumerate(levels)
-                      if math.isclose(known, level)), None)
-            if j is None:
-                raise ValueError(f"VaR level {level} is not one of the "
-                                 f"configured levels {list(levels)}")
-        return self.cells[schedule_index * (len(levels) + 1) + j]
+        labels = [level_label(known) for known in (*levels, None)]
+        if level_label(level) not in labels:
+            raise ValueError(f"VaR level {level} is not one of the "
+                             f"configured levels {list(levels)}")
+        return self.cells[schedule_index * len(labels) + labels.index(level_label(level))]
 
     def write_csv(self, stream) -> None:
         caps = self.config.caps
         writer = csv.writer(stream, lineterminator="\n")
         if caps:
             writer.writerow(["params", "schedule", "var_level", "uncapped_avg"] + [
-                f"cap_{cap:g}_{stat}" for cap in caps for stat in ("avg", "pct_higher")])
+                f"cap_{cap_label(c)}_{stat}" for c in caps for stat in ("avg", "pct_higher")])
         else:
-            writer.writerow(BRACKETING_CSV_COLUMNS)
+            writer.writerow(["params", "schedule", "var_level", "random_avg", "bracket_avg",
+                             "pct_bracket_higher", "random_std", "bracket_std", "rel_diff_pct"])
         params = self.config.pareto.label()
         for cell in self.cells:
             avgs, pcts = cell.averages, cell.pct_higher
             row = [params, cell.schedule.label(), level_label(cell.level),
                    f"{avgs[0]:.6f}"]
-            if caps:
-                for avg, pct in zip(avgs[1:], pcts[1:]):
-                    row += [f"{avg:.6f}", f"{pct:.2f}"]
-            else:
-                row += [f"{avgs[1]:.6f}", f"{pcts[1]:.2f}"]
+            # each variant after the first against the one before it
+            for avg, pct in zip(avgs[1:], pcts[1:]):
+                row += [f"{avg:.6f}", f"{pct:.2f}"]
+            if not caps:
                 row += ["" if sd is None else f"{sd:.6f}" for sd in cell.stds]
                 # percent by which the random average exceeds the bracketed one
                 row.append(f"{(avgs[0] / avgs[1] - 1.0) * 100.0:.2f}")
@@ -285,16 +273,13 @@ class Result:
                "config": config_to_dict(self.config)}
         if caps:
             doc["raw_payout_comparisons"] = self.raw_payout_comparisons
-            labels = ["uncapped"] + [f"{c:g}" for c in caps]
-        else:
-            labels = ("random", "bracket")
-        cells = []
+        labels = ["uncapped", *map(cap_label, caps)] if caps else ("random", "bracket")
+        doc["cells"] = []
         for cell in self.cells:
             values = {label: row.tolist() for label, row in zip(labels, cell.values)}
-            cells.append({"schedule": cell.schedule.label(),
-                          "var_level": level_label(cell.level),
-                          **({"scaled": values} if caps else values)})
-        doc["cells"] = cells
+            doc["cells"].append({"schedule": cell.schedule.label(),
+                                 "var_level": level_label(cell.level),
+                                 **({"scaled": values} if caps else values)})
         return doc
 
 
@@ -307,10 +292,10 @@ def _population(config: ExperimentConfig, run_index: int) -> AccountPopulation:
                     _stream(config.master_seed, run_index, _POPULATION_STREAM))
 
 
-def _variants(config: ExperimentConfig) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    """A run's mechanisms and caps: both mechanisms uncapped without caps,
-    the random one uncapped and then at each cap with them."""
-    return ("random",) if config.caps else MECHANISMS, config.caps
+def _mechanisms(config: ExperimentConfig) -> tuple[str, ...]:
+    """A run's mechanisms, each priced uncapped and then at each of the
+    config's caps: both mechanisms without caps, the random one with them."""
+    return ("random",) if config.caps else MECHANISMS
 
 
 # float-roundoff guard when testing level * draws against the resolution limit
@@ -345,7 +330,7 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
     times price levels, see the module docstring.
     """
     pop = _population(config, run_index)
-    mechanisms, caps = _variants(config)
+    mechanisms, caps = _mechanisms(config), config.caps
     ranks = [var_rank(config.draws_per_run, level) for level in config.var_levels]
     # each price level's (capped) mean balance, once per run: a schedule's
     # expected payouts are count * multiple times them, the floats
@@ -432,11 +417,10 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     levels = list(config.var_levels) + [None]
-    mechanisms, caps = _variants(config)
     # sized before the first run, so a run count no array can hold is
     # refused before any run starts or is announced
     data = np.empty((config.runs, len(config.schedules), len(levels),
-                     len(mechanisms) * (1 + len(caps))))
+                     len(_mechanisms(config)) * (1 + len(config.caps))))
     if on_start is not None:
         on_start()
     workers = min(workers, config.runs)

@@ -39,6 +39,9 @@ MALFORMED_CONFIGS = {
     # json.load alone keeps the last of a repeated key
     "duplicate-runs.json": json.dumps(_CAPS_DOC).replace('"runs": ', '"runs": 1, "runs": ').encode(),
     "ascending-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.02, 0.05]}).encode(),
+    # strictly descending, but two levels or two caps of one label
+    "one-label-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.05 + 1e-12, 0.05]}).encode(),
+    "one-label-caps.json": json.dumps({**_CAPS_DOC, "caps": [250000, 50000.01, 50000]}).encode(),
 }
 
 
@@ -923,6 +926,17 @@ class TestFailurePath:
         self.assert_one_error_line(result)
         assert result.stderr.startswith("Error: caps must be finite and positive, got ")
         assert not json_out.exists()
+
+    def test_caps_flag_of_one_label(self, runner, tmp_path):
+        # two caps that would write two cap_50000 column pairs and one JSON key
+        out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"),
+            "--caps", "250000,50000.01,50000", "--out", str(out), "--json-out", str(json_out)])
+        self.assert_one_error_line(result)
+        assert result.stderr.splitlines() == [
+            "Error: caps 50000.01 and 50000.0 share the label '50000'"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_cap_in_config(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

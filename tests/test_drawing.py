@@ -12,6 +12,7 @@ from plsim.drawing import (
     PrizeSchedule,
     best_payout,
     bracket_bounds,
+    cap_label,
     draw,
     expected_interest,
     expected_payout,
@@ -281,6 +282,22 @@ class TestBatchHelpers:
         with pytest.raises(ValueError, match="caps must be strictly descending"):
             payouts(POP4, TWO_AT_100, mechanism, np.random.default_rng(0), 3,
                     (150.0, 1000.0))
+
+    @pytest.mark.parametrize("mechanism", MECHANISMS)
+    def test_priced_calls_refuse_caps_of_one_label(self, mechanism):
+        # strictly descending, but both name the cap_50000 columns and JSON key
+        caps = (250_000.0, 50_000.01, 50_000.0)
+        message = r"^caps 50000\.01 and 50000\.0 share the label '50000'$"
+        with pytest.raises(ValueError, match=message):
+            payouts(POP4, TWO_AT_100, mechanism, np.random.default_rng(0), 3, caps)
+        with pytest.raises(ValueError, match=message):
+            worst_payout(POP4, TWO_AT_100, mechanism, caps)
+        with pytest.raises(ValueError, match=message):
+            expected_payout(POP4, TWO_AT_100, caps)
+
+    def test_cap_label(self):
+        assert [cap_label(c) for c in (250_000.0, 50_000.01, 2.5, 1234567.0)] == [
+            "250000", "50000", "2.5", "1.23457e+06"]
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("cap", [np.nan, 0.0, -150.0, np.inf])

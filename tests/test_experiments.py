@@ -72,6 +72,14 @@ class TestConfig:
             small_config(var_levels=(0.02, 0.05))
         with pytest.raises(ValueError, match="^VaR levels must be strictly descending$"):
             small_config(var_levels=(0.05, 0.05))
+        # strictly descending, but each pair would write one CSV row or
+        # column and one JSON key twice
+        with pytest.raises(ValueError, match=(
+                r"^VaR levels 0\.050000000001 and 0\.05 share the label '5%'$")):
+            small_config(var_levels=(0.05 + 1e-12, 0.05))
+        with pytest.raises(ValueError, match=(
+                r"^caps 50000\.01 and 50000\.0 share the label '50000'$")):
+            small_config(caps=(250_000.0, 50_000.01, 50_000.0))
 
     def test_json_round_trip(self):
         cfg = small_config(caps=(1000.0, 500.0))

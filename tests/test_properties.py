@@ -20,6 +20,7 @@ from plsim.drawing import (
     PrizeSchedule,
     best_payout,
     bracket_bounds,
+    cap_label,
     draw,
     payouts,
     worst_payout,
@@ -28,6 +29,7 @@ from plsim.experiments import (
     ExperimentConfig,
     config_from_dict,
     config_to_dict,
+    level_label,
     run_bracketing,
     run_caps,
     var_rank,
@@ -54,8 +56,9 @@ def descending(values) -> tuple:
     return tuple(sorted(values, reverse=True))
 
 
+# caps of one label are refused, so the caps drawn have distinct labels
 descending_caps = st.lists(st.floats(100.0, 1e6), min_size=1, max_size=4,
-                           unique=True).map(descending)
+                           unique_by=cap_label).map(descending)
 
 
 @properties
@@ -119,8 +122,8 @@ def test_var_non_decreasing_as_level_falls(draws, levels):
 @st.composite
 def exact_cases(draw_from, capped: bool):
     """A config whose winner sets can all be enumerated, and a run index.
-    Capped configs have one to three caps, each placed between two of the
-    run's sorted balances, so that every cap binds."""
+    Capped configs have one to three caps of distinct labels, each placed
+    between two of the run's sorted balances, so that every cap binds."""
     schedules = draw_from(st.lists(
         st.builds(PrizeSchedule, st.integers(2, 4), st.floats(0.1, 100.0)),
         min_size=1, max_size=2))
@@ -139,8 +142,9 @@ def exact_cases(draw_from, capped: bool):
         balances = np.sort(experiments._population(config, run).balances)
         at = draw_from(st.lists(st.integers(1, n - 1), min_size=1, max_size=3,
                                 unique=True))
-        caps = {float(balances[i - 1] + balances[i]) / 2 for i in at}
-        config = replace(config, caps=tuple(sorted(caps, reverse=True)))
+        caps = {cap_label(cap): cap for cap in (float(balances[i - 1] + balances[i]) / 2
+                                                for i in at)}
+        config = replace(config, caps=descending(caps.values()))
     return config, run
 
 
@@ -226,7 +230,7 @@ def configs(draw_from):
         runs=draw_from(st.integers(1, 10**4)),
         var_levels=draw_from(st.lists(
             st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=4,
-            unique=True).map(descending)),
+            unique_by=level_label).map(descending)),
         caps=caps,
         master_seed=draw_from(st.integers(0, 2**63)),
     )

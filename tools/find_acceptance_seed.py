@@ -20,14 +20,10 @@ import time
 import numpy as np
 
 from plsim.drawing import PrizeSchedule, expected_payout, worst_payout
-from plsim.experiments import (ExperimentConfig, _population, prepare_engine_process,
-                               run_bracketing)
-from plsim.pareto import ParetoParams
+from plsim.experiments import (ExperimentConfig, _population, bracketing_config,
+                               prepare_engine_process, run_bracketing)
 
 RUNS = 20
-N_ACCOUNTS = 100_000
-DRAWS = 10_000
-PARETO = ParetoParams(1.04, 150.0)
 SCHEDULES = (PrizeSchedule(1000, 1.0), PrizeSchedule(500, 2.0))
 
 # gates (schedule index 0 = 1000x100%)
@@ -37,10 +33,8 @@ BWORST_BAND = (14.43 * 0.95, 14.43 * 1.05)
 
 
 def acceptance_config(seed: int) -> ExperimentConfig:
-    return ExperimentConfig(
-        pareto=PARETO, n_accounts=N_ACCOUNTS, schedules=SCHEDULES,
-        draws_per_run=DRAWS, runs=RUNS,
-        var_levels=(0.05, 0.01, 0.001, 0.0001), master_seed=seed)
+    """The bracketing preset at the acceptance suite's schedules and run count."""
+    return bracketing_config(schedules=SCHEDULES, runs=RUNS, master_seed=seed)
 
 
 def prescreen(seed: int) -> tuple[bool, float, float]:
