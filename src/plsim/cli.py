@@ -32,7 +32,7 @@ import click
 import numpy as np
 
 from . import drawing, experiments
-from .drawing import PrizeSchedule, best_payout, draw, expected_payout, worst_payout
+from .drawing import PrizeSchedule, best_payout, expected_payout, payouts, worst_payout
 from .pareto import ParetoParams, mean, quantile
 from .population import generate, require_drawable
 
@@ -345,7 +345,7 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
     with _outputs(("--out", out), ("--dump-balances", dump_path)) as (stream, dump):
         rng = np.random.default_rng(seed)
         pop = generate(params, accounts, rng)
-        outcome = draw(pop, sched, mechanism, rng)
+        payout = payouts(pop, sched, mechanism, rng, 1)[0, 0]
         expected = expected_payout(pop, sched)[0]
         if dump is not None:
             np.savetxt(dump, pop.balances, fmt="%.6f")
@@ -354,8 +354,7 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
                          "payout", "expected", "scaled", "best", "worst"])
         writer.writerow([
             mechanism, accounts, prizes, f"{multiple:g}", seed,
-            f"{outcome.payout:.6f}", f"{expected:.6f}",
-            f"{outcome.payout / expected:.6f}",
+            f"{payout:.6f}", f"{expected:.6f}", f"{payout / expected:.6f}",
             f"{best_payout(pop, sched, mechanism):.6f}",
             f"{worst_payout(pop, sched, mechanism)[0]:.6f}",
         ])

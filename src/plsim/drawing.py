@@ -17,13 +17,13 @@ balances.
 
 Each mechanism draws its winners in one kernel, a function of a block's
 height that returns a fresh block of winners, and one loop,
-``winner_blocks``, draws them in blocks of drawings: ``payouts`` prices those
-blocks, uncapped and at each balance cap, and ``draw`` is their single
-drawing. One rule, ``_price``, prices every level: ``payouts``' blocks and
-the single rows of ``worst_payout`` and ``expected_payout``. A block holds
-at most ``_BLOCK_WINNERS`` winners, so its memory is bounded by that budget,
-not by the prize count. One block's arrays are alive
-at a time: ``payouts`` gathers and prices a block, summing straight into its
+``winner_blocks``, draws them in blocks of drawings, which ``payouts``
+prices, uncapped and at each balance cap; ``plsim draw`` prints the payout
+of its one drawing. One rule, ``_price``, prices every level: ``payouts``'
+blocks and the single rows of ``worst_payout`` and ``expected_payout``. A
+block holds at most ``_BLOCK_WINNERS`` winners, so its memory is bounded by
+that budget, not by the prize count. One block's arrays are alive at a
+time: ``payouts`` gathers and prices a block, summing straight into its
 output, and deletes it before the next block is drawn, so a call holds
 0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
 is drawn, the kernel's scratch, at any prize count; ``TestPeakMemory`` in
@@ -77,14 +77,6 @@ class PrizeSchedule:
 
     def label(self) -> str:
         return f"{self.count}x{self.multiple * 100:g}%"
-
-
-@dataclass(frozen=True)
-class DrawOutcome:
-    """Winning account indices (distinct) and the resulting total payout."""
-
-    winners: np.ndarray
-    payout: float
 
 
 def cap_label(cap: float) -> str:
@@ -169,7 +161,7 @@ def winner_blocks(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     one drawing where ``sched.count`` exceeds that.
 
     Entries index ``pop.balances`` for the random mechanism and
-    ``pop.sorted_balances()`` for the bracketed one. Each block is a fresh
+    ``pop.sorted_balances`` for the bracketed one. Each block is a fresh
     array, which the caller may keep; the arguments are checked at the call.
     """
     _check(pop, sched, mechanism)
@@ -190,7 +182,7 @@ def payouts(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
     """
     require_caps(caps)
     blocks = winner_blocks(pop, sched, mechanism, rng, draws)
-    won_from = pop.balances if mechanism == "random" else pop.sorted_balances()
+    won_from = pop.balances if mechanism == "random" else pop.sorted_balances
     out = np.empty((1 + len(caps), draws))
     for lo, block in blocks:
         # the gather is freed when _price returns, the block before the next
@@ -210,15 +202,6 @@ def _price(won: np.ndarray, caps, out: np.ndarray) -> None:
     for row, cap in enumerate(caps, 1):
         np.minimum(won, cap, out=won)
         won.sum(axis=-1, out=out[row, ...])
-
-
-def draw(pop: AccountPopulation, sched: PrizeSchedule, mechanism: str,
-         rng: np.random.Generator) -> DrawOutcome:
-    """One drawing: the first and only row of ``winner_blocks``."""
-    (_, block), = winner_blocks(pop, sched, mechanism, rng, 1)
-    winners = block[0] if mechanism == "random" else pop.sort_order()[block[0]]
-    return DrawOutcome(winners=winners,
-                       payout=float(pop.balances[winners].sum() * sched.multiple))
 
 
 def _random_rows(rng: np.random.Generator, n: int, k: int):
@@ -421,7 +404,7 @@ def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
     require_caps(caps)
     _, worst = _extremes(pop, sched, mechanism)
     out = np.empty(1 + len(caps))
-    _price(pop.sorted_balances()[worst], caps, out)
+    _price(pop.sorted_balances[worst], caps, out)
     out *= sched.multiple
     return out
 
@@ -430,4 +413,4 @@ def best_payout(pop: AccountPopulation, sched: PrizeSchedule,
                 mechanism: str) -> float:
     """Smallest payout the mechanism can produce for this sample."""
     best, _ = _extremes(pop, sched, mechanism)
-    return float(pop.sorted_balances()[best].sum() * sched.multiple)
+    return float(pop.sorted_balances[best].sum() * sched.multiple)

@@ -88,6 +88,14 @@ class ExperimentConfig:
         object.__setattr__(self, "caps", require_caps(self.caps))
         if not self.schedules:
             raise ValueError("config needs at least one prize schedule")
+        # each label names one group of CSV rows and JSON cells
+        labelled = {}
+        for sched in self.schedules:
+            label = sched.label()
+            if label in labelled:
+                raise ValueError(f"schedules {labelled[label]!r} and {sched!r} "
+                                 f"share the label {label!r}")
+            labelled[label] = sched
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
         if self.draws_per_run < 1:

@@ -10,20 +10,21 @@ import numpy as np
 from .pareto import ParetoParams, sample
 
 
-@dataclass(frozen=True)
+# eq=False: equality and hashing go by identity, since the generated
+# methods would compare and hash the arrays
+@dataclass(frozen=True, eq=False)
 class AccountPopulation:
     """Immutable sample of account balances: a non-empty 1-D array of positive
     values with a finite float64 sum, kept as a read-only copy in generation
-    order, from which ``count`` and ``mean`` are derived, never given. The
-    sorted values (needed for bracketing and the extreme payouts) come from
-    ``np.sort`` and the account order from a stable ``argsort``, which only
-    ``draw`` asks for; each is computed on first use and cached, which is
-    safe because the arrays are read-only.
+    order, from which ``count``, ``mean`` and ``sorted_balances``, the same
+    values ascending (which bracketing and the extreme payouts read), are
+    derived once, when the population is built, never given.
     """
 
     balances: np.ndarray
     mean: float = field(init=False)
     count: int = field(init=False)
+    sorted_balances: np.ndarray = field(init=False)
 
     def __post_init__(self):
         arr = np.array(self.balances, dtype=float)
@@ -35,30 +36,13 @@ class AccountPopulation:
             mean = float(arr.mean())
         if not mean < math.inf:
             raise ValueError("balances must be finite and sum within float64")
-        arr.setflags(write=False)
+        ordered = np.sort(arr)
+        for values in (arr, ordered):
+            values.setflags(write=False)
         object.__setattr__(self, "balances", arr)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "count", int(arr.size))
-
-    def sorted_balances(self) -> np.ndarray:
-        cached = getattr(self, "_sorted", None)
-        if cached is None:
-            # equal to balances[sort_order()], since tied values are equal
-            # and positive balances hold no NaN, without the index sort
-            cached = np.sort(self.balances)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_sorted", cached)
-        return cached
-
-    def sort_order(self) -> np.ndarray:
-        # stable: ties broken by account index; computed only for draw, which
-        # maps a bracketed winner's sorted position back to its account
-        cached = getattr(self, "_order", None)
-        if cached is None:
-            cached = np.argsort(self.balances, kind="stable")
-            cached.setflags(write=False)
-            object.__setattr__(self, "_order", cached)
-        return cached
+        object.__setattr__(self, "sorted_balances", ordered)
 
 
 def generate(params: ParetoParams, n: int, seed) -> AccountPopulation:

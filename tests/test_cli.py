@@ -39,9 +39,12 @@ MALFORMED_CONFIGS = {
     # json.load alone keeps the last of a repeated key
     "duplicate-runs.json": json.dumps(_CAPS_DOC).replace('"runs": ', '"runs": 1, "runs": ').encode(),
     "ascending-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.02, 0.05]}).encode(),
-    # strictly descending, but two levels or two caps of one label
+    # strictly descending, but two levels or two caps of one label; two
+    # schedules of one label
     "one-label-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.05 + 1e-12, 0.05]}).encode(),
     "one-label-caps.json": json.dumps({**_CAPS_DOC, "caps": [250000, 50000.01, 50000]}).encode(),
+    "one-label-schedules.json": json.dumps({**_CAPS_DOC, "schedules": [
+        {"count": 3, "multiple": 1.0}, {"count": 3, "multiple": 1.000001}]}).encode(),
 }
 
 

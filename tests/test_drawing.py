@@ -13,7 +13,6 @@ from plsim.drawing import (
     best_payout,
     bracket_bounds,
     cap_label,
-    draw,
     expected_interest,
     expected_payout,
     payouts,
@@ -110,18 +109,18 @@ class TestBracketBounds:
 
 
 def successive_draws(sched, mechanism, seed, draws):
-    """The winners, as account indices, of ``draws`` successive drawings
-    from POP4 with a generator seeded ``seed``, one row each: from one
-    ``winner_blocks`` call, whose rows are successive ``draw`` calls' winners,
-    as the first 200 are checked to be."""
+    """The winners of ``draws`` successive drawings from POP4 with a
+    generator seeded ``seed``, one row each: from one ``winner_blocks`` call,
+    whose rows are those of successive one-drawing calls, as the first 200
+    are checked to be. POP4's balances ascend, so a bracketed winner's sorted
+    position is its account index."""
     rng = np.random.default_rng(seed)
     winners = np.concatenate([block for _, block in
                               winner_blocks(POP4, sched, mechanism, rng, draws)])
-    if mechanism == "bracketed":
-        winners = POP4.sort_order()[winners]
     rng = np.random.default_rng(seed)
     np.testing.assert_array_equal(
-        [draw(POP4, sched, mechanism, rng).winners for _ in range(200)], winners[:200])
+        [next(winner_blocks(POP4, sched, mechanism, rng, 1))[1][0] for _ in range(200)],
+        winners[:200])
     return winners
 
 
@@ -129,20 +128,20 @@ class TestDrawRandom:
     def test_rejects_oversized_schedule(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            draw(POP4, PrizeSchedule(5, 1.0), "random", rng)
+            payouts(POP4, PrizeSchedule(5, 1.0), "random", rng, 1)
 
     def test_all_accounts_win_when_count_is_population(self):
-        rng = np.random.default_rng(0)
-        out = draw(POP4, PrizeSchedule(4, 2.0), "random", rng)
-        assert out.payout == pytest.approx(2.0 * 1000.0)
-        assert sorted(out.winners.tolist()) == [0, 1, 2, 3]
+        sched = PrizeSchedule(4, 2.0)
+        winners = winner_matrix(POP4, sched, np.random.default_rng(0), 1)
+        assert sorted(winners[0].tolist()) == [0, 1, 2, 3]
+        payout = payouts(POP4, sched, "random", np.random.default_rng(0), 1)[0, 0]
+        assert payout == pytest.approx(2.0 * 1000.0)
 
     def test_outcome_invariants(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            out = draw(POP4, TWO_AT_100, "random", rng)
-            assert len(set(out.winners.tolist())) == 2
-            assert out.payout == pytest.approx(POP4.balances[out.winners].sum())
+        winners = winner_matrix(POP4, TWO_AT_100, np.random.default_rng(1), 200)
+        assert all(len(set(row.tolist())) == 2 for row in winners)
+        got = payouts(POP4, TWO_AT_100, "random", np.random.default_rng(1), 200)[0]
+        np.testing.assert_allclose(got, POP4.balances[winners].sum(axis=1))
 
     def test_subsets_equally_likely(self):
         # chi-square over the 6 possible winner sets at 60k draws; a set's
@@ -161,13 +160,8 @@ class TestDrawRandom:
 class TestDrawBracketed:
     def test_enumerated_outcomes(self):
         # brackets {100,200} and {300,400}: payouts 400/500/500/600 only
-        rng = np.random.default_rng(13)
-        seen = set()
-        for _ in range(500):
-            out = draw(POP4, TWO_AT_100, "bracketed", rng)
-            seen.add(out.payout)
-            assert out.payout in (400.0, 500.0, 600.0)
-        assert seen == {400.0, 500.0, 600.0}
+        got = payouts(POP4, TWO_AT_100, "bracketed", np.random.default_rng(13), 500)[0]
+        assert set(got.tolist()) == {400.0, 500.0, 600.0}
 
     def test_combos_equally_likely(self):
         winners = successive_draws(TWO_AT_100, "bracketed", 13, 40_000)
@@ -186,7 +180,7 @@ class TestDrawBracketed:
     def test_rejects_oversized_schedule(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            draw(POP4, PrizeSchedule(9, 1.0), "bracketed", rng)
+            payouts(POP4, PrizeSchedule(9, 1.0), "bracketed", rng, 1)
 
 
 class TestWorstBest:
@@ -227,20 +221,19 @@ class TestWorstBest:
         rng = np.random.default_rng(37)
         for mech in ("random", "bracketed"):
             lo, hi = best_payout(pop, sched, mech), worst_payout(pop, sched, mech)
-            for _ in range(300):
-                assert lo <= draw(pop, sched, mech, rng).payout <= hi
+            got = payouts(pop, sched, mech, rng, 300)[0]
+            assert np.all((lo <= got) & (got <= hi))
 
     def test_sorted_values_leave_the_account_order_uncomputed(self, monkeypatch):
-        # only draw maps a sorted position back to an account; every other
-        # reader of the sort needs the values alone, which np.sort gives
-        # without the index sort
+        # every reader of the sort needs the values alone, which np.sort
+        # gives without the index sort
         def argsort(*args, **kwargs):
             raise AssertionError("the account order was computed")
 
         monkeypatch.setattr(np, "argsort", argsort)
         pop = generate(ParetoParams(1.04, 150.0), 2000, 3)
         sched = PrizeSchedule(10, 2.0)
-        assert np.all(np.diff(pop.sorted_balances()) >= 0.0)
+        assert np.all(np.diff(pop.sorted_balances) >= 0.0)
         for mech in ("random", "bracketed"):
             worst_payout(pop, sched, mech)
             worst_payout(pop, sched, mech, (1000.0,))
@@ -254,7 +247,7 @@ class TestBatchHelpers:
         sched = PrizeSchedule(7, 2.0)
         batch = payouts(pop, sched, "random", np.random.default_rng(99), 50)[0]
         rng = np.random.default_rng(99)
-        singles = np.array([draw(pop, sched, "random", rng).payout for _ in range(50)])
+        singles = np.array([payouts(pop, sched, "random", rng, 1)[0, 0] for _ in range(50)])
         np.testing.assert_allclose(batch, singles)
 
     def test_bracketed_payouts_match_single_draws(self):
@@ -262,7 +255,8 @@ class TestBatchHelpers:
         sched = PrizeSchedule(6, 1.0)
         batch = payouts(pop, sched, "bracketed", np.random.default_rng(7), 40)[0]
         rng = np.random.default_rng(7)
-        singles = np.array([draw(pop, sched, "bracketed", rng).payout for _ in range(40)])
+        singles = np.array([payouts(pop, sched, "bracketed", rng, 1)[0, 0]
+                            for _ in range(40)])
         np.testing.assert_allclose(batch, singles)
 
     def test_winner_matrix_consistent_with_payouts(self):
@@ -454,7 +448,7 @@ class TestBatchedKernelsExact:
         else:
             bounds = bracket_bounds(pop.count, k)
             expected = bounds[:-1] + ref.integers(0, np.diff(bounds), size=(draws, k))
-            won_from = pop.sorted_balances()
+            won_from = pop.sorted_balances
         assert np.array_equal(np.concatenate([block for _, block in blocks]), expected)
         assert state(rng) == state(ref)
         got = payouts(pop, sched, mechanism, np.random.default_rng(61), draws)[0]
@@ -466,7 +460,7 @@ class TestBatchedKernelsExact:
         sched = PrizeSchedule(k, 2.0)
         bounds = bracket_bounds(n, k)
         offsets = np.random.default_rng(71).integers(0, np.diff(bounds), size=(self.ROWS, k))
-        ref = pop.sorted_balances()[bounds[:-1] + offsets].sum(axis=1) * sched.multiple
+        ref = pop.sorted_balances[bounds[:-1] + offsets].sum(axis=1) * sched.multiple
         got = payouts(pop, sched, "bracketed", np.random.default_rng(71), self.ROWS)[0]
         assert np.array_equal(got, ref)
 
@@ -562,8 +556,8 @@ class TestRawStreamExact:
     def test_single_draw_equals_one_choice_call(self, bit_generator, buffered):
         pop = generate(ParetoParams(1.04, 150.0), 20_000, 73)
         rng, ref = (generator(bit_generator, 13, buffered) for _ in range(2))
-        outcome = draw(pop, PrizeSchedule(7, 1.0), "random", rng)
-        assert np.array_equal(outcome.winners,
+        winners = winner_matrix(pop, PrizeSchedule(7, 1.0), rng, 1)
+        assert np.array_equal(winners[0],
                               ref.choice(pop.count, 7, replace=False, shuffle=False))
         assert state(rng) == state(ref)
 
@@ -603,12 +597,12 @@ class TestRawStreamExact:
 
     @pytest.mark.parametrize("call", [
         lambda rng: generate(ParetoParams(1.04, 150.0), 10, rng),
-        lambda rng: draw(POP4, TWO_AT_100, "random", rng),
-        lambda rng: draw(POP4, TWO_AT_100, "bracketed", rng),
+        lambda rng: winner_blocks(POP4, TWO_AT_100, "random", rng, 1),
+        lambda rng: winner_blocks(POP4, TWO_AT_100, "bracketed", rng, 1),
         lambda rng: payouts(POP4, TWO_AT_100, "random", rng, 5),
         lambda rng: payouts(POP4, TWO_AT_100, "bracketed", rng, 5),
-    ], ids=["generate", "draw-random", "draw-bracketed", "payouts-random",
-            "payouts-bracketed"])
+    ], ids=["generate", "winner-blocks-random", "winner-blocks-bracketed",
+            "payouts-random", "payouts-bracketed"])
     def test_other_bit_generators_are_refused(self, call):
         with pytest.raises(ValueError, match="PCG64 generator only, got MT19937"):
             call(np.random.Generator(np.random.MT19937(0)))
@@ -617,7 +611,6 @@ class TestRawStreamExact:
 def traced_peak(pop, k, mechanism, draws, caps=()):
     """Traced peak of one ``payouts`` call, in MiB, less the payouts it
     returns, which grow with ``draws`` and not with k."""
-    pop.sorted_balances()  # cached by the population, not part of a call
     tracemalloc.start()
     try:
         got = payouts(pop, PrizeSchedule(k, 1.0), mechanism, np.random.default_rng(1),

@@ -80,6 +80,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=(
                 r"^caps 50000\.01 and 50000\.0 share the label '50000'$")):
             small_config(caps=(250_000.0, 50_000.01, 50_000.0))
+        with pytest.raises(ValueError, match=(
+                r"^schedules PrizeSchedule\(count=3, multiple=1\.0\) and "
+                r"PrizeSchedule\(count=3, multiple=1\.000001\) share the label '3x100%'$")):
+            small_config(schedules=(PrizeSchedule(3, 1.0), PrizeSchedule(3, 1.000001)))
 
     def test_json_round_trip(self):
         cfg = small_config(caps=(1000.0, 500.0))

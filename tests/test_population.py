@@ -45,6 +45,15 @@ def test_mean_and_count_are_derived_from_the_balances():
     assert (pop.count, pop.mean) == (2, 2.0)
     with pytest.raises(TypeError):
         AccountPopulation([1.0, 3.0], mean=5.0, count=2)
+    with pytest.raises(TypeError):
+        AccountPopulation([1.0, 3.0], sorted_balances=np.array([3.0, 1.0]))
+
+
+def test_populations_compare_and_hash_by_identity():
+    # the generated methods would compare and hash the balance arrays
+    a, b = generate(P104, 10, 1), generate(P104, 10, 1)
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_balances_are_read_only():

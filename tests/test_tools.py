@@ -3,7 +3,12 @@
 import json
 
 from conftest import load
-from test_acceptance import ACCEPTANCE_SEED
+from test_acceptance import ACCEPTANCE_SEED, BIG_CONFIG
+
+
+def test_prescreen_screens_the_suites_config():
+    tool = load("tools/find_acceptance_seed.py")
+    assert tool.acceptance_config(ACCEPTANCE_SEED) == BIG_CONFIG
 
 
 def test_pinned_acceptance_seed_passes_the_prescreen():
