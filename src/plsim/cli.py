@@ -138,10 +138,10 @@ def cmd_table1(params_csv: str, out: str):
     """Analytic summary of account-size distributions: mean, median, and
     upper percentiles per parameter pair."""
     try:
-        raw = [float(tok) for tok in params_csv.split(",") if tok.strip()]
+        raw = [float(tok) for tok in params_csv.split(",")]
     except ValueError:
         _fail(f"could not parse --params {params_csv!r} as numbers")
-    if not raw or len(raw) % 2 != 0:
+    if len(raw) % 2 != 0:
         _fail("--params needs an even number of values: alpha,b[,alpha,b...]")
     pairs = [ParetoParams(raw[i], raw[i + 1]) for i in range(0, len(raw), 2)]
 

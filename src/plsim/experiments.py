@@ -427,8 +427,8 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
     levels = list(config.var_levels) + [None]
     # sized before the first run, so a run count no array can hold is
     # refused before any run starts or is announced
-    data = np.empty((config.runs, len(config.schedules), len(levels),
-                     len(_mechanisms(config)) * (1 + len(config.caps))))
+    data = np.empty((len(config.schedules), len(levels),
+                     len(_mechanisms(config)) * (1 + len(config.caps)), config.runs))
     if on_start is not None:
         on_start()
     workers = min(workers, config.runs)
@@ -444,9 +444,9 @@ def _run(config: ExperimentConfig, workers: int, on_start) -> Result:
                 max_workers=workers, initializer=prepare_engine_process)).map
         # both maps yield in submission order, so aggregation stays deterministic
         for r, values in enumerate(run_all(partial(_one_run, config), range(config.runs))):
-            data[r] = values
+            data[..., r] = values
     cells = tuple(
-        Cell(schedule=sched, level=level, values=data[:, i, j, :].T.copy())
+        Cell(schedule=sched, level=level, values=data[i, j])
         for i, sched in enumerate(config.schedules)
         for j, level in enumerate(levels)
     )

@@ -9,6 +9,7 @@ heavy-tailed enough that an arbitrary seed can land a 20-run average far
 outside any band).
 """
 
+import json
 import math
 from itertools import combinations, product
 
@@ -100,9 +101,11 @@ def big_bracketing():
 
 @pytest.fixture(scope="module")
 def caps_results():
+    """Criteria 6 and 7's runs; they check values, not worker counts, so two
+    workers share them."""
     return {
-        "1.04/150": run_caps(caps_desk_config(P104), workers=1),
-        "1.12/250": run_caps(caps_desk_config(P112), workers=1),
+        "1.04/150": run_caps(caps_desk_config(P104), workers=2),
+        "1.12/250": run_caps(caps_desk_config(P112), workers=2),
     }
 
 
@@ -327,5 +330,8 @@ def test_criterion_11_parallel_determinism(big_bracketing):
     a = serial.to_csv_string().encode()
     b = parallel.to_csv_string().encode()
     assert a == b
+    # the CSV's statistics do not change when runs are swapped; the JSON
+    # document holds every run's values in run order
+    assert json.dumps(serial.to_json_dict()) == json.dumps(parallel.to_json_dict())
     print(f"criterion 11 PASS: 1-worker and 8-worker CSV outputs are "
-          f"byte-identical ({len(a)} bytes)")
+          f"byte-identical ({len(a)} bytes), and so are their per-run values")

@@ -69,24 +69,6 @@ def fresh_python(script, *args, path=()):
 
 
 class TestTable1:
-    def test_default_matches_published_table(self, runner):
-        result = runner.invoke(main, ["table1"])
-        assert result.exit_code == 0
-        rows = list(csv.DictReader(result.stdout.splitlines()))
-        published = {
-            ("1.04", "150"): (3900.0, 292.11, 1372.87, 2673.51, 12565.16,
-                              115002.33, 1052555.74),
-            ("1.12", "250"): (2333.0, 464.21, 1953.43, 3627.22, 15263.51,
-                              119264.56, 931898.43),
-        }
-        assert len(rows) == 2
-        for row in rows:
-            want = published[(row["alpha"], row["b"])]
-            assert abs(float(row["mean"]) - want[0]) <= 0.5
-            for col, ref in zip(("median", "p90", "p95", "p99", "p99.9", "p99.99"),
-                                want[1:]):
-                assert abs(float(row[col]) - ref) <= 0.0101
-
     def test_golden(self, runner, tmp_path):
         out = tmp_path / "t1.csv"
         result = runner.invoke(main, ["table1", "--out", str(out)])
@@ -100,19 +82,20 @@ class TestTable1:
         assert float(row["mean"]) == pytest.approx(2.0)
         assert float(row["median"]) == pytest.approx(2.0**0.5, abs=0.005)
 
-    def test_invalid_params_fail(self, runner):
-        assert runner.invoke(main, ["table1", "--params", "1.04"]).exit_code != 0
-        assert runner.invoke(main, ["table1", "--params", "0.9,150"]).exit_code != 0
-        assert runner.invoke(main, ["table1", "--params", "abc,150"]).exit_code != 0
-
-    # 1e307 is finite, but its mean and upper percentiles overflow float64
-    @pytest.mark.parametrize("params", ["1.04,inf", "inf,150", "1.04,nan", "2,1,1.04,1e307"])
-    def test_non_finite_params_fail_with_one_line(self, runner, params):
+    @pytest.mark.parametrize("params, message", [
+        ("1.04", "even number"), ("0.9,150", "exceed 1"), ("abc,150", "could not parse"),
+        # an empty field is refused, not dropped
+        ("1.04,,150", "could not parse"), ("1.04,150,", "could not parse"),
+        (",1.04,150", "could not parse"),
+        # 1e307 is finite, but its mean and upper percentiles overflow float64
+        ("1.04,inf", "finite"), ("inf,150", "finite"), ("1.04,nan", "finite"),
+        ("2,1,1.04,1e307", "finite")])
+    def test_invalid_params_fail_with_one_line(self, runner, params, message):
         result = runner.invoke(main, ["table1", "--params", params])
         assert result.exit_code == 1
         assert result.stdout == ""
-        assert len(result.stderr.splitlines()) == 1
-        assert "finite" in result.stderr
+        [line] = result.stderr.splitlines()
+        assert line.startswith("Error: ") and message in line
 
 
 class TestBracketingCommand:
@@ -166,14 +149,6 @@ class TestBracketingCommand:
         assert "can overflow float64" in result.stderr
         assert result.stdout == ""
 
-    def test_threads_do_not_change_output(self, runner, tmp_path):
-        args = ["bracketing", "--config", str(GOLDEN / "golden_bracketing.json")]
-        one = tmp_path / "one.csv"
-        many = tmp_path / "many.csv"
-        assert runner.invoke(main, args + ["--threads", "1", "--out", str(one)]).exit_code == 0
-        assert runner.invoke(main, args + ["--threads", "3", "--out", str(many)]).exit_code == 0
-        assert one.read_bytes() == many.read_bytes()
-
     def test_one_worker_loads_no_pool_and_no_cpt(self, tmp_path):
         out = tmp_path / "b.csv"
         script = (
@@ -194,21 +169,6 @@ class TestBracketingCommand:
                          n_accounts=2000, master_seed=3)
         assert checks.check_csv(result.stdout, "bracketing",
                                 experiments.config_to_dict(config)) == []
-
-    def test_flag_overrides_config(self, runner, tmp_path):
-        out = tmp_path / "o.csv"
-        result = runner.invoke(main, [
-            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
-            "--runs", "2", "--out", str(out)])
-        assert result.exit_code == 0
-        json_out = tmp_path / "o.json"
-        result = runner.invoke(main, [
-            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
-            "--runs", "2", "--out", str(out), "--json-out", str(json_out)])
-        assert result.exit_code == 0
-        doc = json.loads(json_out.read_text())
-        assert doc["config"]["runs"] == 2
-        assert all(len(cell["random"]) == 2 for cell in doc["cells"])
 
     def test_invalid_config_fails(self, runner, tmp_path):
         bad = tmp_path / "bad.json"
@@ -410,26 +370,6 @@ class TestCapsCommand:
             "print(sys.modules.get('_hashlib', 'absent') is not None)\n")
         # loaded or not, as numpy.random leaves it: never blocked
         assert fresh_python(script, GOLDEN / "golden_caps.json") == "False\nTrue\n"
-
-    def test_caps_flag_overrides(self, runner, tmp_path):
-        out = tmp_path / "c.csv"
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--caps", "9000,900", "--out", str(out)])
-        assert result.exit_code == 0
-        config = {**json.loads((GOLDEN / "golden_caps.json").read_text()),
-                  "caps": [9000.0, 900.0]}
-        assert checks.check_csv(out.read_text(), "caps", config) == []
-
-    def test_worst_rows_zero_pct(self, runner, tmp_path):
-        out = tmp_path / "c.csv"
-        runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--out", str(out)])
-        for row in read_csv(out):
-            if row["var_level"] == "worst":
-                assert row["cap_5000_pct_higher"] == "0.00"
-                assert row["cap_800_pct_higher"] == "0.00"
 
     def test_misspelled_caps_key_fails(self, runner, tmp_path):
         doc = json.loads((GOLDEN / "golden_caps.json").read_text())

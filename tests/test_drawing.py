@@ -137,12 +137,6 @@ class TestDrawRandom:
         payout = payouts(POP4, sched, "random", np.random.default_rng(0), 1)[0, 0]
         assert payout == pytest.approx(2.0 * 1000.0)
 
-    def test_outcome_invariants(self):
-        winners = winner_matrix(POP4, TWO_AT_100, np.random.default_rng(1), 200)
-        assert all(len(set(row.tolist())) == 2 for row in winners)
-        got = payouts(POP4, TWO_AT_100, "random", np.random.default_rng(1), 200)[0]
-        np.testing.assert_allclose(got, POP4.balances[winners].sum(axis=1))
-
     def test_subsets_equally_likely(self):
         # chi-square over the 6 possible winner sets at 60k draws; a set's
         # bit mask indexes its place among them
@@ -206,24 +200,6 @@ class TestWorstBest:
         with pytest.raises(ValueError, match="caps must be finite and positive"):
             worst_payout(POP4, TWO_AT_100, mechanism, (cap,))
 
-    def test_bracketing_tightens_bounds_everywhere(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            n = int(rng.integers(2, 200))
-            pop = generate(ParetoParams(1.04, 150.0), n, rng)
-            sched = PrizeSchedule(int(rng.integers(1, n + 1)), float(rng.uniform(0.1, 10)))
-            assert worst_payout(pop, sched, "bracketed") <= worst_payout(pop, sched, "random")
-            assert best_payout(pop, sched, "bracketed") >= best_payout(pop, sched, "random")
-
-    def test_payouts_stay_within_bounds(self):
-        pop = generate(ParetoParams(1.12, 250.0), 500, 31)
-        sched = PrizeSchedule(25, 3.0)
-        rng = np.random.default_rng(37)
-        for mech in ("random", "bracketed"):
-            lo, hi = best_payout(pop, sched, mech), worst_payout(pop, sched, mech)
-            got = payouts(pop, sched, mech, rng, 300)[0]
-            assert np.all((lo <= got) & (got <= hi))
-
     def test_sorted_values_leave_the_account_order_uncomputed(self, monkeypatch):
         # every reader of the sort needs the values alone, which np.sort
         # gives without the index sort
@@ -242,33 +218,6 @@ class TestWorstBest:
 
 
 class TestBatchHelpers:
-    def test_random_payouts_match_single_draws(self):
-        pop = generate(ParetoParams(1.04, 150.0), 300, 41)
-        sched = PrizeSchedule(7, 2.0)
-        batch = payouts(pop, sched, "random", np.random.default_rng(99), 50)[0]
-        rng = np.random.default_rng(99)
-        singles = np.array([payouts(pop, sched, "random", rng, 1)[0, 0] for _ in range(50)])
-        np.testing.assert_allclose(batch, singles)
-
-    def test_bracketed_payouts_match_single_draws(self):
-        pop = generate(ParetoParams(1.04, 150.0), 300, 43)
-        sched = PrizeSchedule(6, 1.0)
-        batch = payouts(pop, sched, "bracketed", np.random.default_rng(7), 40)[0]
-        rng = np.random.default_rng(7)
-        singles = np.array([payouts(pop, sched, "bracketed", rng, 1)[0, 0]
-                            for _ in range(40)])
-        np.testing.assert_allclose(batch, singles)
-
-    def test_winner_matrix_consistent_with_payouts(self):
-        pop = generate(ParetoParams(1.04, 150.0), 300, 47)
-        sched = PrizeSchedule(9, 4.0)
-        winners = winner_matrix(pop, sched, np.random.default_rng(31), 60)
-        replayed = pop.balances[winners].sum(axis=1) * sched.multiple
-        direct = payouts(pop, sched, "random", np.random.default_rng(31), 60)[0]
-        np.testing.assert_allclose(replayed, direct)
-        # rows are distinct winner sets
-        assert all(len(set(row.tolist())) == sched.count for row in winners)
-
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     def test_payouts_refuse_ascending_caps(self, mechanism):
         # each cap truncates the previous cap's balances in place, so 1000

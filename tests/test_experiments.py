@@ -85,11 +85,6 @@ class TestConfig:
                 r"PrizeSchedule\(count=3, multiple=1\.000001\) share the label '3x100%'$")):
             small_config(schedules=(PrizeSchedule(3, 1.0), PrizeSchedule(3, 1.000001)))
 
-    def test_json_round_trip(self):
-        cfg = small_config(caps=(1000.0, 500.0))
-        data = json.loads(json.dumps(config_to_dict(cfg)))
-        assert config_from_dict(data) == cfg
-
     def test_empty_caps_load_and_dump_as_no_caps(self):
         data = config_to_dict(small_config())
         assert "caps" not in data
@@ -290,15 +285,6 @@ class TestBracketing:
         with pytest.raises(ValueError):
             run_bracketing(small_config(caps=(1000.0,)))
 
-    def test_deterministic_across_workers(self):
-        cfg = small_config()
-        serial = run_bracketing(cfg, workers=1)
-        parallel = run_bracketing(cfg, workers=3)
-        assert serial.to_csv_string() == parallel.to_csv_string()
-        for a, b in zip(serial.cells, parallel.cells):
-            np.testing.assert_array_equal(a.values[0], b.values[0])
-            np.testing.assert_array_equal(a.values[1], b.values[1])
-
     def test_workers_clamped_to_runs(self, serial_pool):
         cfg = small_config(runs=2)
         pooled = run_bracketing(cfg, workers=3).to_csv_string()
@@ -334,12 +320,6 @@ class TestBracketing:
             worst_cell = result.cell(i, None)
             assert worst_cell.values[0][0] == pytest.approx(
                 worst_payout(pop, sched, "random") / expected, rel=1e-12)
-
-    def test_worst_cell_ordering(self):
-        result = run_bracketing(small_config())
-        for i in range(2):
-            cell = result.cell(i, None)
-            assert np.all(cell.values[1] <= cell.values[0])
 
     def test_csv_shape(self):
         cfg = small_config()
@@ -391,6 +371,8 @@ class TestVarRank:
 
     def test_thousand_draw_convention(self):
         assert [var_rank(1_000, level) for level in (0.05, 0.01, 0.001)] == [949, 989, 999]
+        # 1 - 0.999 rounds to just above 1 / 1000, and is still the maximum
+        assert var_rank(1_000, 1 - 0.999) == 999
 
     def test_below_resolution_reports_maximum(self):
         assert var_rank(10, 0.001) == 9
@@ -447,32 +429,12 @@ class TestCaps:
         with pytest.raises(ValueError):
             run_caps(small_config())
 
-    def test_deterministic_across_workers(self):
-        cfg = small_config(caps=(5000.0, 800.0))
-        serial = run_caps(cfg, workers=1)
-        parallel = run_caps(cfg, workers=3)
-        assert serial.to_csv_string() == parallel.to_csv_string()
-
     def test_first_cap_above_every_balance_equals_uncapped(self):
         cfg = small_config(caps=(np.finfo(float).max, 5000.0))
         result = run_caps(cfg)
         for cell in result.cells:
             np.testing.assert_array_equal(cell.values[0], cell.values[1])
             assert cell.pct_higher[1] == 0.0
-
-    def test_worst_rows_never_increase(self):
-        cfg = small_config(caps=(20_000.0, 2_000.0, 500.0), runs=6)
-        result = run_caps(cfg)
-        for i in range(len(cfg.schedules)):
-            cell = result.cell(i, None)
-            for prev, cur in zip(cell.values, cell.values[1:]):
-                assert np.all(cur <= prev)
-            assert all(p == 0.0 for p in cell.pct_higher[1:])
-
-    def test_comparison_count(self):
-        cfg = small_config(caps=(20_000.0, 2_000.0), runs=3)
-        result = run_caps(cfg)
-        assert result.raw_payout_comparisons == 3 * 2 * 60 * 2
 
     def test_uncapped_column_matches_bracketing_random_stream(self):
         # same master seed and schedule index means the same winner draws
