@@ -101,11 +101,10 @@ class TestBracketBounds:
     def test_remainder_goes_to_first_brackets(self):
         np.testing.assert_array_equal(bracket_bounds(10, 3), [0, 4, 7, 10])
 
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            bracket_bounds(3, 4)
-        with pytest.raises(ValueError):
-            bracket_bounds(3, 0)
+    @pytest.mark.parametrize("k", [4, 0])
+    def test_rejects_bad_counts(self, k):
+        with pytest.raises(ValueError, match=f"^cannot split 3 accounts into {k} brackets$"):
+            bracket_bounds(3, k)
 
 
 def successive_draws(sched, mechanism, seed, draws):

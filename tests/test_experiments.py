@@ -51,41 +51,36 @@ def small_config(**overrides):
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            small_config(runs=0)
-        with pytest.raises(ValueError):
-            small_config(draws_per_run=0)
-        with pytest.raises(ValueError):
-            small_config(n_accounts=10)  # below the 20-prize schedule
-        with pytest.raises(ValueError):
-            small_config(schedules=())
-        with pytest.raises(ValueError):
-            small_config(var_levels=(0.0,))
-        with pytest.raises(ValueError):
-            small_config(caps=(100.0, 100.0))  # not strictly descending
-        with pytest.raises(ValueError):
-            small_config(caps=(100.0, 200.0))
-        # no caps is the bracketing experiment, as an omitted caps is
-        assert small_config(caps=()) == small_config()
-        with pytest.raises(ValueError, match="^VaR levels must be strictly descending$"):
-            small_config(var_levels=(0.02, 0.05))
-        with pytest.raises(ValueError, match="^VaR levels must be strictly descending$"):
-            small_config(var_levels=(0.05, 0.05))
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(runs=0), r"^runs must be >= 1$"),
+        (dict(draws_per_run=0), r"^draws_per_run must be >= 1$"),
+        # below the 20-prize schedule
+        (dict(n_accounts=10), r"^n_accounts must cover the largest prize count$"),
+        (dict(schedules=()), r"^config needs at least one prize schedule$"),
+        (dict(var_levels=(0.0,)), r"^VaR level 0\.0 outside \(0, 1\)$"),
+        (dict(caps=(100.0, 100.0)), r"^caps must be strictly descending$"),
+        (dict(caps=(100.0, 200.0)), r"^caps must be strictly descending$"),
+        (dict(var_levels=(0.02, 0.05)), r"^VaR levels must be strictly descending$"),
+        (dict(var_levels=(0.05, 0.05)), r"^VaR levels must be strictly descending$"),
         # strictly descending, but each pair would write one CSV row or
         # column and one JSON key twice
-        with pytest.raises(ValueError, match=(
-                r"^VaR levels 0\.050000000001 and 0\.05 share the label '5%'$")):
-            small_config(var_levels=(0.05 + 1e-12, 0.05))
-        with pytest.raises(ValueError, match=(
-                r"^caps 50000\.01 and 50000\.0 share the label '50000'$")):
-            small_config(caps=(250_000.0, 50_000.01, 50_000.0))
-        with pytest.raises(ValueError, match=(
-                r"^schedules PrizeSchedule\(count=3, multiple=1\.0\) and "
-                r"PrizeSchedule\(count=3, multiple=1\.000001\) share the label '3x100%'$")):
-            small_config(schedules=(PrizeSchedule(3, 1.0), PrizeSchedule(3, 1.000001)))
+        (dict(var_levels=(0.05 + 1e-12, 0.05)),
+         r"^VaR levels 0\.050000000001 and 0\.05 share the label '5%'$"),
+        (dict(caps=(250_000.0, 50_000.01, 50_000.0)),
+         r"^caps 50000\.01 and 50000\.0 share the label '50000'$"),
+        (dict(schedules=(PrizeSchedule(3, 1.0), PrizeSchedule(3, 1.000001))),
+         r"^schedules PrizeSchedule\(count=3, multiple=1\.0\) and "
+         r"PrizeSchedule\(count=3, multiple=1\.000001\) share the label '3x100%'$"),
+    ], ids=["runs", "draws", "accounts-below-prizes", "no-schedules",
+            "var-level-zero", "caps-equal", "caps-ascending", "var-ascending",
+            "var-equal", "var-one-label", "caps-one-label", "schedules-one-label"])
+    def test_validation(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_config(**overrides)
 
     def test_empty_caps_load_and_dump_as_no_caps(self):
+        # no caps is the bracketing experiment, as an omitted caps is
+        assert small_config(caps=()) == small_config()
         data = config_to_dict(small_config())
         assert "caps" not in data
         config = config_from_dict({**data, "caps": []})

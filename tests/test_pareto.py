@@ -18,17 +18,15 @@ P112 = ParetoParams(1.12, 250.0)
 
 
 class TestParams:
-    def test_rejects_infinite_mean_shape(self):
-        with pytest.raises(ValueError):
-            ParetoParams(1.0, 150.0)
-        with pytest.raises(ValueError):
-            ParetoParams(0.9, 150.0)
+    @pytest.mark.parametrize("alpha", [1.0, 0.9])
+    def test_rejects_infinite_mean_shape(self, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite and exceed 1 "):
+            ParetoParams(alpha, 150.0)
 
-    def test_rejects_nonpositive_scale(self):
-        with pytest.raises(ValueError):
-            ParetoParams(2.0, 0.0)
-        with pytest.raises(ValueError):
-            ParetoParams(2.0, -1.0)
+    @pytest.mark.parametrize("b", [0.0, -1.0])
+    def test_rejects_nonpositive_scale(self, b):
+        with pytest.raises(ValueError, match="^scale b must be finite and positive, got "):
+            ParetoParams(2.0, b)
 
     @pytest.mark.parametrize("alpha, b", [
         (np.inf, 150.0), (1.04, np.inf), (np.nan, 150.0), (1.04, np.nan)])
@@ -87,13 +85,14 @@ class TestGini:
         back = gini_from_alpha(alpha_from_gini(gs))
         np.testing.assert_allclose(back, gs, rtol=1e-12)
 
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            gini_from_alpha(0.5)
-        with pytest.raises(ValueError):
-            alpha_from_gini(0.0)
-        with pytest.raises(ValueError):
-            alpha_from_gini(1.5)
+    @pytest.mark.parametrize("convert, value, message", [
+        (gini_from_alpha, 0.5, r"^Gini conversion requires alpha > 0\.5$"),
+        (alpha_from_gini, 0.0, r"^Gini coefficient must lie in \(0, 1\]$"),
+        (alpha_from_gini, 1.5, r"^Gini coefficient must lie in \(0, 1\]$")],
+        ids=["alpha-0.5", "gini-0", "gini-1.5"])
+    def test_domain_errors(self, convert, value, message):
+        with pytest.raises(ValueError, match=message):
+            convert(value)
 
 
 class TestQuantile:
