@@ -67,6 +67,17 @@ def _fail(message: str):
     raise click.ClickException(message)
 
 
+def _floats(ctx, param, text):
+    """Option callback: a comma-separated flag's values as a tuple of floats,
+    None where the flag is not given; an empty field is refused, not dropped."""
+    if text is None:
+        return None
+    try:
+        return tuple(float(tok) for tok in text.split(","))
+    except ValueError:
+        raise ValueError(f"could not parse {param.opts[0]} {text!r}") from None
+
+
 @contextmanager
 def _outputs(*named):
     """One text stream per ``(option, path)`` pair: None where the path is
@@ -129,18 +140,14 @@ def _outputs(*named):
 
 
 @main.command("table1")
-@click.option("--params", "params_csv", default="1.04,150,1.12,250",
+@click.option("--params", "raw", default="1.04,150,1.12,250", callback=_floats,
               show_default=True,
               help="Flat list of Pareto parameter pairs: alpha,b[,alpha,b...]")
 @click.option("--out", default="-", show_default=True,
               help="Output CSV path, or - for stdout.")
-def cmd_table1(params_csv: str, out: str):
+def cmd_table1(raw: tuple[float, ...], out: str):
     """Analytic summary of account-size distributions: mean, median, and
     upper percentiles per parameter pair."""
-    try:
-        raw = [float(tok) for tok in params_csv.split(",")]
-    except ValueError:
-        _fail(f"could not parse --params {params_csv!r} as numbers")
     if len(raw) % 2 != 0:
         _fail("--params needs an even number of values: alpha,b[,alpha,b...]")
     pairs = [ParetoParams(raw[i], raw[i + 1]) for i in range(0, len(raw), 2)]
@@ -148,8 +155,10 @@ def cmd_table1(params_csv: str, out: str):
     with _outputs(("--out", out)) as (stream,):
         with np.errstate(over="ignore"):  # refused below, not warned about
             table = [[mean(p)] + [quantile(p, q) for q in TABLE1_PERCENTILES] for p in pairs]
-        if not np.all(np.isfinite(table)):
-            _fail(f"--params {params_csv!r}: a mean or percentile is not finite in float64")
+        for params, cells in zip(pairs, table):
+            if not np.all(np.isfinite(cells)):
+                _fail(f"--params pair {params.label()}: a mean or percentile "
+                      "is not finite in float64")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(TABLE1_COLUMNS)
         for params, cells in zip(pairs, table):
@@ -209,12 +218,6 @@ def _experiment_command(name: str, preset, doc: str, *extra_options):
                 # JSON, a repeated key or bytes that are not UTF-8 in a ValueError
                 except (RecursionError, ValueError) as exc:
                     _fail(f"invalid config {config_path}: {exc}")
-        text = fields.get("caps")  # --caps, which only plsim caps has
-        if text is not None:
-            try:
-                fields["caps"] = tuple(float(c) for c in text.split(","))
-            except ValueError:
-                _fail(f"could not parse --caps {text!r}")
         config = replace(config, **{f: v for f, v in fields.items() if v is not None})
         variants = (f"caps {','.join(map(drawing.cap_label, config.caps))}" if config.caps
                     else f"{len(config.schedules)} schedules")
@@ -246,7 +249,7 @@ Re-price identical drawings under descending balance caps.
 
 Without --config, uses the full-scale preset: 1,000 draws per run,
 2,000 runs, caps 250000/50000/10000. A config without caps needs --caps.""",
-                    click.option("--caps", default=None,
+                    click.option("--caps", default=None, callback=_floats,
                                  help="Override cap levels, descending: c1,c2,c3"))
 
 

@@ -148,23 +148,6 @@ def weight_loss(p) -> float | np.ndarray:
     return _weight(p, LOSS_WEIGHT_EXP)
 
 
-def weight_inflection(exponent: float) -> float:
-    """Probability where the weighting curve turns from concave to convex,
-    located numerically by bisection on the second finite difference."""
-    w = lambda p: _weight(p, exponent)
-    curv = lambda p: second_diff(w, p, h=1e-4)
-    lo, hi = 0.02, 0.98
-    if curv(lo) >= 0.0 or curv(hi) <= 0.0:
-        raise ValueError(f"no concave-to-convex inflection for exponent {exponent}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if curv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # prize-model utilities
 
@@ -306,9 +289,10 @@ def sign_report(spec, x_grid) -> list[CurvePoint]:
     """Evaluate a prize spec over a grid and probe first/second differences
     of the gain, loss, and total components at every point.
 
-    Grid points must be finite and lie inside the spec's domain; points
-    where the stencil itself would step outside, and the point of a
-    one-point grid, get values but no differences.
+    Grid points must be finite and lie inside the spec's domain, and every
+    value and difference at them finite in float64; points where the
+    stencil itself would step outside, and the point of a one-point grid,
+    get values but no differences.
     """
     lo, hi, hi_exclusive = spec.domain()
     grid = np.asarray(x_grid, dtype=float)
@@ -321,19 +305,25 @@ def sign_report(spec, x_grid) -> list[CurvePoint]:
         raise ValueError(f"grid points outside the model domain: {bad.size} of "
                          f"{grid.size}, first {bad[0]}, last {bad[-1]}")
     utility = utility_dynamic if isinstance(spec, DynamicPrizeSpec) else utility_fixed_growth
-    out = []
+    out, non_finite = [], []
     for x in grid.tolist():
         h = adaptive_step(x)
         feasible = grid.size > 1 and (x - h) >= lo and (
             (x + h) < hi if hi_exclusive else (x + h) <= hi)
         # the utility at each stencil point, evaluated once for all three parts
         stencil = (x - h, x, x + h) if feasible else (x,)
-        at = {t: utility(spec, t) for t in stencil}
-        diffs: dict[str, float | None] = {}
-        for name in ("gain", "loss", "total"):
-            f = lambda t, name=name: getattr(at[t], name)
-            diffs[f"{name}_slope"] = first_diff(f, x, h) if feasible else None
-            diffs[f"{name}_curvature"] = second_diff(f, x, h) if feasible else None
-        out.append(CurvePoint(x=x, gain=at[x].gain, loss=at[x].loss,
-                              total=at[x].total, **diffs))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            at = {t: utility(spec, t) for t in stencil}
+            diffs: dict[str, float | None] = {}
+            for name in ("gain", "loss", "total"):
+                f = lambda t, name=name: getattr(at[t], name)
+                diffs[f"{name}_slope"] = first_diff(f, x, h) if feasible else None
+                diffs[f"{name}_curvature"] = second_diff(f, x, h) if feasible else None
+        point = CurvePoint(x=x, gain=at[x].gain, loss=at[x].loss, total=at[x].total, **diffs)
+        if not all(math.isfinite(v) for v in vars(point).values() if v is not None):
+            non_finite.append(x)
+        out.append(point)
+    if non_finite:
+        raise ValueError(f"utility not finite in float64 at grid points: {len(non_finite)} "
+                         f"of {grid.size}, first {non_finite[0]}, last {non_finite[-1]}")
     return out

@@ -3,11 +3,9 @@
 The account-size model used throughout the package. Shape ``alpha`` controls
 tail heaviness, scale ``b`` is the smallest possible value:
 
-    density        f(x) = alpha * b**alpha / x**(alpha + 1)      for x >= b
     mean           E[X] = alpha * b / (alpha - 1)                for alpha > 1
     quantile       F^-1(p) = b / (1 - p)**(1 / alpha)
     survival       P(X > x) = (b / x)**alpha
-    Gini           G = 1 / (2 * alpha - 1)
 
 The distribution functions accept scalars or numpy arrays and are pure; the
 sampler draws arrays, and its only state is the caller-owned generator.
@@ -20,18 +18,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "ParetoParams",
-    "pdf",
-    "mean",
-    "gini_from_alpha",
-    "alpha_from_gini",
-    "quantile",
-    "tail_fraction",
-    "sample",
-]
-
 
 def _real(value, what: str) -> float:
     """``value`` as a float, refused if it is a bool or not a real number: True
@@ -83,34 +69,9 @@ def _maybe_scalar(out: np.ndarray, like) -> float | np.ndarray:
     return float(out) if np.ndim(like) == 0 else out
 
 
-def pdf(params: ParetoParams, x) -> float | np.ndarray:
-    """Density alpha * b**alpha / x**(alpha + 1); undefined below b."""
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < params.b):
-        raise ValueError(f"density undefined below the scale b={params.b}")
-    out = params.alpha * params.b**params.alpha / x_arr ** (params.alpha + 1.0)
-    return _maybe_scalar(out, x)
-
-
 def mean(params: ParetoParams) -> float:
     """E[X] = alpha * b / (alpha - 1); finite because alpha > 1."""
     return params.alpha * params.b / (params.alpha - 1.0)
-
-
-def gini_from_alpha(alpha) -> float | np.ndarray:
-    """Gini coefficient G = 1 / (2 * alpha - 1) for shape alpha > 0.5."""
-    a = np.asarray(alpha, dtype=float)
-    if np.any(a <= 0.5):
-        raise ValueError("Gini conversion requires alpha > 0.5")
-    return _maybe_scalar(1.0 / (2.0 * a - 1.0), alpha)
-
-
-def alpha_from_gini(gini) -> float | np.ndarray:
-    """Inverse of :func:`gini_from_alpha`: alpha = (1 / G + 1) / 2."""
-    g = np.asarray(gini, dtype=float)
-    if np.any((g <= 0.0) | (g > 1.0)):
-        raise ValueError("Gini coefficient must lie in (0, 1]")
-    return _maybe_scalar((1.0 / g + 1.0) / 2.0, gini)
 
 
 def quantile(params: ParetoParams, p) -> float | np.ndarray:

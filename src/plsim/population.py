@@ -16,13 +16,12 @@ from .pareto import ParetoParams, sample
 class AccountPopulation:
     """Immutable sample of account balances: a non-empty 1-D array of positive
     values with a finite float64 sum, kept as a read-only copy in generation
-    order, from which ``count``, ``mean`` and ``sorted_balances``, the same
-    values ascending (which bracketing and the extreme payouts read), are
-    derived once, when the population is built, never given.
+    order, from which ``count`` and ``sorted_balances``, the same values
+    ascending (which bracketing and the extreme payouts read), are derived
+    once, when the population is built, never given.
     """
 
     balances: np.ndarray
-    mean: float = field(init=False)
     count: int = field(init=False)
     sorted_balances: np.ndarray = field(init=False)
 
@@ -33,14 +32,13 @@ class AccountPopulation:
         if not np.all(arr > 0.0):
             raise ValueError("all balances must be positive")
         with np.errstate(over="ignore"):  # refused below, not warned about
-            mean = float(arr.mean())
-        if not mean < math.inf:
+            total = arr.sum()
+        if not total < math.inf:
             raise ValueError("balances must be finite and sum within float64")
         ordered = np.sort(arr)
         for values in (arr, ordered):
             values.setflags(write=False)
         object.__setattr__(self, "balances", arr)
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "count", int(arr.size))
         object.__setattr__(self, "sorted_balances", ordered)
 

@@ -484,6 +484,14 @@ class TestCapsCommand:
             "--caps", "100,200"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("caps", ["abc", "5000,,800", "5000,"])
+    def test_unparsable_caps_fail_with_one_line(self, runner, caps):
+        result = runner.invoke(main, [
+            "caps", "--config", str(GOLDEN / "golden_caps.json"), "--caps", caps])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [f"Error: could not parse --caps {caps!r}"]
+
 
 @pytest.mark.parametrize("name, flags, fields", [
     ("bracketing", [], {}),
@@ -616,6 +624,8 @@ class TestCptCommand:
         ["--model", "dynamic", "--x-min", "1", "--x-max", "100", "--w", "inf"],
         ["--model", "fixed", "--x-min", "1", "--x-max", "100", "--y", "inf"],
         ["--model", "fixed-growth", "--x-min", "1", "--x-max", "100", "--r", "nan"],
+        # finite flags whose utility overflows float64
+        ["--model", "dynamic", "--x-min", "1", "--x-max", "1e300", "--w", "1e300"],
     ])
     @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
     def test_non_finite_input_fails_with_one_line(self, runner, args):

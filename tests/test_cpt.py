@@ -20,7 +20,6 @@ from plsim.cpt import (
     utility_fixed_growth,
     value,
     weight_gain,
-    weight_inflection,
     weight_loss,
 )
 
@@ -88,11 +87,6 @@ class TestWeights:
             with pytest.raises(ValueError):
                 weight_gain(bad)
 
-    def test_inflection_location(self):
-        # frozen from 40-digit arithmetic: 0.4261922...
-        assert weight_inflection(0.61) == pytest.approx(0.42619, abs=1e-4)
-        assert weight_inflection(0.69) == pytest.approx(0.44757, abs=1e-4)
-
 
 class TestFixedNoGrowth:
     def test_boundary_values(self):
@@ -107,10 +101,11 @@ class TestFixedNoGrowth:
             utility_fixed_growth(FIXED_NG, -1.0).gain
 
     def test_concave_below_weight_inflection(self):
-        # diminishing returns hold where the weighting curve is concave,
-        # i.e. win probabilities below the located inflection (with margin)
-        inflection = weight_inflection(cpt.GAIN_WEIGHT_EXP)
-        x_top = 0.85 * inflection / FIXED_NG.prob_per_unit
+        # diminishing returns hold where the weighting curve is concave, i.e.
+        # win probabilities below its inflection (with margin), which for the
+        # gain exponent 0.61 lies at p = 0.4261922..., frozen from 40-digit
+        # arithmetic
+        x_top = 0.85 * 0.42619 / FIXED_NG.prob_per_unit
         f = lambda x: utility_fixed_growth(FIXED_NG, x).gain
         for x in np.geomspace(1_000.0, x_top, 80):
             assert second_diff(f, x) < 0.0
@@ -272,6 +267,12 @@ class TestSignReport:
         with pytest.raises(ValueError, match="outside"):
             sign_report(FIXED_G, np.array([1.0, FIXED_G.max_savings() + 1.0]))
 
+    def test_non_finite_curve_rejected(self):
+        # finite inputs whose gain X * (w - r) overflows float64 from X = 1e150 on
+        with pytest.raises(ValueError, match=r"^utility not finite in float64 at grid "
+                                             r"points: 2 of 3, first 1e\+150, last 1e\+300$"):
+            sign_report(replace(DYN, multiple=1e300), np.array([1.0, 1e150, 1e300]))
+
     def test_stencil_infeasible_at_boundary(self):
         report = sign_report(DYN, np.array([0.0, 1.0]))
         assert report[0].gain_slope is None
@@ -287,7 +288,6 @@ class TestSignReport:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: weight_inflection(1.0), "no concave-to-convex inflection"),
     (lambda: utility_dynamic(DYN, -1.0), "savings amount must be non-negative"),
     (lambda: fixed_growth_prize_slope(FIXED_G, FIXED_G.max_savings()),
      "requires X < prize / growth_rate"),
@@ -298,7 +298,7 @@ class TestSignReport:
      "curvature defined for X > 0"),
     (lambda: sign_report(DYN, np.array([])), "non-empty 1-D array"),
     (lambda: sign_report(DYN, np.ones((2, 2))), "non-empty 1-D array"),
-], ids=["inflection-linear-weight", "dynamic-utility-negative-x", "fixed-slope-at-bound",
+], ids=["dynamic-utility-negative-x", "fixed-slope-at-bound",
         "fixed-curvature-beyond-bound", "dynamic-slope-at-zero",
         "dynamic-curvature-negative-x", "sign-report-empty-grid", "sign-report-2d-grid"])
 def test_refusals_outside_each_domain(call, message):

@@ -4,10 +4,7 @@ from scipy import integrate
 
 from plsim.pareto import (
     ParetoParams,
-    alpha_from_gini,
-    gini_from_alpha,
     mean,
-    pdf,
     quantile,
     sample,
     tail_fraction,
@@ -44,26 +41,6 @@ class TestParams:
             ParetoParams(1.5, bad)
 
 
-class TestPdf:
-    def test_at_scale_equals_alpha_over_b(self):
-        assert pdf(ParetoParams(2.0, 1.0), 1.0) == pytest.approx(2.0)
-        assert pdf(P104, 150.0) == pytest.approx(1.04 / 150.0)
-
-    def test_below_scale_rejected(self):
-        with pytest.raises(ValueError):
-            pdf(P104, 149.9)
-
-    def test_integrates_to_one(self):
-        total, _ = integrate.quad(lambda x: pdf(P104, x), 150.0, np.inf)
-        assert total >= 0.999
-        assert total == pytest.approx(1.0, abs=1e-6)
-
-    def test_tail_integral_matches_survival(self):
-        # independent quadrature oracle for the density away from the scale
-        tail, _ = integrate.quad(lambda x: pdf(P104, x), 300.0, np.inf)
-        assert tail == pytest.approx(tail_fraction(P104, 300.0), rel=1e-9)
-
-
 class TestMean:
     def test_published_values(self):
         assert mean(P104) == pytest.approx(3900.0, abs=1e-9)
@@ -72,27 +49,6 @@ class TestMean:
     def test_double_scale(self):
         for b in (1.0, 7.5, 1234.0):
             assert mean(ParetoParams(2.0, b)) == pytest.approx(2.0 * b)
-
-
-class TestGini:
-    def test_known_values(self):
-        assert gini_from_alpha(1.12) == pytest.approx(0.80645, abs=5e-6)
-        assert gini_from_alpha(1.0) == pytest.approx(1.0)
-        assert alpha_from_gini(0.8065) == pytest.approx(1.1200, abs=5e-4)
-
-    def test_round_trip(self):
-        gs = np.linspace(0.01, 1.0, 50)
-        back = gini_from_alpha(alpha_from_gini(gs))
-        np.testing.assert_allclose(back, gs, rtol=1e-12)
-
-    @pytest.mark.parametrize("convert, value, message", [
-        (gini_from_alpha, 0.5, r"^Gini conversion requires alpha > 0\.5$"),
-        (alpha_from_gini, 0.0, r"^Gini coefficient must lie in \(0, 1\]$"),
-        (alpha_from_gini, 1.5, r"^Gini coefficient must lie in \(0, 1\]$")],
-        ids=["alpha-0.5", "gini-0", "gini-1.5"])
-    def test_domain_errors(self, convert, value, message):
-        with pytest.raises(ValueError, match=message):
-            convert(value)
 
 
 class TestQuantile:
@@ -130,6 +86,12 @@ class TestTailFraction:
         ps = np.concatenate([[0.0], np.linspace(0.1, 0.999, 100)])
         back = tail_fraction(P104, quantile(P104, ps))
         np.testing.assert_allclose(back, 1.0 - ps, rtol=1e-12)
+
+    def test_tail_integral_matches_survival(self):
+        # independent quadrature oracle: the density a * b**a / x**(a + 1)
+        a, b = P104.alpha, P104.b
+        tail, _ = integrate.quad(lambda x: a * b**a / x ** (a + 1.0), 300.0, np.inf)
+        assert tail == pytest.approx(tail_fraction(P104, 300.0), rel=1e-9)
 
 
 class TestSample:

@@ -24,7 +24,7 @@ def test_same_seed_identical():
     a = generate(P104, 5000, 42)
     b = generate(P104, 5000, 42)
     np.testing.assert_array_equal(a.balances, b.balances)
-    assert a.mean == b.mean
+    assert a.balances.mean() == b.balances.mean()
 
 
 def test_different_seeds_differ():
@@ -33,18 +33,13 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.balances, b.balances)
 
 
-def test_mean_cache_matches_balances():
-    pop = generate(P104, 20_000, 7)
-    assert pop.mean == pytest.approx(pop.balances.mean(), rel=1e-9)
-    assert pop.count == len(pop.balances)
-
-
-def test_mean_and_count_are_derived_from_the_balances():
-    # no population can carry a mean or count its balances do not have
-    pop = AccountPopulation([1.0, 3.0])
-    assert (pop.count, pop.mean) == (2, 2.0)
+def test_count_and_order_are_derived_from_the_balances():
+    # no population can carry a count or an order its balances do not have
+    pop = AccountPopulation([3.0, 1.0])
+    assert pop.count == 2
+    np.testing.assert_array_equal(pop.sorted_balances, [1.0, 3.0])
     with pytest.raises(TypeError):
-        AccountPopulation([1.0, 3.0], mean=5.0, count=2)
+        AccountPopulation([1.0, 3.0], count=3)
     with pytest.raises(TypeError):
         AccountPopulation([1.0, 3.0], sorted_balances=np.array([3.0, 1.0]))
 
@@ -107,7 +102,7 @@ def test_sample_mean_spread_is_heavy_tailed():
     ratios = []
     for seed in range(30):
         pop = generate(P104, 100_000, np.random.SeedSequence(3, spawn_key=(seed,)))
-        ratios.append(pop.mean / 3900.0)
+        ratios.append(pop.balances.mean() / 3900.0)
     ratios = np.asarray(ratios)
     assert np.all((ratios > 0.25) & (ratios < 10.0))
     assert 0.30 < np.median(ratios) < 0.60
