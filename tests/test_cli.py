@@ -492,6 +492,14 @@ class TestCapsCommand:
         assert result.stdout == ""
         assert result.stderr.splitlines() == [f"Error: could not parse --caps {caps!r}"]
 
+    def test_unparsable_caps_reported_before_a_malformed_config(self, runner, tmp_path):
+        # the flag is parsed as click reads it, before the config is opened
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        result = runner.invoke(main, ["caps", "--config", str(bad), "--caps", "5000,"])
+        assert result.exit_code == 1
+        assert result.stderr.splitlines() == ["Error: could not parse --caps '5000,'"]
+
 
 @pytest.mark.parametrize("name, flags, fields", [
     ("bracketing", [], {}),
@@ -633,6 +641,21 @@ class TestCptCommand:
         assert result.exit_code == 1
         assert result.stdout == ""
         assert len(result.stderr.splitlines()) == 1
+
+    def test_overflowing_grid_through_standalone_main(self):
+        # standalone mode prints a numpy warning as a line of its own, which
+        # CliRunner under pytest would raise instead; so run it as a script
+        env = {**os.environ, "PYTHONPATH": str(Path(plsim.__file__).parents[1])}
+        result = subprocess.run([
+            sys.executable, "-W", "error::RuntimeWarning", "-c",
+            "from plsim.cli import main; main()", "cpt", "--model", "dynamic",
+            "--x-min", "1", "--x-max", "1e300", "--points", "3", "--w", "1e300"],
+            capture_output=True, text=True, env=env)
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            "Error: utility not finite in float64 at grid points: "
+            "2 of 3, first 1e+150, last 1e+300"]
 
     def test_bad_grid_fails(self, runner):
         assert runner.invoke(main, [

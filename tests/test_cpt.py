@@ -267,11 +267,21 @@ class TestSignReport:
         with pytest.raises(ValueError, match="outside"):
             sign_report(FIXED_G, np.array([1.0, FIXED_G.max_savings() + 1.0]))
 
-    def test_non_finite_curve_rejected(self):
+    @pytest.mark.parametrize("spec, grid, tally", [
         # finite inputs whose gain X * (w - r) overflows float64 from X = 1e150 on
-        with pytest.raises(ValueError, match=r"^utility not finite in float64 at grid "
-                                             r"points: 2 of 3, first 1e\+150, last 1e\+300$"):
-            sign_report(replace(DYN, multiple=1e300), np.array([1.0, 1e150, 1e300]))
+        (replace(DYN, multiple=1e300), [1.0, 1e150, 1e300],
+         "2 of 3, first 1e+150, last 1e+300"),
+        # the values of a one-point grid, which gets no differences
+        (replace(DYN, multiple=1e300), [1e300], "1 of 1, first 1e+300, last 1e+300"),
+        # finite values, but the stencil's X + h overflows to inf, and so do
+        # the differences
+        (DYN, [1.0, np.finfo(float).max],
+         "1 of 2, first 1.7976931348623157e+308, last 1.7976931348623157e+308"),
+    ], ids=["overflowing-values", "one-point-grid", "overflowing-stencil"])
+    def test_non_finite_curve_rejected(self, spec, grid, tally):
+        with pytest.raises(ValueError) as err:
+            sign_report(spec, np.array(grid))
+        assert str(err.value) == f"utility not finite in float64 at grid points: {tally}"
 
     def test_stencil_infeasible_at_boundary(self):
         report = sign_report(DYN, np.array([0.0, 1.0]))

@@ -51,6 +51,15 @@ class TestMean:
             assert mean(ParetoParams(2.0, b)) == pytest.approx(2.0 * b)
 
 
+    @pytest.mark.parametrize("alpha", [1.04, 1.12, 1.5, 2.5])
+    def test_gini_is_one_over_two_alpha_minus_one(self, alpha):
+        # the relation README states, by quadrature of G = E[(2F(X) - 1) X] / E[X]
+        params = ParetoParams(alpha, 250.0)
+        g, _ = integrate.quad(lambda u: (2.0 * u - 1.0) * quantile(params, u), 0.0, 1.0,
+                              limit=200)
+        assert g / mean(params) == pytest.approx(1.0 / (2.0 * alpha - 1.0), rel=1e-6)
+
+
 class TestQuantile:
     def test_published_values(self):
         assert quantile(P104, 0.5) == pytest.approx(292.11, abs=0.005)
