@@ -63,10 +63,6 @@ def main():
     """Monte Carlo toolkit for dynamic prize-linked savings programs."""
 
 
-def _fail(message: str):
-    raise click.ClickException(message)
-
-
 def _floats(ctx, param, text):
     """Option callback: a comma-separated flag's values as a tuple of floats,
     None where the flag is not given; an empty field is refused, not dropped."""
@@ -98,10 +94,10 @@ def _outputs(*named):
     seen = {}
     for option, path, in_place in given:
         if not path:  # realpath("") is the working directory
-            _fail(f"cannot write {option} '': the path is empty")
+            raise ValueError(f"cannot write {option} '': the path is empty")
         key = path if path == "-" else os.path.realpath(path)
         if key in seen and not in_place:
-            _fail(f"{seen[key]} and {option} name the same output: {path}")
+            raise ValueError(f"{seen[key]} and {option} name the same output: {path}")
         seen[key] = option
     streams, files = {}, []  # files: (stream, temporary or None, target)
     try:
@@ -115,7 +111,7 @@ def _outputs(*named):
             try:
                 streams[option] = open(tmp or path, "x" if tmp else "w", newline="")
             except OSError as exc:
-                _fail(f"cannot write {option} {path}: {exc.strerror}")
+                raise ValueError(f"cannot write {option} {path}: {exc.strerror}")
             files.append((streams[option], tmp, target))
         yield [streams.get(option) for option, _ in named]
         sys.stdout.flush()
@@ -149,7 +145,7 @@ def cmd_table1(raw: tuple[float, ...], out: str):
     """Analytic summary of account-size distributions: mean, median, and
     upper percentiles per parameter pair."""
     if len(raw) % 2 != 0:
-        _fail("--params needs an even number of values: alpha,b[,alpha,b...]")
+        raise ValueError("--params needs an even number of values: alpha,b[,alpha,b...]")
     pairs = [ParetoParams(raw[i], raw[i + 1]) for i in range(0, len(raw), 2)]
 
     with _outputs(("--out", out)) as (stream,):
@@ -157,8 +153,8 @@ def cmd_table1(raw: tuple[float, ...], out: str):
             table = [[mean(p)] + [quantile(p, q) for q in TABLE1_PERCENTILES] for p in pairs]
         for params, cells in zip(pairs, table):
             if not np.all(np.isfinite(cells)):
-                _fail(f"--params pair {params.label()}: a mean or percentile "
-                      "is not finite in float64")
+                raise ValueError(f"--params pair {params.label()}: a mean or percentile "
+                                 "is not finite in float64")
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(TABLE1_COLUMNS)
         for params, cells in zip(pairs, table):
@@ -217,7 +213,7 @@ def _experiment_command(name: str, preset, doc: str, *extra_options):
                 # json.load ends deep nesting in a RecursionError, and bad
                 # JSON, a repeated key or bytes that are not UTF-8 in a ValueError
                 except (RecursionError, ValueError) as exc:
-                    _fail(f"invalid config {config_path}: {exc}")
+                    raise ValueError(f"invalid config {config_path}: {exc}")
         config = replace(config, **{f: v for f, v in fields.items() if v is not None})
         variants = (f"caps {','.join(map(drawing.cap_label, config.caps))}" if config.caps
                     else f"{len(config.schedules)} schedules")
@@ -269,7 +265,7 @@ Without --config, uses the full-scale preset: 1,000 draws per run,
 @click.option("--c", "prob_per_unit", type=float, default=1e-6, show_default=True,
               help="Fixed models: win-probability slope per unit saved.")
 @click.option("--r", "growth_rate", type=float, default=0.05, show_default=True,
-              help="Assumed growth rate; --model fixed ignores it (r = 0).")
+              help="Assumed growth rate; --model fixed checks it, then uses r = 0.")
 @click.option("--w", "multiple", type=float, default=1.0, show_default=True,
               help="Dynamic model: prize multiple.")
 @click.option("--p", "win_prob", type=float, default=0.01, show_default=True,
@@ -285,25 +281,26 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
     from . import cpt  # here, so that no other command loads it
 
     if points < 1:
-        _fail("--points must be >= 1")
+        raise ValueError("--points must be >= 1")
     for option, x in (("--x-min", x_min), ("--x-max", x_max)):
         if not np.isfinite(x):
-            _fail(f"{option} must be finite, got {x}")
+            raise ValueError(f"{option} must be finite, got {x}")
     if x_max < x_min:
-        _fail("--x-max must be >= --x-min")
+        raise ValueError("--x-max must be >= --x-min")
     if model == "dynamic":
         spec = cpt.DynamicPrizeSpec(multiple=multiple, win_prob=win_prob,
                                     growth_rate=growth_rate)
     else:
-        rate = growth_rate if model == "fixed-growth" else 0.0
         spec = cpt.FixedPrizeSpec(prize=prize, prob_per_unit=prob_per_unit,
-                                  growth_rate=rate)
+                                  growth_rate=growth_rate)
+        if model == "fixed":  # r = 0, once --r is known to be one a model accepts
+            spec = replace(spec, growth_rate=0.0)
 
     if points == 1:
         grid = np.array([x_min])
     elif spacing == "log":
         if x_min <= 0.0:
-            _fail("log spacing requires --x-min > 0")
+            raise ValueError("log spacing requires --x-min > 0")
         grid = np.geomspace(x_min, x_max, points)
     else:
         grid = np.linspace(x_min, x_max, points)

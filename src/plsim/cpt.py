@@ -290,9 +290,12 @@ def sign_report(spec, x_grid) -> list[CurvePoint]:
     of the gain, loss, and total components at every point.
 
     Grid points must be finite and lie inside the spec's domain, and every
-    value and difference at them finite in float64; points where the
-    stencil itself would step outside, and the point of a one-point grid,
-    get values but no differences.
+    value and difference at them finite in float64. A part whose stencil
+    values are equal must be zero there, and a difference whose numerator
+    is not zero must be at least the smallest normal float: a 0 sign means
+    the stencil measured no change, not that it could not measure one.
+    Points where the stencil itself would step outside, and the point of a
+    one-point grid, get values but no differences.
     """
     lo, hi, hi_exclusive = spec.domain()
     grid = np.asarray(x_grid, dtype=float)
@@ -305,25 +308,40 @@ def sign_report(spec, x_grid) -> list[CurvePoint]:
         raise ValueError(f"grid points outside the model domain: {bad.size} of "
                          f"{grid.size}, first {bad[0]}, last {bad[-1]}")
     utility = utility_dynamic if isinstance(spec, DynamicPrizeSpec) else utility_fixed_growth
-    out, non_finite = [], []
+    tiny = np.finfo(float).tiny
+    out, non_finite, unresolved = [], [], []
     for x in grid.tolist():
         h = adaptive_step(x)
         feasible = grid.size > 1 and (x - h) >= lo and (
             (x + h) < hi if hi_exclusive else (x + h) <= hi)
         # the utility at each stencil point, evaluated once for all three parts
         stencil = (x - h, x, x + h) if feasible else (x,)
+        flat = False
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
             at = {t: utility(spec, t) for t in stencil}
             diffs: dict[str, float | None] = {}
             for name in ("gain", "loss", "total"):
                 f = lambda t, name=name: getattr(at[t], name)
-                diffs[f"{name}_slope"] = first_diff(f, x, h) if feasible else None
-                diffs[f"{name}_curvature"] = second_diff(f, x, h) if feasible else None
+                slope = curvature = None
+                if feasible:
+                    slope, curvature = first_diff(f, x, h), second_diff(f, x, h)
+                    below, mid, above = map(f, stencil)
+                    # three equal values that are not zero, or a numerator
+                    # that is not zero over a quotient that underflowed:
+                    # either would read as flat
+                    flat |= (below == mid == above != 0.0
+                             or above != below and abs(slope) < tiny
+                             or above - 2.0 * mid + below != 0.0 and abs(curvature) < tiny)
+                diffs[f"{name}_slope"], diffs[f"{name}_curvature"] = slope, curvature
         point = CurvePoint(x=x, gain=at[x].gain, loss=at[x].loss, total=at[x].total, **diffs)
         if not all(math.isfinite(v) for v in vars(point).values() if v is not None):
             non_finite.append(x)
+        elif flat:
+            unresolved.append(x)
         out.append(point)
-    if non_finite:
-        raise ValueError(f"utility not finite in float64 at grid points: {len(non_finite)} "
-                         f"of {grid.size}, first {non_finite[0]}, last {non_finite[-1]}")
+    for what, points in (("utility not finite", non_finite),
+                         ("differences not resolved", unresolved)):
+        if points:
+            raise ValueError(f"{what} in float64 at grid points: {len(points)} "
+                             f"of {grid.size}, first {points[0]}, last {points[-1]}")
     return out

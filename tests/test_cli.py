@@ -26,25 +26,59 @@ from plsim.drawing import MECHANISMS
 GOLDEN = Path(__file__).parent / "golden"
 JSON_GOLDEN = GOLDEN / "json_out"  # --json-out of the two golden configs
 checks = load("perfbench/checks.py")
-_CAPS_DOC = json.loads((GOLDEN / "golden_caps.json").read_text())
-# config files that each experiment command must refuse in one line
+_CAPS_JSON = (GOLDEN / "golden_caps.json").read_text()
+_CAPS_DOC = json.loads(_CAPS_JSON)
+
+
+def _caps_doc(**fields) -> bytes:
+    return json.dumps({**_CAPS_DOC, **fields}).encode()
+
+
+# config files that each experiment command must refuse, each with the end of
+# its line after "Error: invalid config <path>: "; "..." stands for the
+# wording of Python's own error
 MALFORMED_CONFIGS = {
-    "deep.json": b"[" * 100_000 + b"]" * 100_000,  # json.load: RecursionError
-    "latin-1.json": b'{"runs": "\xe9"}',  # not UTF-8
-    "list.json": b"[]",
-    "string-list.json": json.dumps({**_CAPS_DOC, "var_levels": "0.05"}).encode(),
-    "fractional-runs.json": json.dumps({**_CAPS_DOC, "runs": 4.5}).encode(),
+    "deep.json": (b"[" * 100_000 + b"]" * 100_000, "..."),  # json.load: RecursionError
+    "latin-1.json": (b'{"runs": "\xe9"}', "..."),  # not UTF-8
+    "list.json": (b"[]", "config must be an object, got []"),
+    "pareto-only.json": (b'{"pareto": {"alpha": 1.04}}',
+                         "config is missing required field 'n_accounts'"),
+    "misspelled-caps.json": (_CAPS_JSON.replace('"caps"', '"capz"').encode(),
+                             "unknown field 'capz' in config"),
+    "null-pareto.json": (_caps_doc(pareto=None), "pareto must be an object, got None"),
+    "string-caps.json": (_caps_doc(caps="321"), "caps must be a list, got '321'"),
+    "string-cap.json": (_caps_doc(caps=[5000.0, "800"]),
+                        "each cap must be a real number, got '800'"),
+    "string-list.json": (_caps_doc(var_levels="0.05"), "var_levels must be a list, got '0.05'"),
+    "bool-level.json": (_caps_doc(var_levels=[True]), "VaR level must be a real number, got True"),
+    "fractional-runs.json": (_caps_doc(runs=4.5), "runs must be an integer, got 4.5"),
     # float() overflows on an integer beyond float64, which JSON can hold
-    "huge-alpha.json": json.dumps({**_CAPS_DOC, "pareto": {"alpha": 10**400, "b": 150}}).encode(),
+    "huge-alpha.json": (_caps_doc(pareto={"alpha": 10**400, "b": 150}),
+                        "alpha must be finite, got an integer of 401 digits"),
+    # JSON reads 1e400 as infinity
+    "infinite-scale.json": (_CAPS_JSON.replace('"b": 150.0', '"b": 1e400').encode(),
+                            "scale b must be finite and positive, got inf"),
+    "infinite-cap.json": (_CAPS_JSON.replace("5000.0", "1e400").encode(),
+                          "caps must be finite and positive, got inf"),
+    # finite, but its balances can sum past float64
+    "overflowing-scale.json": (_CAPS_JSON.replace('"b": 150.0', '"b": 1e307').encode(),
+                               "300 accounts of Pareto 1.04/1e+307 at prize multiple 2 "
+                               "can overflow float64"),
     # json.load alone keeps the last of a repeated key
-    "duplicate-runs.json": json.dumps(_CAPS_DOC).replace('"runs": ', '"runs": 1, "runs": ').encode(),
-    "ascending-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.02, 0.05]}).encode(),
+    "duplicate-runs.json": (_CAPS_JSON.replace('"runs": ', '"runs": 1, "runs": ').encode(),
+                            "duplicate field 'runs'"),
+    "ascending-levels.json": (_caps_doc(var_levels=[0.02, 0.05]),
+                              "VaR levels must be strictly descending"),
     # strictly descending, but two levels or two caps of one label; two
     # schedules of one label
-    "one-label-levels.json": json.dumps({**_CAPS_DOC, "var_levels": [0.05 + 1e-12, 0.05]}).encode(),
-    "one-label-caps.json": json.dumps({**_CAPS_DOC, "caps": [250000, 50000.01, 50000]}).encode(),
-    "one-label-schedules.json": json.dumps({**_CAPS_DOC, "schedules": [
-        {"count": 3, "multiple": 1.0}, {"count": 3, "multiple": 1.000001}]}).encode(),
+    "one-label-levels.json": (_caps_doc(var_levels=[0.05 + 1e-12, 0.05]),
+                              "VaR levels 0.050000000001 and 0.05 share the label '5%'"),
+    "one-label-caps.json": (_caps_doc(caps=[250000, 50000.01, 50000]),
+                            "caps 50000.01 and 50000.0 share the label '50000'"),
+    "one-label-schedules.json": (
+        _caps_doc(schedules=[{"count": 3, "multiple": 1.0}, {"count": 3, "multiple": 1.000001}]),
+        "schedules PrizeSchedule(count=3, multiple=1.0) and PrizeSchedule(count=3, "
+        "multiple=1.000001) share the label '3x100%'"),
 }
 
 
@@ -68,6 +102,182 @@ def fresh_python(script, *args, path=()):
                           capture_output=True, text=True, env=env, check=True).stdout
 
 
+def refusal(result, status=1) -> list[str]:
+    """The stderr lines of a refused command, once it is checked that the
+    command exited with ``status`` through SystemExit (CliRunner reports an
+    uncaught exception as exit 1 too), wrote nothing to stdout and wrote one
+    ``Error:`` line to stderr, its last."""
+    assert result.exit_code == status
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert lines and [line for line in lines if line.startswith("Error:")] == [lines[-1]]
+    return lines
+
+
+# ---------------------------------------------------------------------------
+# every refused input: a new refusal gets its row here
+
+
+TMP = "$TMP"  # the test's tmp_path, in a row's arguments and line
+TABLE1 = ["table1"]
+BRACKETING = ["bracketing", "--config", str(GOLDEN / "golden_bracketing.json")]
+CAPS = ["caps", "--config", str(GOLDEN / "golden_caps.json")]
+CPT = ["cpt", "--model", "dynamic", "--x-min", "1", "--x-max", "100", "--points", "3"]
+DRAW = ["draw", "--alpha", "1.04", "--b", "150", "--accounts", "100", "--prizes", "3",
+        "--multiple", "1"]
+DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+_NO_DIR = f"{TMP}/missing"
+_FINITE_MEAN = "Error: alpha must be finite and exceed 1 for a finite mean, got"
+
+
+def _row(id, argv, line, status=1, files=(), progress=(), marks=()):
+    """``argv`` exits with ``status``, its stderr ``progress`` and then
+    ``line`` (click's usage lines come first at status 2), and tmp_path
+    holds ``files`` (name: bytes, written before the run) byte for byte,
+    and nothing else."""
+    return pytest.param(argv, status, line, dict(files), list(progress), id=id, marks=marks)
+
+
+# click keeps the last value of a repeated option, so each row appends to its
+# command's prefix the flags it breaks
+REFUSALS = [
+    _row("table1-odd-count", TABLE1 + ["--params", "1.04"],
+         "Error: --params needs an even number of values: alpha,b[,alpha,b...]"),
+    _row("table1-alpha=0.9", TABLE1 + ["--params", "0.9,150"], f"{_FINITE_MEAN} 0.9"),
+    _row("table1-alpha=inf", TABLE1 + ["--params", "inf,150"], f"{_FINITE_MEAN} inf"),
+    *(_row(f"table1-b={b}", TABLE1 + ["--params", f"1.04,{b}"],
+           f"Error: scale b must be finite and positive, got {b}") for b in ["inf", "nan"]),
+    # 1e307 is finite, but its mean and upper percentiles overflow float64
+    _row("table1-overflowing-pair", TABLE1 + ["--params", "2,1,1.04,1e307"],
+         "Error: --params pair 1.04/1e+307: a mean or percentile is not finite in float64"),
+    # an empty field is refused, not dropped
+    *(_row(f"table1-params={text}", TABLE1 + ["--params", text],
+           f"Error: could not parse --params {text!r}")
+      for text in ["abc,150", "1.04,,150", "1.04,150,", ",1.04,150"]),
+    _row("table1-out=empty", TABLE1 + ["--out", ""],
+         "Error: cannot write --out '': the path is empty"),
+    _row("table1-out=/dev/full", TABLE1 + ["--out", "/dev/full"],
+         "Error: [Errno 28] No space left on device", marks=DEV_FULL),
+    *(_row(f"{command}-{name}", [command, "--config", f"{TMP}/{name}", "--out", f"{TMP}/o.csv"],
+           f"Error: invalid config {TMP}/{name}: {message}", files={name: text})
+      for name, (text, message) in MALFORMED_CONFIGS.items()
+      for command in ["bracketing", "caps"]),
+    *(_row(f"{name}-threads={n}", prefix + ["--threads", n], status=2,
+           line=f"Error: Invalid value for '--threads': {n} is not in the range x>=1.")
+      for name, prefix in [("bracketing", BRACKETING), ("caps", CAPS)] for n in ["0", "-3"]),
+    _row("bracketing-negative-seed",
+         BRACKETING + ["--seed", "-1", "--threads", "2", "--out", f"{TMP}/b.csv"],
+         "Error: master_seed must be >= 0, got -1"),
+    _row("bracketing-caps-config", BRACKETING + ["--config", CAPS[2], "--out", f"{TMP}/b.csv"],
+         "Error: bracketing experiment takes a config without caps"),
+    _row("bracketing-missing-out", BRACKETING + ["--out", f"{_NO_DIR}/b.csv"],
+         f"Error: cannot write --out {_NO_DIR}/b.csv: No such file or directory"),
+    # --out is open, under its temporary name, when --json-out fails
+    _row("bracketing-missing-json-out",
+         BRACKETING + ["--out", f"{TMP}/b.csv", "--json-out", f"{_NO_DIR}/b.json"],
+         f"Error: cannot write --json-out {_NO_DIR}/b.json: No such file or directory"),
+    _row("caps-bracketing-config", CAPS + ["--config", BRACKETING[2], "--out", f"{TMP}/c.csv"],
+         "Error: cap experiment requires a config with caps"),
+    _row("caps-missing-out-keeps-json-out",
+         CAPS + ["--json-out", f"{TMP}/keep.json", "--out", f"{_NO_DIR}/c.csv"],
+         f"Error: cannot write --out {_NO_DIR}/c.csv: No such file or directory",
+         files={"keep.json": b'{"kept": true}\n'}),
+    _row("caps-full-json-out-keeps-out",
+         CAPS + ["--out", f"{TMP}/c.csv", "--json-out", "/dev/full"],
+         "Error: [Errno 28] No space left on device", files={"c.csv": b"old\n"},
+         progress=["caps: 3 runs x 40 draws, caps 5000,800, seed 5"], marks=DEV_FULL),
+    _row("caps-out-is-json-out", CAPS + ["--out", f"{TMP}/f", "--json-out", f"{TMP}/f"],
+         f"Error: --out and --json-out name the same output: {TMP}/f"),
+    _row("caps-json-out-stdout", CAPS + ["--json-out", "-"],  # --out is stdout by default
+         "Error: --out and --json-out name the same output: -"),
+    _row("caps-ascending-caps", CAPS + ["--caps", "100,200"],
+         "Error: caps must be strictly descending"),
+    # two caps that would write two cap_50000 column pairs and one JSON key
+    _row("caps-one-label-caps", CAPS + ["--caps", "250000,50000.01,50000"],
+         "Error: caps 50000.01 and 50000.0 share the label '50000'"),
+    *(_row(f"caps-caps={text}", CAPS + ["--caps", text, "--json-out", f"{TMP}/c.json"],
+           f"Error: caps must be finite and positive, got {value}")
+      for text, value in [("inf", "inf"), ("1e400", "inf"), ("5000,nan", "nan")]),
+    *(_row(f"caps-caps={text}", CAPS + ["--caps", text], f"Error: could not parse --caps {text!r}")
+      for text in ["abc", "5000,,800", "5000,"]),
+    # the flag is parsed as click reads it, before the config is opened
+    _row("caps-caps=5000,-before-a-malformed-config",
+         CAPS + ["--config", f"{TMP}/bad.json", "--caps", "5000,"],
+         "Error: could not parse --caps '5000,'", files={"bad.json": b"{"}),
+    _row("cpt-model=cubic", CPT + ["--model", "cubic"], status=2,
+         line="Error: Invalid value for '--model': 'cubic' is not one of 'fixed', "
+              "'fixed-growth', 'dynamic'."),
+    _row("cpt-points=0", CPT + ["--points", "0"], "Error: --points must be >= 1"),
+    _row("cpt-x-min=nan", CPT + ["--x-min", "nan"], "Error: --x-min must be finite, got nan"),
+    _row("cpt-x-max=inf", CPT + ["--x-max", "inf"], "Error: --x-max must be finite, got inf"),
+    _row("cpt-x-max-below-x-min", CPT + ["--x-min", "10", "--x-max", "5"],
+         "Error: --x-max must be >= --x-min"),
+    _row("cpt-log-from-0", CPT + ["--x-min", "0"], "Error: log spacing requires --x-min > 0"),
+    _row("cpt-w=inf", CPT + ["--w", "inf"],
+         "Error: prize multiple must be finite and exceed the growth rate, got inf"),
+    _row("cpt-fixed-y=inf", CPT + ["--model", "fixed", "--y", "inf"],
+         "Error: prize must be finite and positive, got inf"),
+    *(_row(f"cpt-{model}-r={r}", CPT + ["--model", model, "--r", r],
+           f"Error: growth rate must be finite and non-negative, got {float(r)}")
+      for model, r in [("fixed-growth", "nan"), ("fixed", "-1")]),  # fixed then uses r = 0
+    _row("cpt-beyond-growth-limit", CPT + ["--model", "fixed-growth", "--x-max", "500000"],
+         "Error: grid points outside the model domain: 1 of 3, first 500000.0, last 500000.0"),
+    # the count and the ends, not every point
+    _row("cpt-grid-far-outside", CPT + ["--model", "fixed", "--x-min", "0", "--x-max", "1e9",
+                                        "--points", "100000", "--spacing", "linear"],
+         "Error: grid points outside the model domain: 99900 of 100000, "
+         "first 1000010.000100001, last 1000000000.0"),
+    # finite flags whose utility overflows float64
+    _row("cpt-overflowing-gain", CPT + ["--x-max", "1e300", "--w", "1e300"],
+         "Error: utility not finite in float64 at grid points: 2 of 3, first 1e+150, last 1e+300"),
+    # X * c is subnormal at X = 1, so X - h and X + h give one p; from 1e150
+    # on the second difference underflows
+    _row("cpt-unresolved-differences", CPT + ["--model", "fixed", "--x-max", "1e300",
+                                              "--c", "1e-320"],
+         "Error: differences not resolved in float64 at grid points: 3 of 3, "
+         "first 1.0, last 1e+300"),
+    _row("cpt-absurd-points", CPT + ["--x-max", "2", "--points", str(10**21)],
+         "Error: Maximum allowed size exceeded"),
+    _row("draw-alpha=0.9", DRAW + ["--alpha", "0.9"], f"{_FINITE_MEAN} 0.9"),
+    _row("draw-more-prizes-than-accounts", DRAW + ["--accounts", "10", "--prizes", "20"],
+         "Error: cannot draw 20 distinct winners from 10 accounts"),
+    _row("draw-multiple=inf", DRAW + ["--multiple", "inf"],
+         "Error: prize multiple must be finite and positive, got inf"),
+    *(_row(f"draw-overflowing-{flag[2:]}", DRAW + [flag, value],
+           f"Error: 100 accounts of Pareto {pair} at prize multiple {multiple} "
+           "can overflow float64")
+      for flag, value, pair, multiple in [("--b", "1e307", "1.04/1e+307", "1"),
+                                          ("--multiple", "1e306", "1.04/150", "1e+306")]),
+    _row("draw-negative-seed", DRAW + ["--seed", "-1"], status=2,
+         line="Error: Invalid value for '--seed': -1 is not in the range x>=0."),
+    _row("draw-dump-to-stdout", DRAW + ["--dump-balances", "-"],
+         "Error: --out and --dump-balances name the same output: -"),
+    _row("draw-missing-dump", DRAW + ["--dump-balances", f"{_NO_DIR}/d.txt"],
+         f"Error: cannot write --dump-balances {_NO_DIR}/d.txt: No such file or directory"),
+    _row("draw-missing-out-keeps-dump",
+         DRAW + ["--dump-balances", f"{TMP}/d.txt", "--out", f"{_NO_DIR}/d.csv"],
+         f"Error: cannot write --out {_NO_DIR}/d.csv: No such file or directory",
+         files={"d.txt": b"1.0\n"}),
+    _row("draw-out-is-dump", DRAW + ["--out", f"{TMP}/f", "--dump-balances", f"{TMP}/f"],
+         f"Error: --out and --dump-balances name the same output: {TMP}/f",
+         files={"f": b"1.0\n"}),
+]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a line of its own
+@pytest.mark.parametrize("argv, status, line, files, progress", REFUSALS)
+def test_refused(runner, tmp_path, argv, status, line, files, progress):
+    for name, text in files.items():
+        (tmp_path / name).write_bytes(text)
+    result = runner.invoke(main, [arg.replace(TMP, str(tmp_path)) for arg in argv])
+    lines, line = refusal(result, status), line.replace(TMP, str(tmp_path))
+    if line.endswith("..."):  # the rest is Python's own wording
+        line, lines[-1] = line[:-3], lines[-1][:len(line) - 3]
+    assert (lines if status == 1 else lines[-1:]) == progress + [line]
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+
 class TestTable1:
     def test_golden(self, runner, tmp_path):
         out = tmp_path / "t1.csv"
@@ -81,21 +291,6 @@ class TestTable1:
         row = next(csv.DictReader(result.stdout.splitlines()))
         assert float(row["mean"]) == pytest.approx(2.0)
         assert float(row["median"]) == pytest.approx(2.0**0.5, abs=0.005)
-
-    @pytest.mark.parametrize("params, message", [
-        ("1.04", "even number"), ("0.9,150", "exceed 1"), ("abc,150", "could not parse"),
-        # an empty field is refused, not dropped
-        ("1.04,,150", "could not parse"), ("1.04,150,", "could not parse"),
-        (",1.04,150", "could not parse"),
-        # 1e307 is finite, but its mean and upper percentiles overflow float64
-        ("1.04,inf", "finite"), ("inf,150", "finite"), ("1.04,nan", "finite"),
-        ("2,1,1.04,1e307", "finite")])
-    def test_invalid_params_fail_with_one_line(self, runner, params, message):
-        result = runner.invoke(main, ["table1", "--params", params])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        [line] = result.stderr.splitlines()
-        assert line.startswith("Error: ") and message in line
 
 
 class TestBracketingCommand:
@@ -116,38 +311,6 @@ class TestBracketingCommand:
             "--threads", threads, "--out", str(tmp_path / "b.csv"), "--json-out", str(out)])
         assert result.exit_code == 0
         assert out.read_bytes() == (JSON_GOLDEN / "bracketing_small.json").read_bytes()
-
-    def test_negative_seed_fails_with_one_line(self, runner, tmp_path):
-        out = tmp_path / "b.csv"
-        result = runner.invoke(main, [
-            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
-            "--seed", "-1", "--threads", "2", "--out", str(out)])
-        assert result.exit_code == 1
-        assert result.stderr.splitlines() == ["Error: master_seed must be >= 0, got -1"]
-        assert not out.exists()
-
-    def test_infinite_scale_in_config_fails_with_one_line(self, runner, tmp_path):
-        bad = tmp_path / "bad.json"
-        # JSON reads 1e400 as infinity
-        bad.write_text((GOLDEN / "golden_bracketing.json").read_text().replace(
-            '"b": 150.0', '"b": 1e400'))
-        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
-        assert result.exit_code == 1
-        assert len(result.stderr.splitlines()) == 1
-        assert "scale b must be finite" in result.stderr
-        assert result.stdout == ""
-
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
-    def test_overflowing_scale_in_config_fails_with_one_line(self, runner, tmp_path):
-        bad = tmp_path / "bad.json"
-        # finite, but its balances can sum past float64
-        bad.write_text((GOLDEN / "golden_bracketing.json").read_text().replace(
-            '"b": 150.0', '"b": 1e307'))
-        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
-        assert result.exit_code == 1
-        assert len(result.stderr.splitlines()) == 1
-        assert "can overflow float64" in result.stderr
-        assert result.stdout == ""
 
     def test_one_worker_loads_no_pool_and_no_cpt(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -170,58 +333,6 @@ class TestBracketingCommand:
         assert checks.check_csv(result.stdout, "bracketing",
                                 experiments.config_to_dict(config)) == []
 
-    def test_invalid_config_fails(self, runner, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{\"pareto\": {\"alpha\": 1.04}}")
-        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
-        assert result.exit_code != 0
-
-    def test_mistyped_config_fails_with_one_line(self, runner, tmp_path):
-        doc = json.loads((GOLDEN / "golden_bracketing.json").read_text())
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({**doc, "pareto": None}))
-        result = runner.invoke(main, ["bracketing", "--config", str(bad)])
-        assert result.exit_code == 1
-        assert "pareto must be an object, got None" in result.stderr
-        assert "Traceback" not in result.output
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_nonpositive_threads_fail(self, runner, threads):
-        for command in ("bracketing", "caps"):
-            result = runner.invoke(main, [
-                command, "--config", str(GOLDEN / f"golden_{command}.json"),
-                "--threads", threads])
-            assert result.exit_code == 2
-            assert "--threads" in result.stderr
-
-    def test_unwritable_out_fails_with_one_line(self, runner, tmp_path):
-        out = tmp_path / "missing" / "x.csv"
-        result = runner.invoke(main, [
-            "bracketing", "--runs", "1", "--draws", "5", "--accounts", "2000",
-            "--out", str(out)])
-        assert result.exit_code == 1
-        assert "--out" in result.stderr
-        assert "Traceback" not in result.output
-
-    def test_unwritable_json_out_leaves_no_csv(self, runner, tmp_path):
-        out = tmp_path / "b.csv"
-        result = runner.invoke(main, [
-            "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
-            "--out", str(out), "--json-out", str(tmp_path / "missing" / "b.json")])
-        assert result.exit_code == 1
-        assert "--json-out" in result.stderr
-        assert not out.exists()
-
-    def test_caps_config_fails_with_one_line(self, runner, tmp_path):
-        out = tmp_path / "b.csv"
-        result = runner.invoke(main, [
-            "bracketing", "--config", str(GOLDEN / "golden_caps.json"),
-            "--out", str(out)])
-        assert result.exit_code == 1
-        assert result.stderr.splitlines() == [
-            "Error: bracketing experiment takes a config without caps"]
-        assert not out.exists()
-
     def test_empty_caps_is_the_bracketing_experiment(self, runner, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(
@@ -230,8 +341,7 @@ class TestBracketingCommand:
         assert result.exit_code == 0
         assert result.stdout == (GOLDEN / "bracketing_small.csv").read_text()
         result = runner.invoke(main, ["caps", "--config", str(config)])
-        assert result.stderr.splitlines() == [
-            "Error: cap experiment requires a config with caps"]
+        assert refusal(result) == ["Error: cap experiment requires a config with caps"]
 
     def test_progress_stays_off_stdout(self, runner):
         result = runner.invoke(main, [
@@ -257,24 +367,6 @@ class TestCapsCommand:
             "--threads", threads, "--out", str(tmp_path / "c.csv"), "--json-out", str(out)])
         assert result.exit_code == 0
         assert out.read_bytes() == (JSON_GOLDEN / "caps_small.json").read_bytes()
-
-    @pytest.mark.parametrize("field, bad, message", [
-        ("caps", "321", "caps must be a list, got '321'"),
-        ("caps", [5000.0, "800"], "each cap must be a real number, got '800'"),
-        ("var_levels", [True], "VaR level must be a real number, got True")],
-        ids=["caps-321", "caps-bad1", "var_levels-bad2"])
-    def test_mistyped_float_fields_fail_with_one_line(self, runner, tmp_path, field, bad,
-                                                      message):
-        doc = json.loads((GOLDEN / "golden_caps.json").read_text())
-        doc[field] = bad
-        config = tmp_path / "bad.json"
-        config.write_text(json.dumps(doc))
-        out = tmp_path / "c.csv"
-        result = runner.invoke(main, ["caps", "--config", str(config), "--out", str(out)])
-        assert result.exit_code == 1
-        assert len(result.stderr.splitlines()) == 1
-        assert message in result.stderr
-        assert not out.exists()
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_memory_policy_is_set_by_the_command_not_the_library(
@@ -371,26 +463,6 @@ class TestCapsCommand:
         # loaded or not, as numpy.random leaves it: never blocked
         assert fresh_python(script, GOLDEN / "golden_caps.json") == "False\nTrue\n"
 
-    def test_misspelled_caps_key_fails(self, runner, tmp_path):
-        doc = json.loads((GOLDEN / "golden_caps.json").read_text())
-        doc["capz"] = doc.pop("caps")
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
-        result = runner.invoke(main, ["caps", "--config", str(bad)])
-        assert result.exit_code == 1
-        assert "'capz'" in result.stderr
-
-    def test_config_without_caps_fails_with_one_line(self, runner, tmp_path):
-        out = tmp_path / "c.csv"
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_bracketing.json"),
-            "--out", str(out)])
-        assert result.exit_code == 1
-        assert result.stderr.splitlines() == [
-            "Error: cap experiment requires a config with caps"]
-        assert "Traceback" not in result.output
-        assert not out.exists()
-
     def test_caps_flag_completes_a_config_without_caps(self, runner, tmp_path):
         out = tmp_path / "c.csv"
         result = runner.invoke(main, [
@@ -401,25 +473,11 @@ class TestCapsCommand:
                   "caps": [5000.0, 800.0]}
         assert checks.check_csv(out.read_text(), "caps", config) == []
 
-    def test_bad_out_leaves_existing_json_out_byte_identical(self, runner, tmp_path):
-        keep = tmp_path / "keep.json"
-        keep.write_bytes(b'{"kept": true}\n')
+    def test_outputs_leave_no_temporary_files(self, runner, tmp_path):
         result = runner.invoke(main, [
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--json-out", str(keep), "--out", str(tmp_path / "missing" / "x.csv")])
-        assert result.exit_code == 1
-        assert "--out" in result.stderr
-        assert keep.read_bytes() == b'{"kept": true}\n'
-
-    def test_outputs_leave_no_temporary_files(self, runner, tmp_path):
-        args = ["caps", "--config", str(GOLDEN / "golden_caps.json"),
-                "--json-out", str(tmp_path / "c.json")]
-        result = runner.invoke(main, args + ["--out", str(tmp_path / "c.csv")])
+            "--json-out", str(tmp_path / "c.json"), "--out", str(tmp_path / "c.csv")])
         assert result.exit_code == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.json"]
-        # the JSON target is already open when --out fails to open
-        result = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "c.csv")])
-        assert result.exit_code == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c.csv", "c.json"]
 
     def test_out_through_a_symlink_replaces_its_target(self, runner, tmp_path):
@@ -449,16 +507,6 @@ class TestCapsCommand:
         assert os.path.islink("/dev/stdout")
         assert "cap_800_avg" in read_csv(out)[0]
 
-    def test_out_and_json_out_naming_one_file_fail(self, runner, tmp_path):
-        same = tmp_path / "f"
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--out", str(same), "--json-out", str(same)])
-        assert result.exit_code == 1
-        assert "--out" in result.stderr and "--json-out" in result.stderr
-        assert len(result.stderr.splitlines()) == 1
-        assert not same.exists()
-
     def test_out_through_a_symlink_to_the_json_out_file_fails(self, runner, tmp_path):
         target = tmp_path / "f"
         target.write_bytes(b"kept\n")
@@ -467,8 +515,7 @@ class TestCapsCommand:
         result = runner.invoke(main, [
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
             "--out", str(link), "--json-out", str(target)])
-        assert result.exit_code == 1
-        assert "--json-out" in result.stderr
+        assert refusal(result) == [f"Error: --out and --json-out name the same output: {target}"]
         assert target.read_bytes() == b"kept\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f", "link"]
 
@@ -477,28 +524,6 @@ class TestCapsCommand:
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
             "--out", os.devnull, "--json-out", os.devnull])
         assert result.exit_code == 0
-
-    def test_bad_caps_fail(self, runner):
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--caps", "100,200"])
-        assert result.exit_code != 0
-
-    @pytest.mark.parametrize("caps", ["abc", "5000,,800", "5000,"])
-    def test_unparsable_caps_fail_with_one_line(self, runner, caps):
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"), "--caps", caps])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == [f"Error: could not parse --caps {caps!r}"]
-
-    def test_unparsable_caps_reported_before_a_malformed_config(self, runner, tmp_path):
-        # the flag is parsed as click reads it, before the config is opened
-        bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        result = runner.invoke(main, ["caps", "--config", str(bad), "--caps", "5000,"])
-        assert result.exit_code == 1
-        assert result.stderr.splitlines() == ["Error: could not parse --caps '5000,'"]
 
 
 @pytest.mark.parametrize("name, flags, fields", [
@@ -519,19 +544,6 @@ def test_every_experiment_flag_lands_on_its_field(runner, tmp_path, name, flags,
 
 
 class TestOutputs:
-    @pytest.mark.parametrize("args, option", [
-        (["caps", "--config", str(GOLDEN / "golden_caps.json")], "--json-out"),
-        (["draw", "--alpha", "1.04", "--b", "150", "--accounts", "50", "--prizes", "2",
-          "--multiple", "1"], "--dump-balances"),
-    ])
-    def test_stdout_named_twice_fails_with_one_line(self, runner, args, option):
-        # --out is stdout by default
-        result = runner.invoke(main, args + [option, "-"])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        [line] = result.stderr.splitlines()
-        assert "--out" in line and option in line
-
     @pytest.mark.parametrize("command", ["bracketing", "caps"])
     @pytest.mark.parametrize("option", ["--out", "--json-out"])
     def test_unwritable_output_fails_before_the_run(self, runner, tmp_path, monkeypatch,
@@ -540,15 +552,15 @@ class TestOutputs:
             raise AssertionError("the run started")
 
         monkeypatch.setattr(experiments, f"run_{command}", never)
-        for bad in (str(tmp_path / "missing" / "x"), ""):
+        missing = tmp_path / "missing" / "x"
+        for bad, why in [(str(missing), f"{missing}: No such file or directory"),
+                         ("", "'': the path is empty")]:
             paths = {"--out": str(tmp_path / "o.csv"), "--json-out": str(tmp_path / "o.json")}
             paths[option] = bad
             result = runner.invoke(main, [
                 command, "--config", str(GOLDEN / f"golden_{command}.json"),
                 "--out", paths["--out"], "--json-out", paths["--json-out"]])
-            assert result.exit_code == 1
-            [line] = result.stderr.splitlines()
-            assert line.startswith(f"Error: cannot write {option} ")
+            assert refusal(result) == [f"Error: cannot write {option} {why}"]
             assert list(tmp_path.iterdir()) == []
 
 
@@ -574,13 +586,6 @@ class TestCptCommand:
         assert result.exit_code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
-    def test_unknown_model_rejected(self, runner):
-        result = runner.invoke(main, [
-            "cpt", "--model", "cubic", "--x-min", "1", "--x-max", "100",
-            "--points", "3"])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-
     def test_dynamic_gain_slopes_positive(self, runner):
         result = runner.invoke(main, [
             "cpt", "--model", "dynamic", "--x-min", "0.5", "--x-max", "1e6",
@@ -599,13 +604,6 @@ class TestCptCommand:
         assert row["gain_d1"] == "" and row["total_d2"] == ""
         assert row["gain_signs"] == ""
         assert float(row["gain"]) > 0
-
-    def test_out_of_domain_fails_listing_points(self, runner):
-        result = runner.invoke(main, [
-            "cpt", "--model", "fixed-growth", "--x-min", "100",
-            "--x-max", "500000", "--points", "3"])
-        assert result.exit_code != 0
-        assert "500000" in result.output
 
     def test_gain_vanishes_at_growth_limit(self, runner):
         # y/r = 200000 with the default spec; approach it from below
@@ -626,22 +624,6 @@ class TestCptCommand:
         rows = list(csv.DictReader(result.stdout.splitlines()))
         assert float(rows[0]["gain"]) == 0.0
 
-    @pytest.mark.parametrize("args", [
-        ["--model", "dynamic", "--x-min", "nan", "--x-max", "100"],
-        ["--model", "dynamic", "--x-min", "1", "--x-max", "inf"],
-        ["--model", "dynamic", "--x-min", "1", "--x-max", "100", "--w", "inf"],
-        ["--model", "fixed", "--x-min", "1", "--x-max", "100", "--y", "inf"],
-        ["--model", "fixed-growth", "--x-min", "1", "--x-max", "100", "--r", "nan"],
-        # finite flags whose utility overflows float64
-        ["--model", "dynamic", "--x-min", "1", "--x-max", "1e300", "--w", "1e300"],
-    ])
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
-    def test_non_finite_input_fails_with_one_line(self, runner, args):
-        result = runner.invoke(main, ["cpt", *args, "--points", "3"])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert len(result.stderr.splitlines()) == 1
-
     def test_overflowing_grid_through_standalone_main(self):
         # standalone mode prints a numpy warning as a line of its own, which
         # CliRunner under pytest would raise instead; so run it as a script
@@ -656,14 +638,6 @@ class TestCptCommand:
         assert result.stderr.splitlines() == [
             "Error: utility not finite in float64 at grid points: "
             "2 of 3, first 1e+150, last 1e+300"]
-
-    def test_bad_grid_fails(self, runner):
-        assert runner.invoke(main, [
-            "cpt", "--model", "dynamic", "--x-min", "10", "--x-max", "5",
-            "--points", "3"]).exit_code != 0
-        assert runner.invoke(main, [
-            "cpt", "--model", "dynamic", "--x-min", "0", "--x-max", "5",
-            "--points", "3"]).exit_code != 0  # log spacing needs positive start
 
 
 class TestDrawCommand:
@@ -700,59 +674,6 @@ class TestDrawCommand:
         assert len(lines) == 50
         assert all(float(v) >= 150.0 for v in lines)
 
-    def test_bad_out_leaves_existing_dump_byte_identical(self, runner, tmp_path):
-        dump = tmp_path / "balances.txt"
-        dump.write_bytes(b"1.0\n")
-        result = runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
-            "--prizes", "2", "--multiple", "1", "--dump-balances", str(dump),
-            "--out", str(tmp_path / "missing" / "d.csv")])
-        assert result.exit_code == 1
-        assert dump.read_bytes() == b"1.0\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["balances.txt"]
-
-    def test_out_and_dump_naming_one_file_fail_leaving_it_as_it_was(self, runner, tmp_path):
-        same = tmp_path / "f"
-        same.write_bytes(b"1.0\n")
-        result = runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "100",
-            "--prizes", "3", "--multiple", "1",
-            "--out", str(same), "--dump-balances", str(same)])
-        assert result.exit_code == 1
-        assert "--out" in result.stderr and "--dump-balances" in result.stderr
-        assert len(result.stderr.splitlines()) == 1
-        assert same.read_bytes() == b"1.0\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["f"]
-
-    def test_unwritable_dump_fails_with_one_line(self, runner, tmp_path):
-        result = runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
-            "--prizes", "2", "--multiple", "1",
-            "--dump-balances", str(tmp_path / "missing" / "balances.txt")])
-        assert result.exit_code == 1
-        assert "--dump-balances" in result.stderr
-        assert "Traceback" not in result.output
-
-    def test_infinite_multiple_fails_with_one_line(self, runner):
-        result = runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "100",
-            "--prizes", "3", "--multiple", "inf"])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == [
-            "Error: prize multiple must be finite and positive, got inf"]
-
-    @pytest.mark.parametrize("b, multiple", [("1e307", "1"), ("150", "1e306")])
-    @pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
-    def test_float64_overflow_fails_with_one_line(self, runner, b, multiple):
-        result = runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", b, "--accounts", "100", "--prizes", "3",
-            "--multiple", multiple])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        [line] = result.stderr.splitlines()
-        assert "can overflow float64" in line
-
     def test_population_beyond_the_32_bit_stream_fails_with_one_line(
             self, runner, monkeypatch):
         # refused before the population, 32 GiB of balances, is drawn
@@ -763,85 +684,14 @@ class TestDrawCommand:
         result = runner.invoke(main, [
             "draw", "--alpha", "1.04", "--b", "150", "--accounts", str(2**32 + 1),
             "--prizes", "3", "--multiple", "1"])
-        assert result.exit_code == 1
-        assert result.stdout == ""
-        assert result.stderr.splitlines() == [
+        assert refusal(result) == [
             f"Error: cannot draw from {2**32 + 1} accounts: the 32-bit stream "
             "draws from at most 2**32"]
 
-    def test_negative_seed_fails_naming_its_option(self, runner):
-        result = runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "10",
-            "--prizes", "2", "--multiple", "1", "--seed", "-1"])
-        assert result.exit_code == 2
-        assert result.stdout == ""
-        assert "Invalid value for '--seed': -1 is not in the range x>=0." in result.stderr
-
-    def test_invalid_inputs_fail(self, runner):
-        assert runner.invoke(main, [
-            "draw", "--alpha", "0.9", "--b", "150", "--accounts", "10",
-            "--prizes", "2", "--multiple", "1"]).exit_code != 0
-        assert runner.invoke(main, [
-            "draw", "--alpha", "1.04", "--b", "150", "--accounts", "10",
-            "--prizes", "20", "--multiple", "1"]).exit_code != 0
-
-
-DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-
 
 class TestFailurePath:
-    """Refusals, impossible allocations and failed writes end a command with
-    exit status 1 and one ``Error:`` line, never a traceback."""
-
-    @staticmethod
-    def assert_one_error_line(result):
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        lines = result.stderr.splitlines()
-        assert lines[-1].startswith("Error: ")
-        assert sum(line.startswith("Error:") for line in lines) == 1
-
-    @pytest.mark.parametrize("name", MALFORMED_CONFIGS)
-    @pytest.mark.parametrize("command", ["bracketing", "caps"])
-    def test_malformed_config(self, runner, tmp_path, command, name):
-        config = tmp_path / name
-        config.write_bytes(MALFORMED_CONFIGS[name])
-        result = runner.invoke(main, [command, "--config", str(config)])
-        self.assert_one_error_line(result)
-        assert result.stderr.startswith(f"Error: invalid config {config}: ")
-        assert result.stdout == ""
-
-    def test_repeated_key_is_named(self, runner, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_bytes(MALFORMED_CONFIGS["duplicate-runs.json"])
-        result = runner.invoke(main, ["caps", "--config", str(config)])
-        assert result.stderr.splitlines() == [
-            f"Error: invalid config {config}: duplicate field 'runs'"]
-
-    def test_absurd_cpt_grid(self, runner):
-        result = runner.invoke(main, [
-            "cpt", "--model", "dynamic", "--x-min", "1", "--x-max", "2",
-            "--points", str(10**21)])
-        self.assert_one_error_line(result)
-        assert result.stderr.splitlines() == ["Error: Maximum allowed size exceeded"]
-
-    @DEV_FULL
-    def test_table1_to_a_full_device(self, runner):
-        result = runner.invoke(main, ["table1", "--out", "/dev/full"])
-        self.assert_one_error_line(result)
-        assert result.stderr.splitlines() == ["Error: [Errno 28] No space left on device"]
-
-    @DEV_FULL
-    def test_full_json_out_leaves_out_as_it_was(self, runner, tmp_path):
-        out = tmp_path / "out.csv"
-        out.write_bytes(b"old\n")
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--out", str(out), "--json-out", "/dev/full"])
-        self.assert_one_error_line(result)
-        assert "No space left on device" in result.stderr
-        assert out.read_bytes() == b"old\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    """Impossible allocations end a command with exit status 1 and one
+    ``Error:`` line, never a traceback; a closed stdout ends it quietly."""
 
     # the allocation is faked: where the kernel overcommits memory, a real
     # request of this size can succeed and exhaust the host when touched
@@ -855,9 +705,9 @@ class TestFailurePath:
         result = runner.invoke(main, [
             "bracketing", "--config", str(GOLDEN / "golden_bracketing.json"),
             "--threads", "1", "--out", str(out)])
-        self.assert_one_error_line(result)
-        assert result.stderr.splitlines()[-1] == (
-            "Error: Unable to allocate 72.8 TiB for an array")
+        assert refusal(result) == [
+            "bracketing: 3 runs x 40 draws, 2 schedules, seed 5",
+            "Error: Unable to allocate 72.8 TiB for an array"]
         assert not out.exists()
 
     def test_impossible_population_in_a_drawing(self, runner, tmp_path, monkeypatch):
@@ -866,7 +716,7 @@ class TestFailurePath:
         result = runner.invoke(main, [
             "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
             "--prizes", "2", "--multiple", "1", "--out", str(out)])
-        self.assert_one_error_line(result)
+        assert refusal(result) == ["Error: Unable to allocate 72.8 TiB for an array"]
         assert not out.exists()
 
     def test_bare_memory_error_still_names_itself(self, runner, monkeypatch):
@@ -877,8 +727,7 @@ class TestFailurePath:
         result = runner.invoke(main, [
             "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
             "--prizes", "2", "--multiple", "1"])
-        self.assert_one_error_line(result)
-        assert result.stderr.splitlines() == ["Error: MemoryError"]
+        assert refusal(result) == ["Error: MemoryError"]
 
     def test_run_count_no_array_can_hold(self, runner, monkeypatch):
         # the result is sized before the first run, so no run may start and
@@ -890,49 +739,7 @@ class TestFailurePath:
         result = runner.invoke(main, [
             "caps", "--config", str(GOLDEN / "golden_caps.json"),
             "--runs", str(10**19), "--out", "/dev/null"])
-        self.assert_one_error_line(result)
-        assert result.stderr.splitlines() == ["Error: Maximum allowed dimension exceeded"]
-
-    @pytest.mark.parametrize("caps", ["inf", "1e400", "5000,nan"])
-    def test_non_finite_cap_flag(self, runner, tmp_path, caps):
-        json_out = tmp_path / "x.json"
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"), "--caps", caps,
-            "--out", "/dev/null", "--json-out", str(json_out)])
-        self.assert_one_error_line(result)
-        assert result.stderr.startswith("Error: caps must be finite and positive, got ")
-        assert not json_out.exists()
-
-    def test_caps_flag_of_one_label(self, runner, tmp_path):
-        # two caps that would write two cap_50000 column pairs and one JSON key
-        out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
-        result = runner.invoke(main, [
-            "caps", "--config", str(GOLDEN / "golden_caps.json"),
-            "--caps", "250000,50000.01,50000", "--out", str(out), "--json-out", str(json_out)])
-        self.assert_one_error_line(result)
-        assert result.stderr.splitlines() == [
-            "Error: caps 50000.01 and 50000.0 share the label '50000'"]
-        assert list(tmp_path.iterdir()) == []
-
-    def test_non_finite_cap_in_config(self, runner, tmp_path):
-        bad = tmp_path / "bad.json"
-        # JSON reads 1e400 as infinity
-        bad.write_text((GOLDEN / "golden_caps.json").read_text().replace(
-            "5000.0", "1e400"))
-        result = runner.invoke(main, ["caps", "--config", str(bad)])
-        self.assert_one_error_line(result)
-        assert "caps must be finite and positive, got inf" in result.stderr
-        assert result.stdout == ""
-
-    def test_grid_outside_the_domain_makes_a_short_line(self, runner):
-        result = runner.invoke(main, [
-            "cpt", "--model", "fixed", "--x-min", "0", "--x-max", "1e9",
-            "--points", "100000", "--spacing", "linear"])
-        self.assert_one_error_line(result)
-        assert len(result.stderr.encode()) < 200
-        assert result.stderr.splitlines() == [
-            "Error: grid points outside the model domain: 99900 of 100000, "
-            "first 1000010.000100001, last 1000000000.0"]
+        assert refusal(result) == ["Error: Maximum allowed dimension exceeded"]
 
     def test_closed_stdout_is_left_to_click(self, runner, monkeypatch):
         # click's standalone main exits quietly on EPIPE; the boundary must
@@ -945,7 +752,8 @@ class TestFailurePath:
             "draw", "--alpha", "1.04", "--b", "150", "--accounts", "50",
             "--prizes", "2", "--multiple", "1"])
         assert result.exit_code == 1
-        assert result.stderr == ""
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == result.stderr == ""
 
 
 def _mostly(common, *rare):
@@ -990,7 +798,7 @@ def _malformed_configs() -> list[Path]:
     that is removed when the interpreter exits."""
     folder = Path(tempfile.mkdtemp(prefix="plsim-malformed-"))
     atexit.register(shutil.rmtree, folder, ignore_errors=True)
-    for name, text in MALFORMED_CONFIGS.items():
+    for name, (text, _) in MALFORMED_CONFIGS.items():
         (folder / name).write_bytes(text)
     return sorted(folder.iterdir())
 
@@ -1041,14 +849,10 @@ def test_no_input_makes_a_traceback(args):
         out = Path(tmp) / "out.csv"
         out.write_bytes(b"old\n")
         result = CliRunner().invoke(main, args + ["--out", str(out)])
-        assert result.exception is None or isinstance(result.exception, SystemExit), args
-        lines = result.stderr.splitlines()
         assert result.exit_code in (0, 1, 2), args
-        if result.exit_code == 1:
-            assert lines[-1].startswith("Error: "), args
-            assert sum(line.startswith("Error:") for line in lines) == 1, args
-        elif result.exit_code == 2:
-            assert any(line.startswith("Error:") for line in lines), args
-        if result.exit_code != 0:
+        if result.exit_code == 0:
+            assert result.exception is None, args
+        else:
+            refusal(result, result.exit_code)
             assert out.read_bytes() == b"old\n", args
         assert os.listdir(tmp) == ["out.csv"], args

@@ -283,6 +283,26 @@ class TestSignReport:
             sign_report(spec, np.array(grid))
         assert str(err.value) == f"utility not finite in float64 at grid points: {tally}"
 
+    @pytest.mark.parametrize("grid, tally", [
+        # X * c is subnormal at X = 1, so X - h and X + h give the same p;
+        # from X = 1e150 on the second difference over h**2 underflows
+        ([1.0, 1e150, 1e300], "3 of 3, first 1.0, last 1e+300"),
+        ([1e150, 1e300], "2 of 2, first 1e+150, last 1e+300"),
+    ], ids=["equal-stencil", "underflowing-quotient"])
+    def test_unresolved_difference_rejected(self, grid, tally):
+        # the gain slope is positive and its curvature negative at every point
+        with pytest.raises(ValueError) as err:
+            sign_report(replace(FIXED_NG, prob_per_unit=1e-320), np.array(grid))
+        assert str(err.value) == f"differences not resolved in float64 at grid points: {tally}"
+
+    def test_zero_difference_of_distinct_values_is_kept(self):
+        # around X * c = 0.426, the weighting curve's inflection, the second
+        # difference of three distinct values cancels to exactly 0 at about
+        # one point in five: measured there, not lost, so reported as 0
+        report = sign_report(FIXED_NG, np.linspace(426_000.0, 426_400.0, 401))
+        assert all(pt.gain_slope > 0.0 for pt in report)
+        assert sum(pt.gain_curvature == 0.0 for pt in report) > 10
+
     def test_stencil_infeasible_at_boundary(self):
         report = sign_report(DYN, np.array([0.0, 1.0]))
         assert report[0].gain_slope is None
