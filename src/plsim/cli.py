@@ -30,9 +30,10 @@ from functools import partial
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from . import drawing, experiments
-from .drawing import PrizeSchedule, best_payout, expected_payout, payouts, worst_payout
+from .drawing import PrizeSchedule, expected_payout, payout_bounds, payouts
 from .pareto import ParetoParams, mean, quantile
 from .population import generate, require_drawable
 
@@ -261,15 +262,15 @@ Without --config, uses the full-scale preset: 1,000 draws per run,
 @click.option("--spacing", type=click.Choice(["log", "linear"]), default="log",
               show_default=True)
 @click.option("--y", "prize", type=float, default=10_000.0, show_default=True,
-              help="Fixed models: prize amount.")
+              help="Fixed models only: prize amount.")
 @click.option("--c", "prob_per_unit", type=float, default=1e-6, show_default=True,
-              help="Fixed models: win-probability slope per unit saved.")
+              help="Fixed models only: win-probability slope per unit saved.")
 @click.option("--r", "growth_rate", type=float, default=0.05, show_default=True,
               help="Assumed growth rate; --model fixed checks it, then uses r = 0.")
 @click.option("--w", "multiple", type=float, default=1.0, show_default=True,
-              help="Dynamic model: prize multiple.")
+              help="Dynamic model only: prize multiple.")
 @click.option("--p", "win_prob", type=float, default=0.01, show_default=True,
-              help="Dynamic model: win probability.")
+              help="Dynamic model only: win probability.")
 @click.option("--out", default="-", show_default=True,
               help="Output CSV path, or - for stdout.")
 def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
@@ -280,6 +281,13 @@ def cmd_cpt(model, x_min, x_max, points, spacing, prize, prob_per_unit,
     """
     from . import cpt  # here, so that no other command loads it
 
+    # a flag of the other kind of model would be taken unchecked and ignored
+    ctx = click.get_current_context()
+    unread = ("prize", "prob_per_unit") if model == "dynamic" else ("multiple", "win_prob")
+    for param in ctx.command.params:
+        given = ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+        if given and param.name in unread:
+            raise ValueError(f"--model {model} does not read {param.opts[0]}")
     if points < 1:
         raise ValueError("--points must be >= 1")
     for option, x in (("--x-min", x_min), ("--x-max", x_max)):
@@ -340,13 +348,14 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
     """Run a single drawing against a fresh population (debug tool)."""
     params = ParetoParams(alpha, b)
     sched = PrizeSchedule(prizes, multiple)
-    require_drawable(params, accounts, multiple)
+    require_drawable(params, accounts, [multiple])
 
     with _outputs(("--out", out), ("--dump-balances", dump_path)) as (stream, dump):
         rng = np.random.default_rng(seed)
         pop = generate(params, accounts, rng)
         payout = payouts(pop, sched, mechanism, rng, 1)[0, 0]
         expected = expected_payout(pop, sched)[0]
+        best, worst = payout_bounds(pop, sched, mechanism)[:, 0]
         if dump is not None:
             np.savetxt(dump, pop.balances, fmt="%.6f")
         writer = csv.writer(stream, lineterminator="\n")
@@ -355,8 +364,7 @@ def cmd_draw(alpha, b, accounts, prizes, multiple, mechanism, seed, dump_path, o
         writer.writerow([
             mechanism, accounts, prizes, f"{multiple:g}", seed,
             f"{payout:.6f}", f"{expected:.6f}", f"{payout / expected:.6f}",
-            f"{best_payout(pop, sched, mechanism):.6f}",
-            f"{worst_payout(pop, sched, mechanism)[0]:.6f}",
+            f"{best:.6f}", f"{worst:.6f}",
         ])
 
 

@@ -20,14 +20,14 @@ height that returns a fresh block of winners, and one loop,
 ``winner_blocks``, draws them in blocks of drawings, which ``payouts``
 prices, uncapped and at each balance cap; ``plsim draw`` prints the payout
 of its one drawing. One rule, ``_price``, prices every level: ``payouts``'
-blocks and the single rows of ``worst_payout`` and ``expected_payout``. A
-block holds at most ``_BLOCK_WINNERS`` winners, so its memory is bounded by
-that budget, not by the prize count. One block's arrays are alive at a
-time: ``payouts`` gathers and prices a block, summing straight into its
-output, and deletes it before the next block is drawn, so a call holds
-0.49 MiB of winner indices, 0.49 MiB of gathered balances and, while a block
-is drawn, the kernel's scratch, at any prize count; ``TestPeakMemory`` in
-``tests/test_drawing.py`` bounds that peak.
+blocks, the best and the worst row of ``payout_bounds`` and the one row of
+``expected_payout``. A block holds at most ``_BLOCK_WINNERS`` winners, so
+its memory is bounded by that budget, not by the prize count. One block's
+arrays are alive at a time: ``payouts`` gathers and prices a block, summing
+straight into its output, and deletes it before the next block is drawn, so
+a call holds 0.49 MiB of winner indices, 0.49 MiB of gathered balances and,
+while a block is drawn, the kernel's scratch, at any prize count;
+``TestPeakMemory`` in ``tests/test_drawing.py`` bounds that peak.
 
 Both kernels draw their integers in one routine, ``_lemire``: Lemire's
 multiply-and-reject on the 32-bit stream of a PCG64 generator, read in bulk
@@ -379,38 +379,27 @@ def _bracketed_rows(rng: np.random.Generator, n: int, k: int):
     return rows
 
 
-def _extremes(pop: AccountPopulation, sched: PrizeSchedule,
-              mechanism: str) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted-order positions of the winners of the smallest and of the
-    largest payout: the ``count`` smallest and largest accounts (random), or
-    each bracket's smallest and largest account (bracketed)."""
+def payout_bounds(pop: AccountPopulation, sched: PrizeSchedule,
+                  mechanism: str, caps=()) -> np.ndarray:
+    """Smallest (row 0) and largest (row 1) payout the mechanism can produce
+    for this sample, uncapped and then with every balance truncated at each
+    of ``caps``, shape (2, 1 + len(caps)); ``caps`` as for ``payouts``.
+
+    The smallest payout's winners are the ``count`` smallest accounts
+    (random) or each bracket's smallest (bracketed), the largest's the
+    ``count`` largest or each bracket's largest. Capping keeps the balance
+    order, so the same accounts bound the payout at any cap, and only their
+    balances are truncated.
+    """
+    require_caps(caps)
     _check(pop, sched, mechanism)
     n, k = pop.count, sched.count
     if mechanism == "random":
-        return np.arange(k), np.arange(n - k, n)
-    bounds = bracket_bounds(n, k)
-    return bounds[:-1], bounds[1:] - 1
-
-
-def worst_payout(pop: AccountPopulation, sched: PrizeSchedule,
-                 mechanism: str, caps=()) -> np.ndarray:
-    """Largest payout the mechanism can produce for this sample, uncapped
-    and then with every balance truncated at each of ``caps``, shape
-    (1 + len(caps),); ``caps`` as for ``payouts``.
-
-    Capping keeps the balance order, so the same accounts win at any cap,
-    and only their balances are truncated.
-    """
-    require_caps(caps)
-    _, worst = _extremes(pop, sched, mechanism)
-    out = np.empty(1 + len(caps))
-    _price(pop.sorted_balances[worst], caps, out)
+        winners = np.array([np.arange(k), np.arange(n - k, n)])
+    else:
+        bounds = bracket_bounds(n, k)
+        winners = np.array([bounds[:-1], bounds[1:] - 1])
+    out = np.empty((2, 1 + len(caps)))
+    _price(pop.sorted_balances[winners], caps, out.T)
     out *= sched.multiple
     return out
-
-
-def best_payout(pop: AccountPopulation, sched: PrizeSchedule,
-                mechanism: str) -> float:
-    """Smallest payout the mechanism can produce for this sample."""
-    best, _ = _extremes(pop, sched, mechanism)
-    return float(pop.sorted_balances[best].sum() * sched.multiple)

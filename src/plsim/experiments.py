@@ -43,7 +43,7 @@ from functools import partial
 import numpy as np
 
 from .drawing import (MECHANISMS, PrizeSchedule, _require_descending, cap_label,
-                      expected_payout, payouts, require_caps, worst_payout)
+                      expected_payout, payout_bounds, payouts, require_caps)
 from .pareto import ParetoParams, _integer, _real
 from .population import AccountPopulation, generate, require_drawable
 
@@ -105,7 +105,7 @@ class ExperimentConfig:
         if self.n_accounts < max(s.count for s in self.schedules):
             raise ValueError("n_accounts must cover the largest prize count")
         require_drawable(self.pareto, self.n_accounts,
-                         max(s.multiple for s in self.schedules))
+                         [s.multiple for s in self.schedules], self.caps)
         for lvl in self.var_levels:
             if not 0.0 < lvl < 1.0:
                 raise ValueError(f"VaR level {lvl} outside (0, 1)")
@@ -355,7 +355,7 @@ def _one_run(config: ExperimentConfig, run_index: int) -> np.ndarray:
                 raise RuntimeError("invariant violation: a drawing's raw payout "
                                    "increased after lowering the cap")
             levels = np.column_stack((np.sort(raw, axis=1)[:, ranks],
-                                      worst_payout(pop, sched, mechanism, caps)))
+                                      payout_bounds(pop, sched, mechanism, caps)[1]))
             variants.append(levels / expected[:, None])
         out.append(np.concatenate(variants).T)
     return np.array(out)

@@ -59,19 +59,28 @@ def require_stream_range(n: int) -> None:
                          "draws from at most 2**32")
 
 
-def require_drawable(params: ParetoParams, n: int, multiple: float) -> None:
-    """Refuse ``n`` balances of ``params``, paid out at ``multiple`` times a
-    sum of them, before any is drawn: beyond the 32-bit stream's range, or
-    where float64 can overflow. No balance exceeds b * 2**(53 / alpha), the
+def require_drawable(params: ParetoParams, n: int, multiples, caps=()) -> None:
+    """Refuse ``n`` balances of ``params``, paid out at each of ``multiples``
+    times a sum of them, uncapped and truncated at each of ``caps``, before
+    any is drawn: beyond the 32-bit stream's range, or where float64 can
+    overflow or underflow. No balance exceeds b * 2**(53 / alpha), the
     quantile at the sampler's largest uniform 1 - 2**-53, so no sum or payout
-    exceeds n times that, times the multiple when above 1."""
+    exceeds n times that, times the largest multiple when above 1. No balance
+    is below b, nor a capped one below the smallest cap, so no sum or payout
+    is below the smaller of the two, times the smallest multiple when below 1."""
     if n < 1:
         return  # generate refuses an empty population
     require_stream_range(n)
+    largest, smallest = max(multiples), min(multiples)
     # in bits, so that the bound itself cannot overflow
     bits = (math.log2(n) + math.log2(params.b) + 53 / params.alpha
-            + math.log2(max(1.0, multiple)))
+            + math.log2(max(1.0, largest)))
     if bits >= 1024:  # float64 ends below 2**1024
         raise ValueError(f"{n} accounts of Pareto {params.label()} at prize multiple "
-                         f"{multiple:g} can overflow float64")
+                         f"{largest:g} can overflow float64")
+    floor = min((params.b, *caps))
+    if floor * min(1.0, smallest) < np.finfo(float).tiny:  # below it, float64 loses bits
+        at = f"cap {floor:g} and prize multiple" if floor < params.b else "prize multiple"
+        raise ValueError(f"{n} accounts of Pareto {params.label()} at {at} {smallest:g} "
+                         "can underflow float64")
 

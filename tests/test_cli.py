@@ -34,6 +34,10 @@ def _caps_doc(**fields) -> bytes:
     return json.dumps({**_CAPS_DOC, **fields}).encode()
 
 
+# the caps golden's schedules at prize multiple 1e-300
+_TINY_SCHEDULES = [{**s, "multiple": 1e-300} for s in _CAPS_DOC["schedules"]]
+
+
 # config files that each experiment command must refuse, each with the end of
 # its line after "Error: invalid config <path>: "; "..." stands for the
 # wording of Python's own error
@@ -64,6 +68,18 @@ MALFORMED_CONFIGS = {
     "overflowing-scale.json": (_CAPS_JSON.replace('"b": 150.0', '"b": 1e307').encode(),
                                "300 accounts of Pareto 1.04/1e+307 at prize multiple 2 "
                                "can overflow float64"),
+    # finite and positive, but a payout can fall below float64's normal range
+    "underflowing-payouts.json": (
+        _caps_doc(caps=[], pareto={"alpha": 1.04, "b": 1e-300}, schedules=_TINY_SCHEDULES),
+        "300 accounts of Pareto 1.04/1e-300 at prize multiple 1e-300 can underflow float64"),
+    "underflowing-caps.json": (
+        _caps_doc(caps=[1e-299, 1e-300], schedules=_TINY_SCHEDULES),
+        "300 accounts of Pareto 1.04/150 at cap 1e-300 and prize multiple 1e-300 "
+        "can underflow float64"),
+    # a subnormal cap holds fewer bits than a balance
+    "subnormal-cap.json": (_caps_doc(caps=[1e-307, 1e-310]),
+                           "300 accounts of Pareto 1.04/150 at cap 1e-310 and prize multiple 1 "
+                           "can underflow float64"),
     # json.load alone keeps the last of a repeated key
     "duplicate-runs.json": (_CAPS_JSON.replace('"runs": ', '"runs": 1, "runs": ').encode(),
                             "duplicate field 'runs'"),
@@ -201,6 +217,9 @@ REFUSALS = [
       for text, value in [("inf", "inf"), ("1e400", "inf"), ("5000,nan", "nan")]),
     *(_row(f"caps-caps={text}", CAPS + ["--caps", text], f"Error: could not parse --caps {text!r}")
       for text in ["abc", "5000,,800", "5000,"]),
+    _row("caps-subnormal-cap", CAPS + ["--caps", "5000,1e-310"],
+         "Error: 300 accounts of Pareto 1.04/150 at cap 1e-310 and prize multiple 1 "
+         "can underflow float64"),
     # the flag is parsed as click reads it, before the config is opened
     _row("caps-caps=5000,-before-a-malformed-config",
          CAPS + ["--config", f"{TMP}/bad.json", "--caps", "5000,"],
@@ -218,6 +237,13 @@ REFUSALS = [
          "Error: prize multiple must be finite and exceed the growth rate, got inf"),
     _row("cpt-fixed-y=inf", CPT + ["--model", "fixed", "--y", "inf"],
          "Error: prize must be finite and positive, got inf"),
+    # the other kind of model's flag, which would be taken unchecked and
+    # ignored, at any value
+    *(_row(f"cpt-{model}-{flag[2:]}={value}", CPT + ["--model", model, flag, value],
+           f"Error: --model {model} does not read {flag}")
+      for model, flag, value in [("fixed", "--w", "inf"), ("fixed", "--p", "5"),
+                                 ("fixed-growth", "--w", "1"), ("fixed-growth", "--p", "0.01"),
+                                 ("dynamic", "--y", "inf"), ("dynamic", "--c", "-1")]),
     *(_row(f"cpt-{model}-r={r}", CPT + ["--model", model, "--r", r],
            f"Error: growth rate must be finite and non-negative, got {float(r)}")
       for model, r in [("fixed-growth", "nan"), ("fixed", "-1")]),  # fixed then uses r = 0
@@ -249,6 +275,14 @@ REFUSALS = [
            "can overflow float64")
       for flag, value, pair, multiple in [("--b", "1e307", "1.04/1e+307", "1"),
                                           ("--multiple", "1e306", "1.04/150", "1e+306")]),
+    # payouts or balances below float64's normal range, where it keeps fewer
+    # bits: at 1e-300 * 1e-300 both payouts are 0 and the scaled one 0 / 0
+    *(_row(f"draw-underflowing-{name}", DRAW + ["--b", b, "--multiple", multiple],
+           f"Error: 100 accounts of Pareto 1.04/{b} at prize multiple {shown} "
+           "can underflow float64")
+      for name, b, multiple, shown in [("payouts", "1e-300", "1e-300", "1e-300"),
+                                       ("multiple", "0.1", "5e-324", "4.94066e-324"),
+                                       ("b", "1e-310", "1", "1")]),
     _row("draw-negative-seed", DRAW + ["--seed", "-1"], status=2,
          line="Error: Invalid value for '--seed': -1 is not in the range x>=0."),
     _row("draw-dump-to-stdout", DRAW + ["--dump-balances", "-"],
@@ -770,10 +804,12 @@ def _sizes(small: int):
 
 _WILD_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308]),
                          st.floats())
+# log-uniform from 1e-320 to 1e-300, across the smallest normal float64, 2.2e-308
+_TINY_FLOATS = st.floats(-320.0, -300.0).map(lambda exponent: 10.0**exponent)
 
 
-def _floats(lo: float, hi: float):
-    return _mostly(st.floats(lo, hi), _WILD_FLOATS).map(repr)
+def _floats(lo: float, hi: float, *rare):
+    return _mostly(st.floats(lo, hi), _WILD_FLOATS, *rare).map(repr)
 
 
 def _options(draw_from, required: dict, optional: dict) -> list[str]:
@@ -814,7 +850,7 @@ def _experiment_args(draw_from):
     optional = {"--seed": _sizes(10**6),
                 "--threads": _mostly(st.just("1"), st.sampled_from(["0", "-2", "two"]))}
     if name == "caps":
-        optional["--caps"] = st.lists(_floats(1.0, 1e5), max_size=4).map(",".join)
+        optional["--caps"] = st.lists(_floats(1.0, 1e5, _TINY_FLOATS), max_size=4).map(",".join)
     if config is None:  # the full-scale preset: its sizes must be overridden
         return [name] + _options(draw_from, sizes, optional)
     return [name, "--config", str(config)] + _options(draw_from, {}, {**sizes, **optional})
@@ -822,21 +858,25 @@ def _experiment_args(draw_from):
 
 @st.composite
 def _cpt_args(draw_from):
-    return ["cpt"] + _options(draw_from, {
-        "--model": st.sampled_from(cli.CPT_MODELS),
+    model = draw_from(st.sampled_from(cli.CPT_MODELS))
+    fixed = {"--y": _floats(1.0, 1e5), "--c": _floats(1e-9, 1e-5)}
+    dynamic = {"--w": _floats(1.0, 5.0), "--p": _floats(0.0, 1.0)}
+    own, other = (dynamic, fixed) if model == "dynamic" else (fixed, dynamic)
+    # the other kind of model's flags, which are refused, one time in four
+    flags = draw_from(_mostly(st.just(own), st.just({**own, **other})))
+    return ["cpt", "--model", model] + _options(draw_from, {
         "--x-min": _floats(0.0, 1e3), "--x-max": _floats(1e3, 1e5), "--points": _sizes(50),
     }, {
-        "--spacing": st.sampled_from(["log", "linear"]), "--y": _floats(1.0, 1e5),
-        "--c": _floats(1e-9, 1e-5), "--r": _floats(0.0, 0.2), "--w": _floats(1.0, 5.0),
-        "--p": _floats(0.0, 1.0),
+        "--spacing": st.sampled_from(["log", "linear"]), "--r": _floats(0.0, 0.2), **flags,
     })
 
 
 @st.composite
 def _draw_args(draw_from):
     return ["draw"] + _options(draw_from, {
-        "--alpha": _floats(1.01, 3.0), "--b": _floats(1.0, 1e3),
-        "--accounts": _sizes(2_000), "--prizes": _sizes(50), "--multiple": _floats(0.1, 100.0),
+        "--alpha": _floats(1.01, 3.0), "--b": _floats(1.0, 1e3, _TINY_FLOATS),
+        "--accounts": _sizes(2_000), "--prizes": _sizes(50),
+        "--multiple": _floats(0.1, 100.0, _TINY_FLOATS),
     }, {
         "--mechanism": st.sampled_from(MECHANISMS), "--seed": _sizes(10**6),
     })

@@ -10,14 +10,13 @@ from plsim import drawing
 from plsim.drawing import (
     MECHANISMS,
     PrizeSchedule,
-    best_payout,
     bracket_bounds,
     cap_label,
     expected_interest,
     expected_payout,
+    payout_bounds,
     payouts,
     winner_blocks,
-    worst_payout,
 )
 from plsim.experiments import DEFAULT_CAPS
 from plsim.pareto import ParetoParams, quantile
@@ -176,28 +175,28 @@ class TestDrawBracketed:
             payouts(POP4, PrizeSchedule(9, 1.0), "bracketed", rng, 1)
 
 
-class TestWorstBest:
-    def test_four_account_values(self):
-        assert worst_payout(POP4, TWO_AT_100, "random") == pytest.approx(700.0)
-        assert worst_payout(POP4, TWO_AT_100, "bracketed") == pytest.approx(600.0)
-        assert best_payout(POP4, TWO_AT_100, "random") == pytest.approx(300.0)
-        assert best_payout(POP4, TWO_AT_100, "bracketed") == pytest.approx(400.0)
+class TestPayoutBounds:
+    # random: the two smallest accounts, 100 and 200, and the two largest,
+    # 300 and 400; bracketed: each bracket's smallest, 100 and 300, and
+    # largest, 200 and 400; each cap truncates the same winners' balances
+    @pytest.mark.parametrize("mechanism, bounds", [
+        ("random", [[300.0, 300.0, 250.0], [700.0, 650.0, 300.0]]),
+        ("bracketed", [[400.0, 400.0, 250.0], [600.0, 550.0, 300.0]]),
+    ])
+    def test_four_account_values(self, mechanism, bounds):
+        got = payout_bounds(POP4, TWO_AT_100, mechanism, (350.0, 150.0))
+        assert got.tolist() == bounds
+        assert payout_bounds(POP4, TWO_AT_100, mechanism).tolist() == [[b[0]] for b in bounds]
 
     def test_unknown_mechanism(self):
-        with pytest.raises(ValueError):
-            worst_payout(POP4, TWO_AT_100, "sorted")
-
-    def test_capped_worst_truncates_the_same_winners(self):
-        assert worst_payout(POP4, TWO_AT_100, "random", (350.0,))[1] == 650.0
-        assert worst_payout(POP4, TWO_AT_100, "bracketed", (350.0,))[1] == 550.0
-        assert worst_payout(POP4, TWO_AT_100, "random", (50.0,))[1] == 100.0
-        assert worst_payout(POP4, TWO_AT_100, "random", ())[0] == 700.0
+        with pytest.raises(ValueError, match="unknown mechanism 'sorted'"):
+            payout_bounds(POP4, TWO_AT_100, "sorted")
 
     @pytest.mark.parametrize("mechanism", MECHANISMS)
     @pytest.mark.parametrize("cap", [np.nan, 0.0, -350.0])
     def test_refuses_a_cap_that_is_nan_or_not_positive(self, mechanism, cap):
         with pytest.raises(ValueError, match="caps must be finite and positive"):
-            worst_payout(POP4, TWO_AT_100, mechanism, (cap,))
+            payout_bounds(POP4, TWO_AT_100, mechanism, (cap,))
 
     def test_sorted_values_leave_the_account_order_uncomputed(self, monkeypatch):
         # every reader of the sort needs the values alone, which np.sort
@@ -210,9 +209,7 @@ class TestWorstBest:
         sched = PrizeSchedule(10, 2.0)
         assert np.all(np.diff(pop.sorted_balances) >= 0.0)
         for mech in ("random", "bracketed"):
-            worst_payout(pop, sched, mech)
-            worst_payout(pop, sched, mech, (1000.0,))
-            best_payout(pop, sched, mech)
+            payout_bounds(pop, sched, mech, (1000.0,))
         payouts(pop, sched, "bracketed", np.random.default_rng(5), 300, (1000.0,))
 
 
@@ -233,7 +230,7 @@ class TestBatchHelpers:
         with pytest.raises(ValueError, match=message):
             payouts(POP4, TWO_AT_100, mechanism, np.random.default_rng(0), 3, caps)
         with pytest.raises(ValueError, match=message):
-            worst_payout(POP4, TWO_AT_100, mechanism, caps)
+            payout_bounds(POP4, TWO_AT_100, mechanism, caps)
         with pytest.raises(ValueError, match=message):
             expected_payout(POP4, TWO_AT_100, caps)
 
@@ -413,10 +410,10 @@ class TestBatchedKernelsExact:
         assert np.array_equal(got, ref)
 
 
-def generator(bit_generator, seed, buffered):
-    """A Generator on ``bit_generator(seed)`` after ``buffered`` uint32 draws;
-    after one, PCG64 holds the high half of its first output."""
-    rng = np.random.Generator(bit_generator(seed))
+def generator(seed, buffered):
+    """A Generator on ``PCG64(seed)`` after ``buffered`` uint32 draws; after
+    one, PCG64 holds the high half of its first output."""
+    rng = np.random.Generator(np.random.PCG64(seed))
     rng.integers(0, 2**32, size=buffered, dtype=np.uint32)
     return rng
 
@@ -439,29 +436,26 @@ class TestRawStreamExact:
     and successive ``integers`` calls."""
 
     ROWS = 4 * HEIGHT + 3
-    BIT_GENERATORS = [np.random.PCG64]
 
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", [0, 1])
     @pytest.mark.parametrize("count", [1, 2, 3, 1000, 1001])
-    def test_raw32_equals_integers(self, bit_generator, buffered, count):
+    def test_raw32_equals_integers(self, buffered, count):
         # a range of 2**32 never rejects and its draw is the raw value as is,
         # so one block of `count` rows is the kernel's read of the 32-bit
         # stream; a window of 64 splits the longer reads
-        rng, ref = (generator(bit_generator, 5, buffered) for _ in range(2))
+        rng, ref = (generator(5, buffered) for _ in range(2))
         got = drawing._lemire(rng, np.array([2**32], dtype=np.uint64), 64)(count)
         assert got.shape == (count, 1)
         assert np.array_equal(got[:, 0],
                               ref.integers(0, 2**32, size=count, dtype=np.uint32))
         assert state(rng) == state(ref)
 
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", [0, 1])
     # k = 7 makes the last block's m * k odd, so a half is left over; with
     # k = 1 every pair of sorted keys spans two rows
     @pytest.mark.parametrize("n, k", [(100_000, 100), (100_000, 7), (10_000, 500), (100, 1)])
-    def test_blocks_and_state_equal_choice_calls(self, bit_generator, buffered, n, k):
-        rng, ref = (generator(bit_generator, 7, buffered) for _ in range(2))
+    def test_blocks_and_state_equal_choice_calls(self, buffered, n, k):
+        rng, ref = (generator(7, buffered) for _ in range(2))
         assert np.array_equal(batched_rows(rng, n, k, self.ROWS),
                               choice_loop(ref, n, k, self.ROWS))
         assert state(rng) == state(ref)
@@ -478,7 +472,7 @@ class TestRawStreamExact:
 
         halves = drawing._halves
         monkeypatch.setattr(drawing, "_halves", counted)
-        rng, ref = (generator(np.random.PCG64, 11, buffered) for _ in range(2))
+        rng, ref = (generator(11, buffered) for _ in range(2))
         n, k = 2**22, 1000
         assert np.array_equal(batched_rows(rng, n, k, self.ROWS),
                               choice_loop(ref, n, k, self.ROWS))
@@ -493,17 +487,16 @@ class TestRawStreamExact:
         # window runs whole rows from that slot, or the rest of the read or
         # of the block where less than a row is left
         sizes = 2**31 + np.arange(1, 8, dtype=np.int64)
-        rng, ref = (generator(np.random.PCG64, 29, buffered) for _ in range(2))
+        rng, ref = (generator(29, buffered) for _ in range(2))
         draw = drawing._lemire(rng, sizes, 21)
         for _ in range(4):
             assert np.array_equal(draw(5), ref.integers(0, sizes, size=(5, 7)))
             assert state(rng) == state(ref)
 
-    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     @pytest.mark.parametrize("buffered", [0, 1])
-    def test_single_draw_equals_one_choice_call(self, bit_generator, buffered):
+    def test_single_draw_equals_one_choice_call(self, buffered):
         pop = generate(ParetoParams(1.04, 150.0), 20_000, 73)
-        rng, ref = (generator(bit_generator, 13, buffered) for _ in range(2))
+        rng, ref = (generator(13, buffered) for _ in range(2))
         winners = winner_matrix(pop, PrizeSchedule(7, 1.0), rng, 1)
         assert np.array_equal(winners[0],
                               ref.choice(pop.count, 7, replace=False, shuffle=False))
@@ -513,7 +506,7 @@ class TestRawStreamExact:
     @pytest.mark.parametrize("n", [1, 1001, 100_000])
     def test_population_equals_quantiles_of_random(self, buffered, n):
         params = ParetoParams(1.04, 150.0)
-        rng, ref = (generator(np.random.PCG64, 17, buffered) for _ in range(2))
+        rng, ref = (generator(17, buffered) for _ in range(2))
         pop = generate(params, n, rng)
         assert pop.balances.tobytes() == quantile(params, ref.random(n)).tobytes()
         assert state(rng) == state(ref)
@@ -527,7 +520,7 @@ class TestRawStreamExact:
         (2**32, 1),  # the largest bracket: each offset is a raw value as is
     ])
     def test_bracketed_blocks_and_state_equal_integers_calls(self, buffered, n, k):
-        rng, ref = (generator(np.random.PCG64, 19, buffered) for _ in range(2))
+        rng, ref = (generator(19, buffered) for _ in range(2))
         bounds = bracket_bounds(n, k)
         rows = drawing._bracketed_rows(rng, n, k)
         for m in heights(self.ROWS):
@@ -537,7 +530,7 @@ class TestRawStreamExact:
 
     def test_one_account_brackets_read_one_value_each(self):
         # where numpy reads none: the one declared departure from integers
-        rng, ref = (generator(np.random.PCG64, 23, 0) for _ in range(2))
+        rng, ref = (generator(23, 0) for _ in range(2))
         rows = drawing._bracketed_rows(rng, 5, 5)
         assert np.array_equal(rows(3), np.tile(np.arange(5), (3, 1)))
         ref.integers(0, 2**32, size=15, dtype=np.uint32)

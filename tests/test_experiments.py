@@ -11,9 +11,9 @@ from plsim import experiments
 from plsim.drawing import (
     PrizeSchedule,
     expected_payout,
+    payout_bounds,
     payouts,
     winner_blocks,
-    worst_payout,
 )
 from plsim.experiments import (
     Cell,
@@ -314,7 +314,7 @@ class TestBracketing:
             assert cell.stds[0] is None
             worst_cell = result.cell(i, None)
             assert worst_cell.values[0][0] == pytest.approx(
-                worst_payout(pop, sched, "random") / expected, rel=1e-12)
+                payout_bounds(pop, sched, "random")[1, 0] / expected, rel=1e-12)
 
     def test_csv_shape(self):
         cfg = small_config()

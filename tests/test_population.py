@@ -78,13 +78,41 @@ def test_rejects_balances_summing_past_float64(balances):
 def test_float64_range_bounds_accounts_times_largest_sample_times_multiple():
     # no balance exceeds b * 2**(53 / alpha), here 2**1000 * 2**13.25
     params = ParetoParams(4.0, 2.0**1000)
-    require_drawable(params, 2**10, 1.0)
-    require_drawable(params, 2**9, 2.0)
-    for n, multiple in ((2**11, 1.0), (2**9, 4.0)):
-        with pytest.raises(ValueError, match="can overflow float64"):
-            require_drawable(params, n, multiple)
+    require_drawable(params, 2**10, [1.0])
+    require_drawable(params, 2**9, [0.5, 2.0])
+    for n, multiples in ((2**11, [1.0]), (2**9, [1.0, 4.0])):
+        with pytest.raises(ValueError, match=f"at prize multiple {max(multiples):g} "
+                                             "can overflow float64$"):
+            require_drawable(params, n, multiples)
     pop = generate(params, 2**10, 5)
     assert pop.balances.max() <= 2.0**1000 * 2.0**(53 / 4)
+
+
+TINY = np.finfo(float).tiny  # 2**-1022, the smallest normal float64
+
+
+@pytest.mark.parametrize("b, multiples, caps, refused", [
+    # no balance is below b, nor a capped one below the smallest cap, so no
+    # payout is below the smaller of the two, times the smallest multiple
+    # when below 1
+    (1.0, [TINY], (), None),
+    (1.0, [TINY / 2, 1.0], (), "at prize multiple 1.11254e-308"),
+    (TINY, [1.0, 1e300], (), None),
+    (TINY / 2, [1e300], (), "at prize multiple 1e+300"),  # subnormal balances
+    (2.0, [0.5], (1.0, 2 * TINY), None),
+    (2.0, [0.5], (1.0, TINY), "at cap 2.22507e-308 and prize multiple 0.5"),
+    (1e-300, [1e-300], (), "at prize multiple 1e-300"),
+])
+def test_float64_range_bounds_smallest_balance_times_smallest_multiple(b, multiples, caps,
+                                                                       refused):
+    params = ParetoParams(4.0, b)
+    if refused is None:
+        require_drawable(params, 10, multiples, caps)
+        return
+    with pytest.raises(ValueError) as exc:
+        require_drawable(params, 10, multiples, caps)
+    assert str(exc.value) == (f"10 accounts of Pareto {params.label()} {refused} "
+                              "can underflow float64")
 
 
 def test_capped_fraction_matches_survival():

@@ -18,12 +18,11 @@ from plsim.cpt import FixedPrizeSpec, utility_fixed_growth
 from plsim.drawing import (
     MECHANISMS,
     PrizeSchedule,
-    best_payout,
     bracket_bounds,
     cap_label,
+    payout_bounds,
     payouts,
     winner_blocks,
-    worst_payout,
 )
 from plsim.experiments import (
     ExperimentConfig,
@@ -75,19 +74,25 @@ def test_draw_winners_distinct_or_one_per_bracket(case):
         assert np.all((bounds[:-1] <= winners) & (winners < bounds[1:]))
 
 
+def within(rows, bounds, mechanism) -> bool:
+    """Whether each of ``rows`` lies between its level's best and worst
+    payout, the columns of ``bounds``. The bounds sum their balances in
+    sorted order and a random drawing in Floyd's, which can round apart by
+    an ulp or so; a bracketed drawing sums one balance per bracket in
+    bracket order, as its bounds do, and rounding is monotone, so it stays
+    within them exactly."""
+    lo, hi = bounds[:, :, None]
+    if mechanism == "random":
+        lo, hi = lo * (1 - 1e-12), hi * (1 + 1e-12)
+    return bool(np.all((lo <= rows) & (rows <= hi)))
+
+
 @properties
 @given(drawings())
 def test_payouts_within_best_and_worst(case):
     pop, sched, mechanism, seed, draws = case
-    got = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws)[0]
-    lo, hi = best_payout(pop, sched, mechanism), worst_payout(pop, sched, mechanism)
-    if mechanism == "random":
-        # the bounds sum their balances in sorted order and a drawing in
-        # Floyd's, which can round apart by an ulp or so; a bracketed drawing
-        # sums one balance per bracket in bracket order, as its bounds do,
-        # and rounding is monotone, so it stays within them exactly
-        lo, hi = lo * (1 - 1e-12), hi * (1 + 1e-12)
-    assert np.all((lo <= got) & (got <= hi))
+    got = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws)
+    assert within(got, payout_bounds(pop, sched, mechanism), mechanism)
 
 
 @properties
@@ -97,8 +102,9 @@ def test_capped_rows_never_increase(case, caps):
     got = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws, caps)
     assert got.shape == (1 + len(caps), draws)
     assert np.all(got[1:] <= got[:-1])
-    for row, cap in zip(got[1:], caps):
-        assert np.all(row <= worst_payout(pop, sched, mechanism, (cap,))[1] * (1 + 1e-12))
+    bounds = payout_bounds(pop, sched, mechanism, caps)
+    assert bounds.shape == (2, 1 + len(caps))
+    assert within(got, bounds, mechanism)
     uncapped = payouts(pop, sched, mechanism, np.random.default_rng(seed), draws)
     assert np.array_equal(got[:1], uncapped)
 

@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from plsim.drawing import PrizeSchedule, expected_payout, worst_payout
+from plsim.drawing import PrizeSchedule, expected_payout, payout_bounds
 from plsim.experiments import (ExperimentConfig, _population, bracketing_config,
                                prepare_engine_process, run_bracketing)
 
@@ -46,8 +46,8 @@ def prescreen(seed: int) -> tuple[bool, float, float]:
         # the engine's own population of run r, the stream full_check's runs use
         pop = _population(config, r)
         expected = expected_payout(pop, sched)[0]
-        bworst[r] = worst_payout(pop, sched, "bracketed")[0] / expected
-        rworst[r] = worst_payout(pop, sched, "random")[0] / expected
+        bworst[r] = payout_bounds(pop, sched, "bracketed")[1, 0] / expected
+        rworst[r] = payout_bounds(pop, sched, "random")[1, 0] / expected
     b_avg, r_avg = bworst.mean(), rworst.mean()
     ok = BWORST_BAND[0] < b_avg < BWORST_BAND[1] and r_avg >= 2.0 * b_avg
     return ok, b_avg, r_avg
